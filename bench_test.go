@@ -23,7 +23,7 @@ import (
 	"ksettop/internal/topology"
 )
 
-// One benchmark per experiment in the DESIGN.md index (E1–E17). Each
+// One benchmark per experiment in the experiments.All index (E1–E17). Each
 // iteration regenerates the experiment's table and fails the benchmark on
 // any MISMATCH/FAIL row, so `go test -bench=.` doubles as the reproduction
 // harness.
@@ -506,7 +506,7 @@ func BenchmarkSolveOneRoundSeqCapped(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := protocol.SolveOneRoundEngine(all, 4, 3, 100_000, protocol.SearchSeq)
+		res, err := protocol.SolveOneRoundSeq(context.Background(), all, 4, 3, 100_000)
 		if err == nil || res.Solvable {
 			b.Fatalf("want the oracle to exhaust its 100k-node cap, got solvable=%v err=%v", res.Solvable, err)
 		}

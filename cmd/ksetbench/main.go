@@ -88,7 +88,6 @@ func run() error {
 	against := flag.String("against", "", "previous snapshot to compare against (fails on regression)")
 	regress := flag.Float64("regress", 0.25, "allowed fractional ns/op regression vs -against")
 	filter := flag.String("filter", "", "regexp over benchmark names; only matches run (e.g. '^Homology')")
-	searchFlag := flag.String("search", "parallel", cli.SearchFlagUsage)
 	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
 	clauseBudget := flag.Int("clause-budget", 0, cli.ClauseBudgetFlagUsage)
 	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
@@ -106,9 +105,6 @@ func run() error {
 	}()
 	par.SetParallelism(*parallelism)
 	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
-		return err
-	}
-	if err := cli.ApplySearchFlag(*searchFlag); err != nil {
 		return err
 	}
 	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {
@@ -533,7 +529,7 @@ func benches() []bench {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := protocol.SolveOneRoundEngine(all, 4, 3, 100_000, protocol.SearchSeq)
+				res, err := protocol.SolveOneRoundSeq(context.Background(), all, 4, 3, 100_000)
 				if err == nil || res.Solvable {
 					b.Fatalf("want the oracle to exhaust its 100k-node cap, got solvable=%v err=%v", res.Solvable, err)
 				}

@@ -39,7 +39,6 @@ func run() (err error) {
 	verify := flag.Bool("verify", false, "re-check the one-round bounds mechanically")
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
 	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
-	searchFlag := flag.String("search", "parallel", cli.SearchFlagUsage)
 	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
 	clauseBudget := flag.Int("clause-budget", 0, cli.ClauseBudgetFlagUsage)
 	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
@@ -65,7 +64,7 @@ func run() (err error) {
 	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
 	jobKey := cli.JobKey("ksetbounds", *spec, fmt.Sprint(*rounds), fmt.Sprint(*verify),
-		fmt.Sprint(*searchFlag), fmt.Sprint(*solverBudget), fmt.Sprint(*clauseBudget))
+		fmt.Sprint(*solverBudget), fmt.Sprint(*clauseBudget))
 	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval, *resume)
 	defer func() {
 		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
@@ -84,9 +83,6 @@ func run() (err error) {
 		defer model.SetDistributor(nil)
 	}
 	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
-		return err
-	}
-	if err := cli.ApplySearchFlag(*searchFlag); err != nil {
 		return err
 	}
 	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {

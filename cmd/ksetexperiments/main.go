@@ -1,6 +1,6 @@
 // Command ksetexperiments regenerates every table and figure reproduction
-// indexed in DESIGN.md (E1–E17) and prints them as plain-text tables — the
-// source of record for EXPERIMENTS.md.
+// indexed by experiments.All (E1–E17) and prints them as plain-text tables
+// — the repository's record of the paper's reproduced results.
 //
 // Usage:
 //
@@ -40,9 +40,7 @@ func run() (err error) {
 	only := flag.String("only", "", "comma-separated experiment IDs (default all)")
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
 	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
-	engineFlag := flag.String("engine", "hybrid", cli.EngineFlagUsage)
 	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
-	searchFlag := flag.String("search", "parallel", cli.SearchFlagUsage)
 	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
 	clauseBudget := flag.Int("clause-budget", 0, cli.ClauseBudgetFlagUsage)
 	workers := flag.String("workers", "", cli.WorkersFlagUsage)
@@ -66,7 +64,7 @@ func run() (err error) {
 	}()
 	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
-	jobKey := cli.JobKey("ksetexperiments", *only, *engineFlag, *searchFlag,
+	jobKey := cli.JobKey("ksetexperiments", *only,
 		fmt.Sprint(*solverBudget), fmt.Sprint(*clauseBudget))
 	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval, *resume)
 	defer func() {
@@ -86,12 +84,6 @@ func run() (err error) {
 		defer model.SetDistributor(nil)
 	}
 	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
-		return err
-	}
-	if err := cli.ApplyEngineFlag(*engineFlag); err != nil {
-		return err
-	}
-	if err := cli.ApplySearchFlag(*searchFlag); err != nil {
 		return err
 	}
 	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {

@@ -7,7 +7,7 @@
 //
 //	ksettopo -model star:n=3 -values 3
 //	ksettopo -model simple-cycle:n=4 -values 2 -maxdim 1
-//	ksettopo -model stars:n=6,s=2 -engine packed        # seed oracle backend
+//	ksettopo -model stars:n=4,s=2 -values 3            # 2-star unions on 4 processes
 //	ksettopo -model star:n=5 -memo-snapshot memo.snap   # warm-start closures
 package main
 
@@ -36,7 +36,6 @@ func run() (err error) {
 	maxDim := flag.Int("maxdim", -1, "homology dimension cap (default n−2)")
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
 	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
-	engineFlag := flag.String("engine", "hybrid", cli.EngineFlagUsage)
 	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
 	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
 	clauseBudget := flag.Int("clause-budget", 0, cli.ClauseBudgetFlagUsage)
@@ -54,7 +53,7 @@ func run() (err error) {
 	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
 	jobKey := cli.JobKey("ksettopo", *spec, fmt.Sprint(*values), fmt.Sprint(*maxDim),
-		*engineFlag, fmt.Sprint(*solverBudget), fmt.Sprint(*clauseBudget))
+		fmt.Sprint(*solverBudget), fmt.Sprint(*clauseBudget))
 	_, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval, *resume)
 	defer func() {
 		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
@@ -63,9 +62,6 @@ func run() (err error) {
 	}()
 	par.SetParallelism(*parallelism)
 	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
-		return err
-	}
-	if err := cli.ApplyEngineFlag(*engineFlag); err != nil {
 		return err
 	}
 	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {

@@ -18,8 +18,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Figure 1(b) (reconstructed, see DESIGN.md): one broadcaster plus a
-	// 3-cycle. cov_2 = 3 while γ_eq = 4, so the covering bound wins: 3-set.
+	// Figure 1(b) (edge set reconstructed from its stated numbers): one
+	// broadcaster plus a 3-cycle. cov_2 = 3 while γ_eq = 4, so the covering bound wins: 3-set.
 	fig1b, err := ksettop.FromAdjacency([][]int{{0, 1, 2, 3}, {2}, {3}, {1}})
 	if err != nil {
 		log.Fatal(err)

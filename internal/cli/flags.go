@@ -10,7 +10,6 @@ import (
 	"ksettop/internal/model"
 	"ksettop/internal/obs"
 	"ksettop/internal/protocol"
-	"ksettop/internal/topology"
 )
 
 // LogLevelFlagUsage is the shared help text of the -log-level flag.
@@ -40,42 +39,6 @@ func StartTraceOut(path string) func() error {
 	}
 	obs.SetTracingEnabled(true)
 	return func() error { return obs.WriteChromeTraceFile(path) }
-}
-
-// EngineFlagUsage is the shared help text of the -engine flag.
-const EngineFlagUsage = "homology engine: hybrid (apparent pairs + bit-packed hybrid columns) | sparse (pure-sparse cross-check) | packed (seed bit-packed oracle)"
-
-// ApplyEngineFlag interprets the shared -engine flag value and switches the
-// process-wide GF(2) reduction backend.
-func ApplyEngineFlag(value string) error {
-	switch strings.ToLower(value) {
-	case "hybrid":
-		topology.SetHomologyEngine(topology.EngineHybrid)
-	case "sparse":
-		topology.SetHomologyEngine(topology.EngineSparse)
-	case "packed":
-		topology.SetHomologyEngine(topology.EnginePacked)
-	default:
-		return fmt.Errorf("cli: -engine=%q, want hybrid, sparse or packed", value)
-	}
-	return nil
-}
-
-// SearchFlagUsage is the shared help text of the -search flag.
-const SearchFlagUsage = "solver search engine: parallel (work-stealing learning engine) | seq (sequential oracle)"
-
-// ApplySearchFlag interprets the shared -search flag value and switches the
-// process-wide decision-map search engine.
-func ApplySearchFlag(value string) error {
-	switch strings.ToLower(value) {
-	case "parallel":
-		protocol.SetSearchEngine(protocol.SearchParallel)
-	case "seq":
-		protocol.SetSearchEngine(protocol.SearchSeq)
-	default:
-		return fmt.Errorf("cli: -search=%q, want parallel or seq", value)
-	}
-	return nil
 }
 
 // SolverBudgetFlagUsage is the shared help text of the -solver-budget flag.

@@ -219,7 +219,8 @@ func distDominatesAll(gens []graph.Digraph, i int) bool {
 // semantics the failure condition is "some P of size i fails to dominate
 // some graph", which makes γ_dist(S) coincide with γ_eq(S). Only this
 // reading reproduces γ_dist = n−s+1 for the union-of-s-stars family and
-// hence the tight Theorem 6.13 bound; see DESIGN.md ("Substitutions").
+// hence the tight Theorem 6.13 bound; TestDistributedDominationStarUnions
+// records the values the literal reading gives instead.
 func DistributedDominationNumberEffective(gens []graph.Digraph) (int, error) {
 	return EqualDominationNumberSet(gens)
 }

@@ -173,7 +173,8 @@ func TestFigure1Quantities(t *testing.T) {
 		t.Errorf("γ_eq(Sym(star)) = %d, want 4 (= n)", eq)
 	}
 
-	// Figure 1(b) (see DESIGN.md): broadcaster p1 plus 3-cycle p2→p3→p4→p2.
+	// Figure 1(b) (edge set reconstructed from its stated numbers):
+	// broadcaster p1 plus 3-cycle p2→p3→p4→p2.
 	fig1b, err := graph.FromAdjacency([][]int{{0, 1, 2, 3}, {2}, {3}, {1}})
 	if err != nil {
 		t.Fatalf("FromAdjacency: %v", err)
@@ -213,7 +214,8 @@ func TestDistributedDominationStarUnions(t *testing.T) {
 	// union-of-s-stars model. That value is reproduced by the *effective*
 	// semantics (single-graph failure witnesses, = γ_eq(S)); the literal
 	// Def 5.2 (joint domination of exact-size graph subsets) yields smaller
-	// values, recorded here as regressions. See DESIGN.md.
+	// values, recorded here as regressions. See
+	// DistributedDominationNumberEffective.
 	cases := []struct {
 		n, s    int
 		literal int

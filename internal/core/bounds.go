@@ -119,8 +119,8 @@ func bestUpper(all []UpperBound) UpperBound {
 // for simple models and Thm 5.4 for general (non-simple) ones.
 //
 // Thm 5.4 is computed with the effective γ_dist / max-cov semantics (see
-// combinat and DESIGN.md), which is the reading that reproduces the paper's
-// worked examples. It is deliberately NOT applied to simple models: §5
+// combinat.DistributedDominationNumberEffective), which is the reading that
+// reproduces the paper's worked examples. It is deliberately NOT applied to simple models: §5
 // introduces it after dispatching the simple case to Thm 5.1 ("we thus focus
 // on general closed-above models"), and applying it to a singleton S
 // produces claims contradicted by the Thm 3.2 algorithm (e.g. it would

@@ -102,9 +102,9 @@ func BestUpperMultiRound(m *model.ClosedAbove, r int) (UpperBound, error) {
 }
 
 // LowerBoundsMultiRound returns the r-round lower bounds for oblivious
-// algorithms: Thm 6.10 (simple; the appendix-consistent statement
-// γ(G^r) − 1, see DESIGN.md on the printed typo) and Thm 6.11 (general,
-// Thm 5.4 applied to S^r).
+// algorithms: Thm 6.10 (simple; the statement γ(G^r) − 1, consistent with
+// the paper's appendix rather than its misprinted body) and Thm 6.11
+// (general, Thm 5.4 applied to S^r).
 func LowerBoundsMultiRound(m *model.ClosedAbove, r int) ([]LowerBound, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("core: rounds %d must be ≥ 1", r)
@@ -123,7 +123,7 @@ func LowerBoundsMultiRound(m *model.ClosedAbove, r int) ([]LowerBound, error) {
 	var out []LowerBound
 
 	if m.IsSimple() {
-		// Thm 6.10 (appendix-consistent statement; see DESIGN.md): the
+		// Thm 6.10 (the appendix-consistent statement): the
 		// Thm 5.1 bound on the product graph. Thm 6.11 is not applied to
 		// simple models, mirroring LowerBoundsOneRound.
 		gamma := combinat.DominationNumber(prods[0])

@@ -187,7 +187,9 @@ func VerifyLowerMultiRoundBySolver(m *model.ClosedAbove, bound LowerBound, nodeB
 // protocol complex being (K−1)-connected ([HKR13] Thm 10.3.1). This builds
 // the one-round protocol complex over K+1 input values and verifies
 // homological (K−1)-connectivity — a machine-checkable necessary condition
-// of the paper's claim (see DESIGN.md on homology vs homotopy).
+// of the paper's claim: vanishing reduced homology is implied by, but does
+// not imply, (K−1)-connectivity, so a pass corroborates the claim and a
+// failure would refute it.
 func VerifyLowerByTopology(m *model.ClosedAbove, bound LowerBound) error {
 	if bound.K < 1 {
 		return nil

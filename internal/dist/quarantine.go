@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -14,7 +16,7 @@ import (
 // worker whose score crosses the threshold (its leases are revoked, its ring
 // vnodes are skipped in placement, its in-flight shards re-dispatch), and a
 // half-open probe that re-admits it after exponential backoff by re-running
-// a known-answer job and comparing bytes.
+// a known-answer shard of every op it diverged on and comparing bytes.
 
 // Evidence weights. A byte divergence (losing a quorum vote, a hedge-loser
 // mismatch) is the Byzantine signal and counts full; a corrupt response is
@@ -29,9 +31,10 @@ const (
 	successDecay    = 0.5
 )
 
-// probeModel is the known-answer job a half-open probe re-executes on a
-// quarantined worker; the reference bytes are computed locally once and
-// cached. Tiny on purpose: a probe must be cheap enough to repeat forever.
+// probeModel is the model of the known-answer shards a half-open probe
+// re-executes on a quarantined worker, two per op it diverged on; the
+// reference bytes are computed locally once per op and cached. Tiny on
+// purpose: a probe must be cheap enough to repeat forever.
 const probeModel = "star:n=3"
 
 // workerHealth is one worker's trust state, guarded by Coordinator.mu.
@@ -41,6 +44,10 @@ type workerHealth struct {
 	since       time.Time // when the current quarantine (or extension) began
 	trips       int       // consecutive failed probes + the original trip, drives backoff
 	probing     bool      // a half-open probe is in flight
+	// lied holds the ops the worker diverged on since its last admission.
+	// Its probes cover each of them: a worker convicted of lying on enum
+	// payloads must answer an enum shard correctly to earn trust back.
+	lied map[string]bool
 }
 
 func (c *Coordinator) quarantineEnabled() bool { return c.cfg.QuarantineThreshold >= 0 }
@@ -104,8 +111,9 @@ func (c *Coordinator) quarantinedGaugeLocked() {
 }
 
 // recordDivergence charges worker with one byte-divergence event on shard
-// and trips quarantine at the threshold.
-func (c *Coordinator) recordDivergence(worker string, shard int) {
+// of an op sweep, remembers op for the worker's half-open probes, and trips
+// quarantine at the threshold.
+func (c *Coordinator) recordDivergence(worker string, shard int, op string) {
 	if worker == localWorker {
 		return
 	}
@@ -113,7 +121,11 @@ func (c *Coordinator) recordDivergence(worker string, shard int) {
 	defer c.mu.Unlock()
 	h := c.healthLocked(worker)
 	h.score += divergenceScore
-	c.log.Warnf("dist: worker %s diverged on shard %d (score %.2f)", worker, shard, h.score)
+	if h.lied == nil {
+		h.lied = make(map[string]bool)
+	}
+	h.lied[op] = true
+	c.log.Warnf("dist: worker %s diverged on shard %d of a %s sweep (score %.2f)", worker, shard, op, h.score)
 	c.maybeQuarantineLocked(worker, h)
 }
 
@@ -194,12 +206,22 @@ func (c *Coordinator) maybeProbeQuarantined(ctx context.Context) {
 }
 
 // probeQuarantined is the half-open transition: re-execute the known-answer
-// probe job on worker and compare bytes. A match closes the circuit
-// (re-admission, score reset); anything else re-opens it with doubled
-// backoff.
+// shards of every op worker diverged on (count when it tripped on transport
+// evidence alone) and compare bytes. A match on all of them closes the
+// circuit (re-admission, score and op record reset); anything else
+// re-opens it with doubled backoff.
 func (c *Coordinator) probeQuarantined(ctx context.Context, worker string) {
 	c.met.quarantineProbes.Inc()
-	ok := c.runProbe(ctx, worker)
+	c.mu.Lock()
+	ops := probeOps(c.healthLocked(worker).lied)
+	c.mu.Unlock()
+	ok := true
+	for _, op := range ops {
+		if !c.runProbe(ctx, worker, op) {
+			ok = false
+			break
+		}
+	}
 	c.mu.Lock()
 	h := c.healthLocked(worker)
 	h.probing = false
@@ -207,23 +229,38 @@ func (c *Coordinator) probeQuarantined(ctx context.Context, worker string) {
 		h.quarantined = false
 		h.score = 0
 		h.trips = 0
+		h.lied = nil
 		c.met.quarantineReadmissions.Inc()
 		c.quarantinedGaugeLocked()
 		c.mu.Unlock()
-		c.log.Infof("dist: worker %s passed its half-open probe; re-admitted", worker)
+		c.log.Infof("dist: worker %s passed its half-open probe (%s); re-admitted", worker, strings.Join(ops, ","))
 		return
 	}
 	h.since = time.Now()
 	h.trips++
 	next := c.quarantineBackoffLocked(h)
 	c.mu.Unlock()
-	c.log.Warnf("dist: worker %s failed its half-open probe; quarantine extended (next probe in %s)", worker, next)
+	c.log.Warnf("dist: worker %s failed its half-open probe (%s); quarantine extended (next probe in %s)", worker, strings.Join(ops, ","), next)
 }
 
-// runProbe executes the known-answer job on worker and byte-compares the
-// payload against the locally computed reference.
-func (c *Coordinator) runProbe(ctx context.Context, worker string) bool {
-	ref, total, err := c.probeReference()
+// probeOps lists the ops a half-open probe must cover, sorted: every op in
+// lied, or count alone when the worker never diverged.
+func probeOps(lied map[string]bool) []string {
+	if len(lied) == 0 {
+		return []string{OpCount}
+	}
+	ops := make([]string, 0, len(lied))
+	for op := range lied {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	return ops
+}
+
+// runProbe executes op's known-answer shards on worker, in order, and
+// byte-compares each payload against the locally computed reference.
+func (c *Coordinator) runProbe(ctx context.Context, worker, op string) bool {
+	shards, err := probeReference(op)
 	if err != nil {
 		return false
 	}
@@ -231,43 +268,73 @@ func (c *Coordinator) runProbe(ctx context.Context, worker string) bool {
 	if lease > 5*time.Second {
 		lease = 5 * time.Second
 	}
-	pctx, cancel := context.WithTimeout(ctx, lease)
-	defer cancel()
-	payload, _, err := c.exec(pctx, worker, ExecRequest{
-		Op:      OpCount,
-		Model:   probeModel,
-		From:    0,
-		To:      total,
-		LeaseMs: lease.Milliseconds(),
-	})
-	return err == nil && bytes.Equal(payload, ref)
+	for _, sh := range shards {
+		pctx, cancel := context.WithTimeout(ctx, lease)
+		payload, _, err := c.exec(pctx, worker, ExecRequest{
+			Op:      op,
+			Model:   probeModel,
+			From:    sh.from,
+			To:      sh.to,
+			LeaseMs: lease.Milliseconds(),
+		})
+		cancel()
+		if err != nil || !bytes.Equal(payload, sh.payload) {
+			return false
+		}
+	}
+	return true
 }
 
-var probeRefOnce sync.Once
-var probeRefPayload []byte
-var probeRefTotal int64
-var probeRefErr error
+// probeShard is one known-answer shard: a rank range of probeModel and the
+// reference payload of the op over it.
+type probeShard struct {
+	from, to int64
+	payload  []byte
+}
 
-// probeReference computes (once, process-wide) the reference bytes of the
-// probe job. The probe model and op are fixed, so all coordinators share it.
-func (c *Coordinator) probeReference() ([]byte, int64, error) {
-	probeRefOnce.Do(func() {
-		op, ok := LookupOp(OpCount)
+// probeRef is the cached known answer of one op's probe.
+type probeRef struct {
+	once   sync.Once
+	shards []probeShard
+	err    error
+}
+
+// probeRefs maps an op name to its *probeRef. The probe model is fixed, so
+// all coordinators share one reference per op.
+var probeRefs sync.Map
+
+// probeReference computes (once per op, process-wide) the reference
+// payloads of op's probe: the whole rank range of probeModel, then its
+// lower half. The two answers differ, so a worker replaying its previous
+// response — the whole-range answer included, from an earlier probe —
+// fails whichever shard comes next.
+func probeReference(opName string) ([]probeShard, error) {
+	v, _ := probeRefs.LoadOrStore(opName, new(probeRef))
+	ref := v.(*probeRef)
+	ref.once.Do(func() {
+		op, ok := LookupOp(opName)
 		if !ok {
-			probeRefErr = errUnknownOp(OpCount)
+			ref.err = errUnknownOp(opName)
 			return
 		}
 		m, err := cli.ParseModel(probeModel)
 		if err != nil {
-			probeRefErr = err
+			ref.err = err
 			return
 		}
-		probeRefTotal, err = m.EnumerationSize()
+		total, err := m.EnumerationSize()
 		if err != nil {
-			probeRefErr = err
+			ref.err = err
 			return
 		}
-		probeRefPayload, probeRefErr = op.Run(context.Background(), m, 0, probeRefTotal)
+		for _, to := range []int64{total, total / 2} {
+			payload, err := op.Run(context.Background(), m, 0, to)
+			if err != nil {
+				ref.err = err
+				return
+			}
+			ref.shards = append(ref.shards, probeShard{from: 0, to: to, payload: payload})
+		}
 	})
-	return probeRefPayload, probeRefTotal, probeRefErr
+	return ref.shards, ref.err
 }

@@ -21,6 +21,18 @@ func forceQuarantine(c *Coordinator, worker string) {
 	c.quarantinedGaugeLocked()
 }
 
+// probeDone reports whether the n-th half-open probe has been launched and
+// worker's probe has finished — the probe counter ticks at launch, so it
+// alone does not say the verdict is in.
+func probeDone(c *Coordinator, worker string, n uint64) bool {
+	if c.Stats().QuarantineProbes < n {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return !c.health[worker].probing
+}
+
 // Unit test of the hedge-loser promotion path: a disagreeing duplicate on a
 // committed shard is a divergence event that forces verification even with
 // VerifyFraction 0, and the loser is charged when the shard settles.
@@ -144,7 +156,7 @@ func TestDistQuarantineProbeLiesExtendReadmitsWhenHonest(t *testing.T) {
 	backdate()
 	c.maybeProbeQuarantined(context.Background())
 	waitFor(t, 5*time.Second, "failed probe to finish", func() bool {
-		return c.Stats().QuarantineProbes == 1
+		return probeDone(c, workers[0], 1)
 	})
 	c.mu.Lock()
 	trips, stillQuarantined := c.health[workers[0]].trips, c.health[workers[0]].quarantined
@@ -161,9 +173,12 @@ func TestDistQuarantineProbeLiesExtendReadmitsWhenHonest(t *testing.T) {
 	backdate()
 	c.maybeProbeQuarantined(context.Background())
 	waitFor(t, 5*time.Second, "re-admission", func() bool {
-		return c.Stats().QuarantineReadmissions == 1
+		return probeDone(c, workers[0], 2)
 	})
-	if c.EligibleWorkers() != 1 || c.Stats().QuarantinedWorkers != 0 {
+	if c.Stats().QuarantineReadmissions != 1 {
+		t.Fatalf("honest probe did not re-admit: %+v", c.Stats())
+	}
+	if !c.eligible(workers[0]) {
 		t.Fatalf("worker not restored to placement: %+v", c.Stats())
 	}
 	c.mu.Lock()
@@ -174,7 +189,62 @@ func TestDistQuarantineProbeLiesExtendReadmitsWhenHonest(t *testing.T) {
 	}
 }
 
-// Satellite: heartbeat probe intervals carry seeded ±20%% jitter —
+// Regression: a worker convicted of lying only on enum payloads must fail
+// its half-open probe while it keeps lying, even though it answers count
+// shards honestly — the probe covers the op it diverged on, not a fixed
+// count job. Once honest on enum it is re-admitted.
+func TestDistQuarantineProbeCoversConvictingOp(t *testing.T) {
+	workers, proxy := startLiarFleet(t, 1, lieRotate, 0, 0)
+	proxy.only = OpEnum
+	cfg := testCoordConfig(workers)
+	cfg.QuarantineThreshold = 1
+	c := NewCoordinator(cfg)
+	c.recordDivergence(workers[0], 0, OpEnum) // the enum conviction
+	if c.eligible(workers[0]) {
+		t.Fatal("one divergence at threshold 1 must quarantine")
+	}
+	probe := func() {
+		t.Helper()
+		c.mu.Lock()
+		c.health[workers[0]].since = time.Now().Add(-time.Minute)
+		c.mu.Unlock()
+		launched := c.Stats().QuarantineProbes + 1
+		c.maybeProbeQuarantined(context.Background())
+		waitFor(t, 5*time.Second, "probe to finish", func() bool {
+			return probeDone(c, workers[0], launched)
+		})
+	}
+
+	probe()
+	if c.Stats().QuarantineReadmissions != 0 || c.eligible(workers[0]) {
+		t.Fatal("enum-only liar passed its probe")
+	}
+	if proxy.lies.Load() == 0 {
+		t.Fatal("the probe never reached the enum lie; test proves nothing")
+	}
+
+	proxy.lying.Store(false)
+	probe()
+	if c.Stats().QuarantineReadmissions != 1 || !c.eligible(workers[0]) {
+		t.Fatalf("honest worker not re-admitted: %+v", c.Stats())
+	}
+}
+
+// A probe's two known-answer shards per op must have distinct answers;
+// otherwise a worker replaying its previous response passes them.
+func TestProbeReferenceShardsDiffer(t *testing.T) {
+	for _, op := range []string{OpCount, OpEnum} {
+		shards, err := probeReference(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shards) != 2 || bytes.Equal(shards[0].payload, shards[1].payload) {
+			t.Fatalf("%s: probe shards do not have two distinct answers: %+v", op, shards)
+		}
+	}
+}
+
+// Heartbeat probe intervals carry seeded ±20%% jitter —
 // deterministic in (seed, worker, tick), always within [0.8, 1.2)× the
 // configured period, and actually varying across ticks.
 func TestProbeIntervalJitter(t *testing.T) {

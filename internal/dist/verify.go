@@ -221,7 +221,7 @@ func (v *verifier) onDuplicate(st *shardState, comp completion) error {
 	c.log.Warnf("dist: shard %d: duplicate result from worker %s disagrees with committed result from worker %s",
 		st.idx, comp.g.worker, st.committedBy)
 	if st.verified {
-		c.recordDivergence(comp.g.worker, st.idx)
+		c.recordDivergence(comp.g.worker, st.idx, v.job.Op)
 		return nil
 	}
 	if comp.g.worker != st.committedBy {
@@ -242,7 +242,7 @@ func (v *verifier) onDuplicate(st *shardState, comp completion) error {
 func (v *verifier) settle(st *shardState, truth []byte, source string) error {
 	for w, vote := range st.votes {
 		if !bytes.Equal(vote, truth) {
-			v.c.recordDivergence(w, st.idx)
+			v.c.recordDivergence(w, st.idx, v.job.Op)
 		}
 	}
 	if !bytes.Equal(st.result, truth) {

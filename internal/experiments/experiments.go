@@ -1,7 +1,7 @@
 // Package experiments regenerates every figure and worked example in the
-// paper's evaluation-bearing sections, as indexed in DESIGN.md (E1–E17).
-// Each experiment returns a Table whose rows state the paper's claim next to
-// the measured value; EXPERIMENTS.md is the recorded output.
+// paper's evaluation-bearing sections, indexed by All (E1–E17). Each
+// experiment returns a Table whose rows state the paper's claim next to the
+// measured value; cmd/ksetexperiments prints them.
 package experiments
 
 import (
@@ -132,7 +132,7 @@ func RunAll(runners []Runner) []Outcome {
 	return outcomes
 }
 
-// All returns every experiment in DESIGN.md order.
+// All returns every experiment in index order.
 func All() []Runner {
 	return []Runner{
 		{"E1", E1Figure1},

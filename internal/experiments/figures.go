@@ -10,8 +10,9 @@ import (
 	"ksettop/internal/topology"
 )
 
-// fig1b is the DESIGN.md reconstruction of Figure 1(b): broadcaster p1 plus
-// the 3-cycle p2→p3→p4→p2.
+// fig1b is the reconstruction of Figure 1(b): broadcaster p1 plus the
+// 3-cycle p2→p3→p4→p2, the edge set that realizes the paper's stated
+// cov_2 = 3 and γ_eq = 4.
 func fig1b() (graph.Digraph, error) {
 	return graph.FromAdjacency([][]int{{0, 1, 2, 3}, {2}, {3}, {1}})
 }

@@ -76,9 +76,8 @@ func E15RandomClosedAbove() (*Table, error) {
 			return nil, err
 		}
 		maxDim := row.n - 2
-		// The engines are addressed directly (not through the global engine
-		// switch): the cross-check columns below would be vacuous under
-		// -engine packed.
+		// The hybrid engine and its references are addressed directly, so
+		// the cross-check columns below always compare distinct code.
 		betti, connected, enginesAgree, err := crossCheckedBetti(ac, maxDim)
 		if err != nil {
 			return nil, err

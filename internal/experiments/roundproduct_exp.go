@@ -9,6 +9,7 @@ import (
 	"ksettop/internal/graph"
 	"ksettop/internal/model"
 	"ksettop/internal/protocol"
+	"ksettop/internal/runctx"
 )
 
 // E16RoundProducts exercises the solver's work-stealing learning engine on
@@ -79,7 +80,7 @@ func E16RoundProducts() (*Table, error) {
 	// The same instance on the sequential oracle with a 100k-node budget:
 	// plain backtracking exhausts it — the learning engine is the
 	// difference between milliseconds and (extrapolated) minutes here.
-	_, seqErr := protocol.SolveOneRoundEngine(prods, 4, 3, 100_000, protocol.SearchSeq)
+	_, seqErr := protocol.SolveOneRoundSeq(runctx.Base(), prods, 4, 3, 100_000)
 	oracleCapped := seqErr != nil && strings.Contains(seqErr.Error(), "node budget")
 	t.AddRow("seq oracle on the same instance, 100k-node budget", fmt.Sprint(seqErr), "budget exhausted", check(oracleCapped))
 
@@ -98,11 +99,11 @@ func E16RoundProducts() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	seqRes, err := protocol.SolveOneRoundEngine(c5prods, 2, 1, protocol.DefaultNodeBudget(), protocol.SearchSeq)
+	seqRes, err := protocol.SolveOneRoundSeq(runctx.Base(), c5prods, 2, 1, protocol.DefaultNodeBudget())
 	if err != nil {
 		return nil, err
 	}
-	parRes, err := protocol.SolveOneRoundEngine(c5prods, 2, 1, protocol.DefaultNodeBudget(), protocol.SearchParallel)
+	parRes, err := protocol.SolveOneRound(c5prods, 2, 1, protocol.DefaultNodeBudget())
 	if err != nil {
 		return nil, err
 	}

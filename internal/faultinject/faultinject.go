@@ -33,6 +33,7 @@ const (
 	PointParTask      = "par.task"      // before a deque worker runs a task
 	PointSolverTask   = "solver.task"   // before a solver subtree task runs
 	PointSnapshotLoad = "memo.snapshot" // snapshot byte stream on load
+	PointSnapshotSync = "memo.sync"     // before a snapshot's temp file is fsynced (error = fsync failure)
 	PointServeRequest = "serve.request" // before a service request is handled
 
 	// Distributed sweep tier (internal/dist) injection sites. Worker-side

@@ -13,7 +13,7 @@ import (
 // TestReducedBettiCtxDeterminism is the Betti-side corpus regression for the
 // cancellation backbone: cancelling a reduction mid-flight and rerunning it
 // to completion must yield Betti numbers identical to a never-cancelled run,
-// at every parallelism setting, on both engines.
+// at every parallelism setting.
 func TestReducedBettiCtxDeterminism(t *testing.T) {
 	facets := facetComplex(pseudosphereFacets([]int{3, 3, 3, 3, 3, 2, 2, 2, 2}))
 	const maxDim = 7
@@ -25,38 +25,29 @@ func TestReducedBettiCtxDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	engines := []struct {
-		name string
-		run  func(ctx context.Context) ([]int, error)
-	}{
-		{"hybrid", func(ctx context.Context) ([]int, error) { return ReducedBettiCtx(ctx, facets, maxDim) }},
-		{"sparse", func(ctx context.Context) ([]int, error) { return ReducedBettiSparseCtx(ctx, facets, maxDim) }},
-	}
-	for _, eng := range engines {
-		for _, workers := range []int{1, 2, 5, 8} {
-			par.SetParallelism(workers)
-			// Cancel mid-run: a deadline short enough to land inside the
-			// reduction on most runs. Either outcome is legal — an abort
-			// error carrying DeadlineExceeded, or a clean finish if the run
-			// beat the deadline — but never a partial result without error.
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-			got, err := eng.run(ctx)
-			cancel()
-			if err != nil {
-				if !errors.Is(err, context.DeadlineExceeded) {
-					t.Fatalf("%s workers=%d: cancelled run returned %v, want a DeadlineExceeded chain", eng.name, workers, err)
-				}
-			} else if !slices.Equal(got, want) {
-				t.Fatalf("%s workers=%d: run that beat the deadline differs: %v vs %v", eng.name, workers, got, want)
+	for _, workers := range []int{1, 2, 5, 8} {
+		par.SetParallelism(workers)
+		// Cancel mid-run: a deadline short enough to land inside the
+		// reduction on most runs. Either outcome is legal — an abort error
+		// carrying DeadlineExceeded, or a clean finish if the run beat the
+		// deadline — but never a partial result without error.
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+		got, err := ReducedBettiCtx(ctx, facets, maxDim)
+		cancel()
+		if err != nil {
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("workers=%d: cancelled run returned %v, want a DeadlineExceeded chain", workers, err)
 			}
-			// Rerun to completion: identical to the uncancelled result.
-			got, err = eng.run(context.Background())
-			if err != nil {
-				t.Fatalf("%s workers=%d: rerun: %v", eng.name, workers, err)
-			}
-			if !slices.Equal(got, want) {
-				t.Errorf("%s workers=%d: rerun after cancellation differs: %v vs %v", eng.name, workers, got, want)
-			}
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: run that beat the deadline differs: %v vs %v", workers, got, want)
+		}
+		// Rerun to completion: identical to the uncancelled result.
+		got, err = ReducedBettiCtx(context.Background(), facets, maxDim)
+		if err != nil {
+			t.Fatalf("workers=%d: rerun: %v", workers, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("workers=%d: rerun after cancellation differs: %v vs %v", workers, got, want)
 		}
 	}
 }
@@ -70,9 +61,6 @@ func TestReducedBettiCtxExpired(t *testing.T) {
 	defer cancel()
 	<-ctx.Done()
 	if _, err := ReducedBettiCtx(ctx, facets, 2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("hybrid: err = %v, want DeadlineExceeded chain", err)
-	}
-	if _, err := ReducedBettiSparseCtx(ctx, facets, 2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("sparse: err = %v, want DeadlineExceeded chain", err)
+		t.Fatalf("err = %v, want DeadlineExceeded chain", err)
 	}
 }

@@ -32,12 +32,13 @@
 //     reduce locally in parallel against the frozen apparent table, and the
 //     block survivors are reconciled sequentially in block order. GF(2)
 //     rank is unique, so Betti numbers are identical across every
-//     parallelism setting, engine, and representation (the same determinism
+//     parallelism setting and representation (the same determinism
 //     contract as the PR-2 solver sweep).
 //
-// The PR-3 pure-sparse reduction survives as ReducedBettiSparse (the
-// cmds' -engine=sparse) for cross-checking; the two paths share the level
-// tables but no reduction code.
+// The original pure-sparse reduction survives as
+// (*ChainComplex).ReducedBettiSparse, the reference the hybrid engine is
+// cross-checked against; the two paths share the level tables but no
+// reduction code.
 package homology
 
 import (
@@ -65,7 +66,7 @@ type Complex interface {
 // with the augmented chain complex, so β̃_0 is (components − 1). The empty
 // complex is rejected, as in the seed implementation.
 func ReducedBetti(c Complex, maxDim int) ([]int, error) {
-	return reducedBettiOf(runctx.Base(), c, maxDim, false)
+	return ReducedBettiCtx(runctx.Base(), c, maxDim)
 }
 
 // ReducedBettiCtx is ReducedBetti bound to a context: ctx expiry cancels the
@@ -73,23 +74,6 @@ func ReducedBetti(c Complex, maxDim int) ([]int, error) {
 // context's cause wrapped as "homology: reduction aborted". A completed call
 // is identical to ReducedBetti at every parallelism setting.
 func ReducedBettiCtx(ctx context.Context, c Complex, maxDim int) ([]int, error) {
-	return reducedBettiOf(ctx, c, maxDim, false)
-}
-
-// ReducedBettiSparse is ReducedBetti on the PR-3 pure-sparse reduction —
-// merge-based column XOR, no apparent pass, no dense blocks — kept as an
-// independent cross-check of the hybrid engine (and as the -engine=sparse
-// CLI backend).
-func ReducedBettiSparse(c Complex, maxDim int) ([]int, error) {
-	return reducedBettiOf(runctx.Base(), c, maxDim, true)
-}
-
-// ReducedBettiSparseCtx is ReducedBettiSparse bound to a context.
-func ReducedBettiSparseCtx(ctx context.Context, c Complex, maxDim int) ([]int, error) {
-	return reducedBettiOf(ctx, c, maxDim, true)
-}
-
-func reducedBettiOf(ctx context.Context, c Complex, maxDim int, sparse bool) ([]int, error) {
 	if maxDim < 0 {
 		return nil, fmt.Errorf("homology: negative homology dimension %d", maxDim)
 	}
@@ -97,7 +81,7 @@ func reducedBettiOf(ctx context.Context, c Complex, maxDim int, sparse bool) ([]
 	if err != nil {
 		return nil, err
 	}
-	return cc.reducedBetti(ctx, maxDim, sparse)
+	return cc.ReducedBettiCtx(ctx, maxDim)
 }
 
 // ReducedBetti computes β̃_0 … β̃_maxDim from the level table on the hybrid
@@ -106,31 +90,14 @@ func reducedBettiOf(ctx context.Context, c Complex, maxDim int, sparse bool) ([]
 // columns of the next one, and each matrix is dropped before the next is
 // built.
 func (cc *ChainComplex) ReducedBetti(maxDim int) ([]int, error) {
-	return cc.reducedBetti(runctx.Base(), maxDim, false)
+	return cc.ReducedBettiCtx(runctx.Base(), maxDim)
 }
 
 // ReducedBettiCtx is ReducedBetti bound to a context (see the package-level
 // ReducedBettiCtx).
 func (cc *ChainComplex) ReducedBettiCtx(ctx context.Context, maxDim int) ([]int, error) {
-	return cc.reducedBetti(ctx, maxDim, false)
-}
-
-// ReducedBettiSparse is ReducedBetti on the pure-sparse reduction.
-func (cc *ChainComplex) ReducedBettiSparse(maxDim int) ([]int, error) {
-	return cc.reducedBetti(runctx.Base(), maxDim, true)
-}
-
-// ReducedBettiSparseCtx is ReducedBettiSparse bound to a context.
-func (cc *ChainComplex) ReducedBettiSparseCtx(ctx context.Context, maxDim int) ([]int, error) {
-	return cc.reducedBetti(ctx, maxDim, true)
-}
-
-func (cc *ChainComplex) reducedBetti(ctx context.Context, maxDim int, sparse bool) ([]int, error) {
-	if maxDim < 0 || maxDim+1 > cc.Dim() {
-		return nil, fmt.Errorf("homology: dimension %d outside level table (cap %d)", maxDim, cc.Dim()-1)
-	}
-	if cc.IsEmpty() {
-		return nil, fmt.Errorf("homology: reduced homology of the empty complex is undefined here")
+	if err := cc.checkBettiDim(maxDim); err != nil {
+		return nil, err
 	}
 	// One Ctl spans every dimension's reduction, bound once to ctx; an
 	// already-expired context is rejected synchronously (the async Bind
@@ -144,10 +111,6 @@ func (cc *ChainComplex) reducedBetti(ctx context.Context, maxDim int, sparse boo
 	rank := make([]int, maxDim+2)
 	rank[0] = 1 // augmentation ∂_0: rank 1 on a nonempty complex
 	var cleared []bool
-	engine := "hybrid"
-	if sparse {
-		engine = "sparse"
-	}
 	// A checkpoint runner on the context makes the reduction durable at
 	// dimension granularity: a staged section with this workload's
 	// fingerprint restarts the loop at the saved dimension with the saved
@@ -156,14 +119,14 @@ func (cc *ChainComplex) reducedBetti(ctx context.Context, maxDim int, sparse boo
 	startQ := maxDim + 1
 	var prog *reduceProgress
 	if runner != nil {
-		fp := cc.checkpointFingerprint(maxDim, sparse)
+		fp := cc.checkpointFingerprint(maxDim)
 		// Seed the progress record with the initial rank vector so a capture
 		// taken before the first dimension boundary is still a valid
 		// (zero-progress) section rather than one the decoder rejects.
-		prog = &reduceProgress{maxDim: maxDim, sparse: sparse, nextQ: startQ,
+		prog = &reduceProgress{maxDim: maxDim, nextQ: startQ,
 			rank: append([]int(nil), rank...)}
 		if payload, ok := runner.Resume(kindHomologyReduction, fp); ok {
-			restored, err := decodeReduceProgress(payload, cc, maxDim, sparse)
+			restored, err := decodeReduceProgress(payload, cc, maxDim)
 			if err != nil {
 				obs.DefaultLogger().Warnf("checkpoint: homology section unusable (%v); recomputing", err)
 			} else {
@@ -185,14 +148,8 @@ func (cc *ChainComplex) reducedBetti(ctx context.Context, maxDim int, sparse boo
 		_, span := obs.StartSpan(ctx, "homology.reduce")
 		span.SetInt("dim", int64(q))
 		span.SetInt("columns", int64(cc.levels[q].Count()))
-		span.SetAttr("engine", engine)
-		m := cc.Boundary(q)
 		var err error
-		if sparse {
-			rank[q], cleared, err = m.reduceSparse(ctl, cleared)
-		} else {
-			rank[q], cleared, err = m.reduceHybrid(ctl, cleared)
-		}
+		rank[q], cleared, err = cc.Boundary(q).reduceHybrid(ctl, cleared)
 		if err != nil {
 			span.End()
 			return nil, abortErr(ctl, ctx)
@@ -202,12 +159,54 @@ func (cc *ChainComplex) reducedBetti(ctx context.Context, maxDim int, sparse boo
 		span.End()
 		prog.update(q-1, rank, cleared)
 	}
+	return cc.bettiFromRanks(rank, maxDim), nil
+}
+
+// ReducedBettiSparse is ReducedBetti on the original pure-sparse reduction —
+// merge-based column XOR, no apparent pass, no dense blocks. It is the
+// independent reference the hybrid engine is cross-checked against, so it
+// runs without cancellation, checkpoints or spans.
+func (cc *ChainComplex) ReducedBettiSparse(maxDim int) ([]int, error) {
+	if err := cc.checkBettiDim(maxDim); err != nil {
+		return nil, err
+	}
+	ctl := &par.Ctl{}
+	rank := make([]int, maxDim+2)
+	rank[0] = 1
+	var cleared []bool
+	for q := maxDim + 1; q >= 1; q-- {
+		if cc.levels[q].Count() == 0 {
+			cleared = nil
+			continue
+		}
+		var err error
+		if rank[q], cleared, err = cc.Boundary(q).reduceSparse(ctl, cleared); err != nil {
+			return nil, abortErr(ctl, nil)
+		}
+	}
+	return cc.bettiFromRanks(rank, maxDim), nil
+}
+
+// checkBettiDim rejects a Betti request the level table cannot answer.
+func (cc *ChainComplex) checkBettiDim(maxDim int) error {
+	if maxDim < 0 || maxDim+1 > cc.Dim() {
+		return fmt.Errorf("homology: dimension %d outside level table (cap %d)", maxDim, cc.Dim()-1)
+	}
+	if cc.IsEmpty() {
+		return fmt.Errorf("homology: reduced homology of the empty complex is undefined here")
+	}
+	return nil
+}
+
+// bettiFromRanks turns the boundary ranks rank[0..maxDim+1] into the
+// reduced Betti numbers β̃_q = dim ker ∂_q − dim im ∂_{q+1}.
+func (cc *ChainComplex) bettiFromRanks(rank []int, maxDim int) []int {
 	betti := make([]int, maxDim+1)
 	for q := 0; q <= maxDim; q++ {
 		kernel := cc.levels[q].Count() - rank[q]
 		betti[q] = kernel - rank[q+1]
 	}
-	return betti, nil
+	return betti
 }
 
 // abortErr resolves the user-facing error of a cancelled reduction: the

@@ -24,25 +24,22 @@ import (
 // kindHomologyReduction is the checkpoint section kind of a reduction.
 const kindHomologyReduction = "homology.reduction"
 
-const homologyCkptVersion = 1
+// homologyCkptVersion 2 dropped the engine byte of version 1, whose
+// sections no longer match the fingerprint and so recompute cold.
+const homologyCkptVersion = 2
 
 // checkpointFingerprint identifies the exact reduction workload: target
-// dimension, engine, and the full level-table content (sizes, packing and
-// vertex data). Any other complex or flag set recomputes cold.
-func (cc *ChainComplex) checkpointFingerprint(maxDim int, sparse bool) uint64 {
+// dimension and the full level-table content (sizes, packing and vertex
+// data). Any other complex recomputes cold.
+func (cc *ChainComplex) checkpointFingerprint(maxDim int) uint64 {
 	h := fnv.New64a()
-	io.WriteString(h, "homology.reduction.v1")
+	io.WriteString(h, "homology.reduction.v2")
 	var b [8]byte
 	wu := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
 	wu(uint64(maxDim))
-	if sparse {
-		wu(1)
-	} else {
-		wu(0)
-	}
 	wu(uint64(len(cc.levels)))
 	buf := make([]byte, 0, 4096)
 	for _, l := range cc.levels {
@@ -77,7 +74,6 @@ func (cc *ChainComplex) checkpointFingerprint(maxDim int, sparse bool) uint64 {
 type reduceProgress struct {
 	mu      sync.Mutex
 	maxDim  int
-	sparse  bool
 	nextQ   int    // next dimension the loop will reduce (maxDim+1 .. 0; 0 = done)
 	rank    []int  // rank[q] for already-reduced dimensions
 	cleared []bool // clearing bitmap for dimension nextQ
@@ -103,11 +99,6 @@ func (p *reduceProgress) encode() ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteByte(homologyCkptVersion)
 	memo.WriteUvarint(&buf, uint64(p.maxDim))
-	if p.sparse {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
-	}
 	memo.WriteUvarint(&buf, uint64(p.nextQ))
 	memo.WriteUvarint(&buf, uint64(len(p.rank)))
 	for _, r := range p.rank {
@@ -126,7 +117,7 @@ func (p *reduceProgress) encode() ([]byte, error) {
 
 // decodeReduceProgress parses and validates a checkpoint section against
 // the live reduction parameters.
-func decodeReduceProgress(payload []byte, cc *ChainComplex, maxDim int, sparse bool) (*reduceProgress, error) {
+func decodeReduceProgress(payload []byte, cc *ChainComplex, maxDim int) (*reduceProgress, error) {
 	r := bytes.NewReader(payload)
 	ver, err := r.ReadByte()
 	if err != nil {
@@ -142,13 +133,6 @@ func decodeReduceProgress(payload []byte, cc *ChainComplex, maxDim int, sparse b
 	if int(gotMaxDim) != maxDim {
 		return nil, fmt.Errorf("maxDim %d, want %d", gotMaxDim, maxDim)
 	}
-	sparseByte, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	if (sparseByte == 1) != sparse {
-		return nil, fmt.Errorf("engine mismatch")
-	}
 	nextQ, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, fmt.Errorf("nextQ: %w", err)
@@ -163,7 +147,7 @@ func decodeReduceProgress(payload []byte, cc *ChainComplex, maxDim int, sparse b
 	if rankLen != uint64(maxDim+2) {
 		return nil, fmt.Errorf("rank length %d, want %d", rankLen, maxDim+2)
 	}
-	p := &reduceProgress{maxDim: maxDim, sparse: sparse, nextQ: int(nextQ)}
+	p := &reduceProgress{maxDim: maxDim, nextQ: int(nextQ)}
 	p.rank = make([]int, rankLen)
 	for i := range p.rank {
 		v, err := binary.ReadUvarint(r)

@@ -148,7 +148,11 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 	for _, workers := range []int{1, 2, 5, 8} {
 		par.SetParallelism(workers)
 		got := betti(t, facets, 5)
-		sparse, err := ReducedBettiSparse(facetComplex(facets), 5)
+		cc, err := NewChainComplex(facetComplex(facets), 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse, err := cc.ReducedBettiSparse(5)
 		if err != nil {
 			t.Fatalf("parallelism %d: sparse: %v", workers, err)
 		}

@@ -19,7 +19,7 @@ var (
 // This file is the reduction layer: the implicit CSC boundary matrix, the
 // apparent-pairs (discrete-Morse-flavored) preprocessing pass, the
 // block-sharded hybrid reduction, and the PR-3 pure-sparse reduction kept
-// as the -engine=sparse cross-check.
+// as the ReducedBettiSparse cross-check.
 
 // Boundary is the GF(2) boundary matrix ∂_q in implicit CSC form: columns
 // are the q-simplexes, rows the (q−1)-simplexes, and a column's sorted row
@@ -295,7 +295,7 @@ func (m *Boundary) reduceHybrid(ctl *par.Ctl, cleared []bool) (int, []bool, erro
 }
 
 // reduceSparse is the PR-3 pure-sparse reduction, kept bit-for-bit in
-// spirit as the -engine=sparse cross-check: merge-based column XOR, no
+// spirit as the ReducedBettiSparse reference: merge-based column XOR, no
 // apparent pass, no dense promotion. Phase 1 reduces contiguous column
 // blocks locally in parallel; phase 2 folds the survivors sequentially in
 // block order into the global pivot table. Rank over a field is unique, so

@@ -95,37 +95,40 @@ func RegisterSnapshot(name string, export func() ([]byte, error), restore func([
 	sections = append(sections, snapshotSection{name: name, export: export, restore: restore})
 }
 
-// SaveSnapshot writes every registered section to path (atomically: a temp
-// file in the same directory is renamed over the target).
+// SaveSnapshot writes every registered section to path atomically and
+// durably: a temp file in the same directory is fsynced, then renamed over
+// the target, so a crash at any point leaves either the previous snapshot
+// or the complete new one — never a zero-length file.
 func SaveSnapshot(path string) error {
 	sectionMu.Lock()
 	secs := append([]snapshotSection(nil), sections...)
 	sectionMu.Unlock()
 
-	var buf bytes.Buffer
-	buf.Write(snapshotMagic)
-	WriteUvarint(&buf, uint64(len(secs)))
-	for _, s := range secs {
+	parts := make([]snapshotPart, len(secs))
+	for i, s := range secs {
 		payload, err := s.export()
 		if err != nil {
 			return fmt.Errorf("memo: exporting section %q: %w", s.name, err)
 		}
-		WriteUvarint(&buf, uint64(len(s.name)))
-		buf.WriteString(s.name)
-		WriteUvarint(&buf, uint64(len(payload)))
-		buf.Write(payload)
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], sectionCRC(s.name, payload))
-		buf.Write(crc[:])
+		parts[i] = snapshotPart{name: s.name, payload: payload}
 	}
+	data := encodeSnapshot(parts)
 
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".memo-snapshot-*")
 	if err != nil {
 		return fmt.Errorf("memo: %w", err)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	cleanup := func() { tmp.Close(); os.Remove(tmp.Name()) }
+	if _, err := tmp.Write(data); err != nil {
+		cleanup()
+		return fmt.Errorf("memo: %w", err)
+	}
+	if err := faultinject.Hit(faultinject.PointSnapshotSync); err != nil {
+		cleanup()
+		return fmt.Errorf("memo: fsync %s: %w", path, err)
+	}
+	if err := tmp.Sync(); err != nil {
+		cleanup()
 		return fmt.Errorf("memo: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
@@ -152,43 +155,9 @@ func LoadSnapshot(path string) error {
 		return fmt.Errorf("memo: %w", err)
 	}
 	faultinject.Corrupt(faultinject.PointSnapshotLoad, data)
-	checked := true
-	switch {
-	case bytes.HasPrefix(data, snapshotMagic):
-	case bytes.HasPrefix(data, snapshotMagicV1):
-		checked = false // v1 predates checksums
-	default:
-		return corruptf(path, "", "not a memo snapshot")
-	}
-	r := bytes.NewReader(data[len(snapshotMagic):])
-	count, err := binary.ReadUvarint(r)
+	secs, err := decodeSnapshot(path, data)
 	if err != nil {
-		return corruptf(path, "", "section count: %v", err)
-	}
-	type section struct {
-		name    string
-		payload []byte
-	}
-	secs := make([]section, 0, count)
-	for i := uint64(0); i < count; i++ {
-		name, err := ReadLengthPrefixed(r)
-		if err != nil {
-			return corruptf(path, "", "section %d name: %v", i, err)
-		}
-		payload, err := ReadLengthPrefixed(r)
-		if err != nil {
-			return corruptf(path, string(name), "payload: %v", err)
-		}
-		if checked {
-			var crc [4]byte
-			if _, err := io.ReadFull(r, crc[:]); err != nil {
-				return corruptf(path, string(name), "checksum: %v", err)
-			}
-			if got, want := sectionCRC(string(name), payload), binary.LittleEndian.Uint32(crc[:]); got != want {
-				return corruptf(path, string(name), "checksum mismatch (computed %08x, stored %08x)", got, want)
-			}
-		}
-		secs = append(secs, section{name: string(name), payload: payload})
+		return err
 	}
 	sectionMu.Lock()
 	importers := make(map[string]func([]byte) error, len(sections))
@@ -206,6 +175,74 @@ func LoadSnapshot(path string) error {
 		}
 	}
 	return nil
+}
+
+// snapshotPart is one named section of a snapshot file.
+type snapshotPart struct {
+	name    string
+	payload []byte
+}
+
+// encodeSnapshot renders sections in the current (v2, checksummed) format.
+func encodeSnapshot(parts []snapshotPart) []byte {
+	var buf bytes.Buffer
+	buf.Write(snapshotMagic)
+	WriteUvarint(&buf, uint64(len(parts)))
+	for _, p := range parts {
+		WriteUvarint(&buf, uint64(len(p.name)))
+		buf.WriteString(p.name)
+		WriteUvarint(&buf, uint64(len(p.payload)))
+		buf.Write(p.payload)
+		var crc [4]byte
+		binary.LittleEndian.PutUint32(crc[:], sectionCRC(p.name, p.payload))
+		buf.Write(crc[:])
+	}
+	return buf.Bytes()
+}
+
+// decodeSnapshot parses and integrity-checks a snapshot image (v2, or the
+// unchecksummed v1) without importing anything. Every failure is a
+// *CorruptSnapshotError naming path.
+func decodeSnapshot(path string, data []byte) ([]snapshotPart, error) {
+	checked := true
+	switch {
+	case bytes.HasPrefix(data, snapshotMagic):
+	case bytes.HasPrefix(data, snapshotMagicV1):
+		checked = false // v1 predates checksums
+	default:
+		return nil, corruptf(path, "", "not a memo snapshot")
+	}
+	r := bytes.NewReader(data[len(snapshotMagic):])
+	count, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, corruptf(path, "", "section count: %v", err)
+	}
+	var secs []snapshotPart
+	for i := uint64(0); i < count; i++ {
+		name, err := ReadLengthPrefixed(r)
+		if err != nil {
+			return nil, corruptf(path, "", "section %d name: %v", i, err)
+		}
+		payload, err := ReadLengthPrefixed(r)
+		if err != nil {
+			return nil, corruptf(path, string(name), "payload: %v", err)
+		}
+		if checked {
+			var crc [4]byte
+			if _, err := io.ReadFull(r, crc[:]); err != nil {
+				return nil, corruptf(path, string(name), "checksum: %v", err)
+			}
+			if got, want := sectionCRC(string(name), payload), binary.LittleEndian.Uint32(crc[:]); got != want {
+				return nil, corruptf(path, string(name), "checksum mismatch (computed %08x, stored %08x)", got, want)
+			}
+		}
+		secs = append(secs, snapshotPart{name: string(name), payload: payload})
+	}
+	if r.Len() != 0 {
+		// A damaged section count would otherwise drop the sections past it.
+		return nil, corruptf(path, "", "%d trailing bytes", r.Len())
+	}
+	return secs, nil
 }
 
 // WriteUvarint appends v to buf as a varint — the framing primitive shared

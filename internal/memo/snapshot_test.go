@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"ksettop/internal/faultinject"
@@ -58,31 +59,7 @@ func TestCacheClear(t *testing.T) {
 }
 
 func TestSnapshotFileRoundTrip(t *testing.T) {
-	cache := NewCache[string](8)
-	RegisterSnapshot("test.section",
-		func() ([]byte, error) {
-			keys, vals := cache.SnapshotEntries()
-			var out []byte
-			for i := range keys {
-				out = append(out, byte(len(keys[i])))
-				out = append(out, keys[i]...)
-				out = append(out, byte(len(vals[i])))
-				out = append(out, vals[i]...)
-			}
-			return out, nil
-		},
-		func(payload []byte) error {
-			for len(payload) > 0 {
-				kn := int(payload[0])
-				key := string(payload[1 : 1+kn])
-				payload = payload[1+kn:]
-				vn := int(payload[0])
-				cache.Put(key, string(payload[1:1+vn]))
-				payload = payload[1+vn:]
-			}
-			return nil
-		})
-
+	cache := registerStringCache("test.section")
 	cache.Put("alpha", "1")
 	cache.Put("beta", "22")
 	path := filepath.Join(t.TempDir(), "snap.bin")
@@ -100,11 +77,22 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
+// stringCaches holds the caches registerStringCache has registered, by
+// section name.
+var stringCaches sync.Map
+
 // registerStringCache registers a length-prefixed string-cache section under
-// name and returns the backing cache (sections cannot be unregistered, so
-// every test uses a unique name).
+// name and returns the backing cache, emptied. Sections cannot be
+// unregistered, so every test uses a unique name, and a repeated run in the
+// same process (-count > 1) gets the cache registered the first time.
 func registerStringCache(name string) *Cache[string] {
+	if c, ok := stringCaches.Load(name); ok {
+		cache := c.(*Cache[string])
+		cache.Clear()
+		return cache
+	}
 	cache := NewCache[string](16)
+	stringCaches.Store(name, cache)
 	RegisterSnapshot(name,
 		func() ([]byte, error) {
 			keys, vals := cache.SnapshotEntries()
@@ -275,5 +263,44 @@ func TestLoadSnapshotRejectsGarbage(t *testing.T) {
 	}
 	if err := LoadSnapshot(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing file should error (callers decide whether that is fatal)")
+	}
+}
+
+// TestSnapshotSyncFailureKeepsPrevious drives the memo.sync injection point:
+// a save whose fsync fails must return an error, leave the previous
+// snapshot byte-intact and leave no temp file behind.
+func TestSnapshotSyncFailureKeepsPrevious(t *testing.T) {
+	cache := registerStringCache("sync.section")
+	cache.Put("epsilon", "5")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.bin")
+	if err := SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache.Put("zeta", "66")
+	faultinject.Enable(1, faultinject.Rule{Point: faultinject.PointSnapshotSync, Action: faultinject.ActionError})
+	err = SaveSnapshot(path)
+	faultinject.Disable()
+	if err == nil {
+		t.Fatal("save with a failed fsync reported success")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("failed save disturbed the previous snapshot")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("failed save left %d files behind, want only the snapshot", len(entries))
 	}
 }

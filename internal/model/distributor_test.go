@@ -39,6 +39,9 @@ func distTestModel(t *testing.T) *ClosedAbove {
 // A handled sweep supplies the count; a declining distributor falls back to
 // the local engine and both agree.
 func TestDistributorHook(t *testing.T) {
+	// Start cold: a count cached by an earlier run in this process
+	// (-count > 1) would never consult the distributor.
+	countCache.Clear()
 	m := distTestModel(t)
 	e, err := m.Enumeration()
 	if err != nil {
@@ -85,6 +88,7 @@ func TestDistributorHandledErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	countCache.Clear() // start cold, as in TestDistributorHook
 	boom := errors.New("distributed sweep failed")
 	SetDistributor(&fakeDistributor{handled: true, err: boom})
 	defer SetDistributor(nil)

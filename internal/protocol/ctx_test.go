@@ -39,17 +39,17 @@ func TestBudgetTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	gens := m.Generators()
-	for _, engine := range []SearchEngine{SearchSeq, SearchParallel} {
-		res, err := SolveOneRoundEngine(gens, 3, 2, 1, engine)
+	for _, engine := range engines {
+		res, err := engine.solve(context.Background(), gens, 3, 2, 1)
 		if !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("engine=%v: err %v does not match ErrBudgetExceeded", engine, err)
+			t.Fatalf("engine=%s: err %v does not match ErrBudgetExceeded", engine.name, err)
 		}
 		var be *BudgetError
 		if !errors.As(err, &be) {
-			t.Fatalf("engine=%v: err %v is not a *BudgetError", engine, err)
+			t.Fatalf("engine=%s: err %v is not a *BudgetError", engine.name, err)
 		}
 		if be.Budget != 1 || be.Nodes != res.Nodes {
-			t.Fatalf("engine=%v: BudgetError %+v, want Budget=1 Nodes=%d", engine, be, res.Nodes)
+			t.Fatalf("engine=%s: BudgetError %+v, want Budget=1 Nodes=%d", engine.name, be, res.Nodes)
 		}
 	}
 }
@@ -160,10 +160,10 @@ func TestSolveExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	for _, engine := range []SearchEngine{SearchSeq, SearchParallel} {
-		_, err := SolveOneRoundEngineCtx(ctx, all, 4, 3, 50_000_000, engine)
+	for _, engine := range engines {
+		_, err := engine.solve(ctx, all, 4, 3, 50_000_000)
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("engine=%v: err = %v, want DeadlineExceeded chain", engine, err)
+			t.Fatalf("engine=%s: err = %v, want DeadlineExceeded chain", engine.name, err)
 		}
 	}
 }

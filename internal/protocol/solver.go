@@ -21,13 +21,13 @@ var (
 // This file is the entry layer of the decision-map solver. The engine is
 // layered across four files:
 //
-//	solver.go          input validation, table-build orchestration, engine
-//	                   dispatch (SolveOneRound)
+//	solver.go          input validation, table-build orchestration and the
+//	                   SolveOneRound / SolveOneRoundSeq entries
 //	solver_tables.go   interning sweeps and flat search tables
 //	solver_state.go    backtracking state + nogood store
 //	solver_search.go   sequential oracle and learning DFS
 //	solver_parallel.go probe / decompose / work-steal / reduce engine
-//	                   and the SetSearchEngine / DefaultNodeBudget config
+//	                   and the DefaultNodeBudget config
 
 // SolveResult is the outcome of an exhaustive decision-map search.
 type SolveResult struct {
@@ -74,15 +74,15 @@ type SolveResult struct {
 //
 // The assignments × graphs constraint sweep is sharded across the par
 // worker pool with per-shard intern tables, merged in shard order, and the
-// search phase runs on the engine selected by SetSearchEngine — by default
-// the work-stealing learning engine, whose rank-ordered reduction keeps the
-// whole SolveResult identical to a sequential run of the same engine for
-// every parallelism setting (see solver_parallel.go).
+// search phase runs on the work-stealing learning engine, whose
+// rank-ordered reduction keeps the whole SolveResult identical to a
+// sequential run of the same engine for every parallelism setting (see
+// solver_parallel.go). SolveOneRoundSeq is its sequential reference.
 //
 // The search is exponential; nodeBudget bounds explored nodes (error when
 // exhausted).
 func SolveOneRound(roundGraphs []graph.Digraph, numValues, k, nodeBudget int) (SolveResult, error) {
-	return SolveOneRoundEngineCtx(runctx.Base(), roundGraphs, numValues, k, nodeBudget, CurrentSearchEngine())
+	return SolveOneRoundCtx(runctx.Base(), roundGraphs, numValues, k, nodeBudget)
 }
 
 // SolveOneRoundCtx is SolveOneRound bound to a context: cancellation or
@@ -91,19 +91,66 @@ func SolveOneRound(roundGraphs []graph.Digraph, numValues, k, nodeBudget int) (S
 // returns a wrapped context error. Runs that complete are byte-identical to
 // uncancelled SolveOneRound calls.
 func SolveOneRoundCtx(ctx context.Context, roundGraphs []graph.Digraph, numValues, k, nodeBudget int) (SolveResult, error) {
-	return SolveOneRoundEngineCtx(ctx, roundGraphs, numValues, k, nodeBudget, CurrentSearchEngine())
+	return solveOneRound(ctx, roundGraphs, numValues, k, nodeBudget, searchLearning)
 }
 
-// SolveOneRoundEngine is SolveOneRound pinned to an explicit search engine,
-// for callers (cross-checks, experiments) that must not flip the
-// process-wide SetSearchEngine state under concurrent solves.
-func SolveOneRoundEngine(roundGraphs []graph.Digraph, numValues, k, nodeBudget int, engine SearchEngine) (SolveResult, error) {
-	return SolveOneRoundEngineCtx(runctx.Base(), roundGraphs, numValues, k, nodeBudget, engine)
+// SolveOneRoundSeq is SolveOneRoundCtx on the seed sequential backtracking
+// oracle (searchSeq): plain forward checking, no learning, no
+// decomposition. It is the independent reference the learning engine is
+// cross-checked against; it shares the table build and honours ctx at the
+// same polling granularity. Stats stay zero (Nodes carries the count).
+func SolveOneRoundSeq(ctx context.Context, roundGraphs []graph.Digraph, numValues, k, nodeBudget int) (SolveResult, error) {
+	return solveOneRound(ctx, roundGraphs, numValues, k, nodeBudget, searchSequential)
 }
 
-// SolveOneRoundEngineCtx is the context-aware engine-pinned entry the other
-// three SolveOneRound variants delegate to.
-func SolveOneRoundEngineCtx(ctx context.Context, roundGraphs []graph.Digraph, numValues, k, nodeBudget int, engine SearchEngine) (SolveResult, error) {
+// searchFunc runs the search phase over the assembled tables and fills in
+// res's outcome and node accounting.
+type searchFunc func(ctx context.Context, t *solveTables, nodeBudget int, res *SolveResult) error
+
+// searchLearning is the production search phase: the work-stealing
+// learning engine of solver_parallel.go.
+func searchLearning(ctx context.Context, t *solveTables, nodeBudget int, res *SolveResult) error {
+	out, err := solveParallel(ctx, t, nodeBudget)
+	res.Nodes = out.nodes
+	res.Stats = out.stats
+	if err != nil {
+		return err
+	}
+	if out.solved {
+		res.Solvable = true
+		res.Map = t.decisionMap(out.decided)
+	}
+	return nil
+}
+
+// searchSequential is the reference search phase: the seed sequential
+// oracle, polling ctx through a bound Ctl.
+func searchSequential(ctx context.Context, t *solveTables, nodeBudget int, res *SolveResult) error {
+	s := newCSPState(t, nil, nil)
+	var stop func() bool
+	if ctx != nil && ctx.Done() != nil {
+		seqCtl := &par.Ctl{}
+		release := seqCtl.Bind(ctx)
+		defer release()
+		stop = seqCtl.Stopped
+	}
+	solved, err := s.searchSeq(&res.Nodes, nodeBudget, stop)
+	if err != nil {
+		if err == errSolveCancelled {
+			return cancelCause(nil, ctx)
+		}
+		return err
+	}
+	if solved {
+		res.Solvable = true
+		res.Map = t.decisionMap(s.decided)
+	}
+	return nil
+}
+
+// solveOneRound validates the input, builds the search tables and runs the
+// given search phase over them.
+func solveOneRound(ctx context.Context, roundGraphs []graph.Digraph, numValues, k, nodeBudget int, search searchFunc) (SolveResult, error) {
 	if len(roundGraphs) == 0 {
 		return SolveResult{}, fmt.Errorf("protocol: no graphs to solve over")
 	}
@@ -224,38 +271,8 @@ func SolveOneRoundEngineCtx(ctx context.Context, roundGraphs []graph.Digraph, nu
 	}
 
 	t := assembleTables(k, numValues, views, constraints)
-	switch engine {
-	case SearchSeq:
-		s := newCSPState(t, nil, nil)
-		var stop func() bool
-		if ctx != nil && ctx.Done() != nil {
-			seqCtl := &par.Ctl{}
-			release := seqCtl.Bind(ctx)
-			defer release()
-			stop = seqCtl.Stopped
-		}
-		solved, err := s.searchSeq(&res.Nodes, nodeBudget, stop)
-		if err != nil {
-			if err == errSolveCancelled {
-				return res, cancelCause(nil, ctx)
-			}
-			return res, err
-		}
-		if solved {
-			res.Solvable = true
-			res.Map = t.decisionMap(s.decided)
-		}
-	default:
-		out, err := solveParallel(ctx, t, nodeBudget)
-		res.Nodes = out.nodes
-		res.Stats = out.stats
-		if err != nil {
-			return res, err
-		}
-		if out.solved {
-			res.Solvable = true
-			res.Map = t.decisionMap(out.decided)
-		}
+	if err := search(ctx, t, nodeBudget, &res); err != nil {
+		return res, err
 	}
 	obsSolveNodes.Add(uint64(res.Nodes))
 	solveSpan.SetInt("nodes", int64(res.Nodes))

@@ -37,26 +37,7 @@ import (
 //     they sort after the chosen event, so cancellation timing can never
 //     change what the reduction sees.
 
-// Engine and budget configuration -------------------------------------------
-
-// SearchEngine selects the backtracking engine behind SolveOneRound.
-type SearchEngine int32
-
-const (
-	// SearchParallel is the work-stealing learning engine (the default).
-	SearchParallel SearchEngine = iota
-	// SearchSeq is the seed sequential backtracking oracle, kept as a
-	// cross-check (-search=seq on the CLIs).
-	SearchSeq
-)
-
-var searchEngine atomic.Int32
-
-// SetSearchEngine switches the process-wide search engine.
-func SetSearchEngine(e SearchEngine) { searchEngine.Store(int32(e)) }
-
-// CurrentSearchEngine reports the process-wide search engine.
-func CurrentSearchEngine() SearchEngine { return SearchEngine(searchEngine.Load()) }
+// Budget configuration ----------------------------------------------------
 
 // defaultNodeBudget is the stock search budget CLI tools and experiments
 // use when no -solver-budget is given.
@@ -184,7 +165,7 @@ func newTaskNogoodStore(numViews, numValues int) *nogoodStore {
 
 // SearchStats breaks the engine's deterministic node accounting down by
 // phase. All fields are identical for every parallelism setting; under
-// SearchSeq they stay zero (SolveResult.Nodes carries the count).
+// SolveOneRoundSeq they stay zero (SolveResult.Nodes carries the count).
 type SearchStats struct {
 	// ProbeNodes is the sequential learning probe's node count.
 	ProbeNodes int

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -96,6 +97,16 @@ func sameMap(a, b *DecisionMap) bool {
 	return true
 }
 
+// engines pairs the production learning engine with its sequential
+// reference, for tests that must hold on both.
+var engines = []struct {
+	name  string
+	solve func(ctx context.Context, gs []graph.Digraph, numValues, k, nodeBudget int) (SolveResult, error)
+}{
+	{"seq", SolveOneRoundSeq},
+	{"parallel", SolveOneRoundCtx},
+}
+
 // TestEnginesAgreeOnCorpus is the engine cross-check: on every corpus
 // instance the work-stealing learning engine must agree with the sequential
 // oracle on Solvable AND return the byte-identical witness map — both
@@ -105,17 +116,14 @@ func sameMap(a, b *DecisionMap) bool {
 // lowered so the decomposition and work-stealing layers actually engage on
 // these small instances.
 func TestEnginesAgreeOnCorpus(t *testing.T) {
-	defer SetSearchEngine(SearchParallel)
 	defer par.SetParallelism(0)
 	defer SetSearchProbeLimit(0)
 	for _, inst := range corpusInstances(t) {
-		SetSearchEngine(SearchSeq)
 		par.SetParallelism(1)
-		want, err := SolveOneRound(inst.graphs, inst.vals, inst.k, 50_000_000)
+		want, err := SolveOneRoundSeq(context.Background(), inst.graphs, inst.vals, inst.k, 50_000_000)
 		if err != nil {
 			t.Fatalf("%s: seq oracle: %v", inst.name, err)
 		}
-		SetSearchEngine(SearchParallel)
 		for _, probeLim := range []int{0, 4} { // stock, and forced-parallel-phase
 			SetSearchProbeLimit(probeLim)
 			for _, workers := range []int{1, 2, 8} {
@@ -322,23 +330,20 @@ func TestBudgetErrorsAgreeAcrossEnginesAndParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	gens := m.Generators()
-	defer SetSearchEngine(SearchParallel)
 	defer par.SetParallelism(0)
 	defer SetSearchProbeLimit(0)
-	for _, engine := range []SearchEngine{SearchSeq, SearchParallel} {
-		SetSearchEngine(engine)
+	for _, engine := range engines {
 		for _, workers := range []int{1, 8} {
 			par.SetParallelism(workers)
-			_, err := SolveOneRound(gens, 3, 2, 1)
+			_, err := engine.solve(context.Background(), gens, 3, 2, 1)
 			if err == nil || !strings.Contains(err.Error(), "node budget 1 exhausted") {
-				t.Errorf("engine=%v workers=%d: want budget error, got %v", engine, workers, err)
+				t.Errorf("engine=%s workers=%d: want budget error, got %v", engine.name, workers, err)
 			}
 		}
 	}
 	// A budget that lands inside the task sweep must also fail identically
 	// at every worker count (the rank-ordered reduction makes the trip
 	// deterministic).
-	SetSearchEngine(SearchParallel)
 	SetSearchProbeLimit(4)
 	m4, err := model.NonEmptyKernelModel(4)
 	if err != nil {

@@ -1,7 +1,7 @@
 package protocol
 
 // This file is the search layer of the decision-map solver: the seed-style
-// sequential backtracking oracle (SearchSeq) and the conflict-driven
+// sequential backtracking oracle (SolveOneRoundSeq) and the conflict-driven
 // backjumping (CBJ) search with nogood learning that the parallel engine's
 // probe phase and subtree tasks run.
 //
@@ -18,7 +18,7 @@ package protocol
 
 // searchSeq is the sequential oracle: plain forward-checking backtracking,
 // counting one node per branch point, with no learning, no backjumping and
-// no fact pre-propagation. Kept as the -search=seq cross-check for the
+// no fact pre-propagation. Kept as the SolveOneRoundSeq cross-check for the
 // parallel engine. stop, when non-nil, is polled about every 128 nodes;
 // returning true aborts with errSolveCancelled (the entry layer swaps in
 // the actual cause).

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ksettop/internal/dist"
+	"ksettop/internal/memo"
 	"ksettop/internal/model"
 )
 
@@ -69,7 +70,11 @@ func TestServeCoordinatorReadyzAndStatz(t *testing.T) {
 		t.Fatalf("readyz with live worker: %d (%s)", st, body)
 	}
 
-	// Route a count through the fleet and check it lands in /statz.
+	// Route a count through the fleet and check it lands in /statz. Memo
+	// off: a count cached by an earlier run in this process (-count > 1)
+	// would answer without a sweep.
+	memo.SetEnabled(false)
+	t.Cleanup(func() { memo.SetEnabled(true) })
 	model.SetDistributor(coord)
 	defer model.SetDistributor(nil)
 	st, body := post(t, ts, "/v1/count", `{"model":"stars:n=4,s=2"}`)

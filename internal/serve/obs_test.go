@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ksettop/internal/dist"
+	"ksettop/internal/memo"
 	"ksettop/internal/model"
 	"ksettop/internal/obs"
 )
@@ -130,7 +131,11 @@ func TestServeStatzShape(t *testing.T) {
 func TestServeDistributedTraceTree(t *testing.T) {
 	obs.ResetTrace(0)
 	obs.SetTracingEnabled(true)
+	// Memo off: a count cached by an earlier run in this process
+	// (-count > 1) would answer without a sweep.
+	memo.SetEnabled(false)
 	t.Cleanup(func() {
+		memo.SetEnabled(true)
 		obs.SetTracingEnabled(false)
 		obs.ResetTrace(0)
 	})

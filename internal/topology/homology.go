@@ -6,41 +6,10 @@ import (
 	mathbits "math/bits"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"ksettop/internal/homology"
 	"ksettop/internal/runctx"
 )
-
-// HomologyEngine selects the GF(2) reduction backend behind
-// ReducedBettiNumbers.
-type HomologyEngine int32
-
-const (
-	// EngineHybrid is the hybrid-column engine in internal/homology:
-	// apparent-pairs preprocessing over an implicit boundary matrix, sparse
-	// columns that promote to bit-packed dense blocks, pooled arenas, block
-	// reduction across the worker pool. The default.
-	EngineHybrid HomologyEngine = iota
-	// EngineSparse is the PR-3 pure-sparse CSC reduction (merge-based XOR,
-	// no apparent pass), kept as an independent cross-check of the hybrid
-	// engine and reachable via the cmds' -engine=sparse flag.
-	EngineSparse
-	// EnginePacked is the seed implementation — single-word bit-packed
-	// columns with a dense-column generic fallback — kept as the test
-	// oracle and reachable via the cmds' -engine=packed flag.
-	EnginePacked
-)
-
-var homologyEngine atomic.Int32 // EngineHybrid unless overridden
-
-// CurrentHomologyEngine returns the active reduction backend.
-func CurrentHomologyEngine() HomologyEngine { return HomologyEngine(homologyEngine.Load()) }
-
-// SetHomologyEngine switches the reduction backend process-wide. Safe for
-// concurrent use; both backends compute the same Betti numbers, so this
-// only changes performance characteristics and cap behavior.
-func SetHomologyEngine(e HomologyEngine) { homologyEngine.Store(int32(e)) }
 
 // ReducedBettiNumbers computes the reduced Betti numbers β̃_0 … β̃_maxDim of
 // the complex over the field GF(2).
@@ -54,21 +23,19 @@ func SetHomologyEngine(e HomologyEngine) { homologyEngine.Store(int32(e)) }
 // k-connected complex necessarily has vanishing reduced homology in
 // dimensions ≤ k. Checking β̃_0 = … = β̃_k = 0 therefore machine-validates
 // the paper's connectivity claims on concrete instances: a violation would
-// refute the claim outright, agreement corroborates it. See DESIGN.md.
+// refute the claim outright, agreement corroborates it.
 //
-// The reduction runs on the hybrid-column engine (internal/homology) by
-// default; SetHomologyEngine(EngineSparse) selects the pure-sparse PR-3
-// reduction and SetHomologyEngine(EnginePacked) restores the seed oracle.
+// The reduction runs on the hybrid-column engine (internal/homology). Its
+// independent references are homology's (*ChainComplex).ReducedBettiSparse
+// and the seed ReducedBettiNumbersOracle below.
 func ReducedBettiNumbers(c *AbstractComplex, maxDim int) ([]int, error) {
 	return ReducedBettiNumbersCtx(runctx.Base(), c, maxDim)
 }
 
 // ReducedBettiNumbersCtx is ReducedBettiNumbers bound to a context: ctx
-// expiry cancels the hybrid/sparse reduction across all workers and returns
-// the context's cause. The packed oracle has no cancellation points beyond
-// an upfront expiry check — it is the small-instance seed path, where a
-// single reduction finishes in microseconds. A completed call is identical
-// to ReducedBettiNumbers at every parallelism setting.
+// expiry cancels the reduction across all workers and returns the
+// context's cause. A completed call is identical to ReducedBettiNumbers at
+// every parallelism setting.
 func ReducedBettiNumbersCtx(ctx context.Context, c *AbstractComplex, maxDim int) ([]int, error) {
 	if maxDim < 0 {
 		return nil, fmt.Errorf("topology: negative homology dimension %d", maxDim)
@@ -76,31 +43,14 @@ func ReducedBettiNumbersCtx(ctx context.Context, c *AbstractComplex, maxDim int)
 	if c.IsEmpty() {
 		return nil, fmt.Errorf("topology: reduced homology of the empty complex is undefined here")
 	}
-	switch CurrentHomologyEngine() {
-	case EnginePacked:
-		if ctx != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("topology: reduction aborted: %w", context.Cause(ctx))
-		}
-		return ReducedBettiNumbersOracle(c, maxDim)
-	case EngineSparse:
-		return homology.ReducedBettiSparseCtx(ctx, c, maxDim)
-	}
 	return homology.ReducedBettiCtx(ctx, c, maxDim)
 }
 
 // ReducedBettiNumbersFromLevels is ReducedBettiNumbers for callers that
 // already hold the complex's SimplexLevels output (which must extend to
 // maxDim+1): the level table feeds the engine directly, skipping the
-// duplicate facet walk the facet-based entry would re-run. The packed
-// oracle has no level-table form, so under EnginePacked this falls back to
-// the complex itself.
+// duplicate facet walk the facet-based entry would re-run.
 func ReducedBettiNumbersFromLevels(c *AbstractComplex, levels [][][]int, maxDim int) ([]int, error) {
-	return ReducedBettiNumbersFromLevelsCtx(runctx.Base(), c, levels, maxDim)
-}
-
-// ReducedBettiNumbersFromLevelsCtx is ReducedBettiNumbersFromLevels bound to
-// a context (see ReducedBettiNumbersCtx for the cancellation contract).
-func ReducedBettiNumbersFromLevelsCtx(ctx context.Context, c *AbstractComplex, levels [][][]int, maxDim int) ([]int, error) {
 	if maxDim < 0 {
 		return nil, fmt.Errorf("topology: negative homology dimension %d", maxDim)
 	}
@@ -110,26 +60,17 @@ func ReducedBettiNumbersFromLevelsCtx(ctx context.Context, c *AbstractComplex, l
 	if maxDim+1 >= len(levels) {
 		return nil, fmt.Errorf("topology: levels reach dimension %d, need %d", len(levels)-1, maxDim+1)
 	}
-	if CurrentHomologyEngine() == EnginePacked {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("topology: reduction aborted: %w", context.Cause(ctx))
-		}
-		return ReducedBettiNumbersOracle(c, maxDim)
-	}
 	cc, err := homology.NewChainComplexFromLevels(levels)
 	if err != nil {
 		return nil, err
 	}
-	if CurrentHomologyEngine() == EngineSparse {
-		return cc.ReducedBettiSparseCtx(ctx, maxDim)
-	}
-	return cc.ReducedBettiCtx(ctx, maxDim)
+	return cc.ReducedBetti(maxDim)
 }
 
 // ReducedBettiNumbersOracle is the seed GF(2) reduction — the bit-packed
 // fast path with a dense-column generic fallback. It is retained as an
-// independent oracle for cross-checking the sparse engine (and as the
-// -engine=packed CLI backend); new callers should use ReducedBettiNumbers.
+// independent oracle for cross-checking the hybrid engine; new callers
+// should use ReducedBettiNumbers.
 func ReducedBettiNumbersOracle(c *AbstractComplex, maxDim int) ([]int, error) {
 	if maxDim < 0 {
 		return nil, fmt.Errorf("topology: negative homology dimension %d", maxDim)

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -263,7 +264,11 @@ func TestHybridSparsePackedGenericCrossCheck(t *testing.T) {
 			if err != nil {
 				t.Fatalf("promote=%d trial %d: hybrid: %v", promote, trial, err)
 			}
-			sparse, err := homology.ReducedBettiSparse(c, maxDim)
+			cc, err := homology.NewChainComplex(c, maxDim+1)
+			if err != nil {
+				t.Fatalf("promote=%d trial %d: levels: %v", promote, trial, err)
+			}
+			sparse, err := cc.ReducedBettiSparse(maxDim)
 			if err != nil {
 				t.Fatalf("promote=%d trial %d: sparse: %v", promote, trial, err)
 			}
@@ -282,35 +287,11 @@ func TestHybridSparsePackedGenericCrossCheck(t *testing.T) {
 	}
 }
 
-// TestEngineSwitch pins that every engine setting answers through
-// ReducedBettiNumbers and agrees.
-func TestEngineSwitch(t *testing.T) {
-	defer SetHomologyEngine(EngineHybrid)
-	circle := mustAbstract(t, 3, [][]int{{0, 1}, {1, 2}, {0, 2}})
-	want := []int{0, 1}
-	for _, e := range []HomologyEngine{EngineHybrid, EngineSparse, EnginePacked} {
-		SetHomologyEngine(e)
-		if got := CurrentHomologyEngine(); got != e {
-			t.Fatalf("CurrentHomologyEngine = %v, want %v", got, e)
-		}
-		betti, err := ReducedBettiNumbers(circle, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := range want {
-			if betti[q] != want[q] {
-				t.Errorf("engine %v: β̃_%d = %d, want %d", e, q, betti[q], want[q])
-			}
-		}
-	}
-}
-
 // TestReducedBettiNumbersFromLevels pins the levels-accepting entry point
-// against the facet-based one on every engine: a caller holding
+// against the facet-based one and the seed oracle: a caller holding
 // SimplexLevels output must get identical Betti vectors without the engine
 // re-walking the facets.
 func TestReducedBettiNumbersFromLevels(t *testing.T) {
-	defer SetHomologyEngine(EngineHybrid)
 	cases := []struct {
 		name   string
 		n      int
@@ -326,23 +307,25 @@ func TestReducedBettiNumbersFromLevels(t *testing.T) {
 	for _, tc := range cases {
 		c := mustAbstract(t, tc.n, tc.gens)
 		levels := c.SimplexLevels(tc.maxDim + 1)
-		for _, e := range []HomologyEngine{EngineHybrid, EngineSparse, EnginePacked} {
-			SetHomologyEngine(e)
-			want, err := ReducedBettiNumbers(c, tc.maxDim)
+		want, err := ReducedBettiNumbersOracle(c, tc.maxDim)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", tc.name, err)
+		}
+		for _, entry := range []struct {
+			name string
+			run  func() ([]int, error)
+		}{
+			{"facets", func() ([]int, error) { return ReducedBettiNumbers(c, tc.maxDim) }},
+			{"levels", func() ([]int, error) { return ReducedBettiNumbersFromLevels(c, levels, tc.maxDim) }},
+		} {
+			got, err := entry.run()
 			if err != nil {
-				t.Fatalf("%s engine %v: %v", tc.name, e, err)
+				t.Fatalf("%s %s: %v", tc.name, entry.name, err)
 			}
-			got, err := ReducedBettiNumbersFromLevels(c, levels, tc.maxDim)
-			if err != nil {
-				t.Fatalf("%s engine %v: FromLevels: %v", tc.name, e, err)
-			}
-			for q := range want {
-				if got[q] != want[q] {
-					t.Errorf("%s engine %v: FromLevels β̃_%d = %d, want %d", tc.name, e, q, got[q], want[q])
-				}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s %s: β̃ = %v, oracle says %v", tc.name, entry.name, got, want)
 			}
 		}
-		SetHomologyEngine(EngineHybrid)
 		// A level table that stops short of maxDim+1 must be rejected, not
 		// silently treated as a smaller complex.
 		if _, err := ReducedBettiNumbersFromLevels(c, c.SimplexLevels(tc.maxDim), tc.maxDim); err == nil {

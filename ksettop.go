@@ -25,8 +25,8 @@
 //	a, _ := ksettop.Analyze(m, 3)
 //	fmt.Print(a.Render())
 //
-// See examples/ for runnable programs and DESIGN.md for the experiment
-// index.
+// See examples/ for runnable programs and internal/experiments (All) for
+// the E1–E17 experiment index.
 package ksettop
 
 import (
@@ -178,10 +178,6 @@ var (
 
 // Solver engine configuration.
 var (
-	// SetSearchEngine switches between the work-stealing learning engine
-	// (protocol.SearchParallel, the default) and the sequential oracle
-	// (protocol.SearchSeq).
-	SetSearchEngine = protocol.SetSearchEngine
 	// DefaultNodeBudget is the process-wide default solver node budget.
 	DefaultNodeBudget = protocol.DefaultNodeBudget
 	// SetDefaultNodeBudget overrides it (n ≤ 0 restores the stock 50M).

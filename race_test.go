@@ -161,7 +161,12 @@ func TestConcurrentSweepsRaceFree(t *testing.T) {
 			// The pure-sparse cross-check engine on the same complex, racing
 			// the hybrid clients above for the worker pool: both must agree
 			// while the reducer pool recycles state under contention.
-			betti, err := homology.ReducedBettiSparse(psComplex, 4)
+			cc, err := homology.NewChainComplex(psComplex, 5)
+			if err != nil {
+				errs <- err
+				return
+			}
+			betti, err := cc.ReducedBettiSparse(4)
 			if err != nil {
 				errs <- err
 				return
