@@ -32,7 +32,7 @@ chaos:
 		./internal/faultinject/ ./internal/par/ ./internal/protocol/ \
 		./internal/model/ ./internal/homology/ ./internal/memo/ \
 		./internal/cli/ ./internal/serve/ ./internal/dist/ ./internal/obs/ \
-		./internal/checkpoint/
+		./internal/checkpoint/ ./internal/durable/
 
 # Smoke-run every benchmark once (also re-validates the E1–E17 tables).
 bench:

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ksettop/internal/durable"
 	"ksettop/internal/faultinject"
 )
 
@@ -65,7 +66,7 @@ func TestLoadMissingFile(t *testing.T) {
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("want os.ErrNotExist, got %v", err)
 	}
-	if errors.Is(err, ErrCorrupt) {
+	if errors.Is(err, durable.ErrCorrupt) {
 		t.Fatal("a missing file is a cold start, not corruption")
 	}
 }
@@ -89,8 +90,8 @@ func TestLoadTruncated(t *testing.T) {
 		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(path, "job"); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation at %d/%d bytes: want ErrCorrupt, got %v", n, len(data), err)
+		if _, err := Load(path, "job"); !errors.Is(err, durable.ErrCorrupt) {
+			t.Fatalf("truncation at %d/%d bytes: want durable.ErrCorrupt, got %v", n, len(data), err)
 		}
 	}
 }
@@ -118,7 +119,7 @@ func TestLoadBitFlips(t *testing.T) {
 			if err == nil {
 				t.Fatalf("bit flip at byte %d bit %d loaded successfully", i, bit)
 			}
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrJobMismatch) {
+			if !errors.Is(err, durable.ErrCorrupt) && !errors.Is(err, ErrJobMismatch) {
 				t.Fatalf("bit flip at byte %d bit %d: unexpected error class: %v", i, bit, err)
 			}
 		}
@@ -194,7 +195,7 @@ func assertNoTempLitter(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".kset-checkpoint-") {
+		if strings.HasPrefix(e.Name(), ".") {
 			t.Fatalf("temp file litter: %s", e.Name())
 		}
 	}

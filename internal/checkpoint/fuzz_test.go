@@ -5,35 +5,36 @@ import (
 	"testing"
 )
 
-// FuzzDecode drives the loader with arbitrary bytes: it must never panic,
-// and whenever it does accept an image, re-encoding the parsed sections must
-// reproduce an image that parses to the same job and sections (the format is
-// canonical). Seeds cover valid images, truncations and bit flips — the
+// FuzzDecode drives the checkpoint loader's parser (the shared
+// internal/durable section decoder under the checkpoint magic and job key)
+// with arbitrary bytes: it must never panic, and whenever it does accept an
+// image, re-encoding the parsed sections must reproduce an image that parses
+// to the same job and sections (the format is canonical). Seeds cover valid images, truncations and bit flips — the
 // crash shapes the durability contract promises to survive.
 func FuzzDecode(f *testing.F) {
-	valid := Encode("ksetbounds|star:n=4|1", []Section{
+	valid := fileFormat.Encode("ksetbounds|star:n=4|1", []Section{
 		{Name: "solver.frontier#1", Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}},
 		{Name: "homology.reduction#2", Payload: bytes.Repeat([]byte{0xAB}, 64)},
 	})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:len(fileMagic)])
+	f.Add(valid[:len(fileFormat.Magic)])
 	f.Add([]byte{})
 	f.Add([]byte("ksetckpt\x01"))
 	f.Add([]byte("not a checkpoint at all"))
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
-	huge := Encode("job", []Section{{Name: "n#1", Payload: nil}})
+	huge := fileFormat.Encode("job", []Section{{Name: "n#1", Payload: nil}})
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		job, secs, err := Decode("fuzz.ckpt", data)
+		job, secs, err := fileFormat.Decode("fuzz.ckpt", data)
 		if err != nil {
 			return // rejected input: the only requirement is "no panic"
 		}
-		re := Encode(job, secs)
-		job2, secs2, err := Decode("fuzz.ckpt", re)
+		re := fileFormat.Encode(job, secs)
+		job2, secs2, err := fileFormat.Decode("fuzz.ckpt", re)
 		if err != nil {
 			t.Fatalf("re-encoded image rejected: %v", err)
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 
+	"ksettop/internal/durable"
 	"ksettop/internal/memo"
 	"ksettop/internal/model"
 	"ksettop/internal/obs"
@@ -86,7 +87,7 @@ func LoadMemoSnapshot(path string) error {
 		return nil
 	}
 	if err := memo.LoadSnapshot(path); err != nil {
-		if errors.Is(err, memo.ErrCorruptSnapshot) {
+		if errors.Is(err, durable.ErrCorrupt) {
 			fmt.Fprintf(os.Stderr, "warning: %v; starting cold\n", err)
 			return nil
 		}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ksettop/internal/graph"
@@ -74,7 +76,8 @@ func TestSaveMemoSnapshotSkippedWhileDisabled(t *testing.T) {
 }
 
 // TestLoadMemoSnapshotCorruptStartsCold pins the torn-write recovery: a
-// corrupt snapshot warns and cold-starts instead of failing the run.
+// corrupt, foreign or version-1 snapshot warns on stderr and cold-starts
+// instead of failing the run.
 func TestLoadMemoSnapshotCorruptStartsCold(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.snap")
 	if err := SaveMemoSnapshot(path); err != nil {
@@ -84,20 +87,44 @@ func TestLoadMemoSnapshotCorruptStartsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate mid-file: the checksummed loader reports ErrCorruptSnapshot.
-	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+	for name, image := range map[string][]byte{
+		"truncated": data[:len(data)-1],
+		"foreign":   []byte("not a snapshot at all"),
+		// One section without the CRC that version 2 added.
+		"v1": []byte("ksetmemo\x01\x01\x02v1\x01\x07"),
+	} {
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var loadErr error
+		warning := captureStderr(t, func() { loadErr = LoadMemoSnapshot(path) })
+		if loadErr != nil {
+			t.Fatalf("%s snapshot should cold-start, got %v", name, loadErr)
+		}
+		if !strings.Contains(warning, "starting cold") {
+			t.Fatalf("%s snapshot: no cold-start warning on stderr, got %q", name, warning)
+		}
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected and returns what it wrote.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadMemoSnapshot(path); err != nil {
-		t.Fatalf("corrupt snapshot should cold-start, got %v", err)
-	}
-	// Foreign bytes likewise.
-	if err := os.WriteFile(path, []byte("not a snapshot at all"), 0o644); err != nil {
+	saved := os.Stderr
+	os.Stderr = w
+	fn()
+	os.Stderr = saved
+	w.Close()
+	out, err := io.ReadAll(r)
+	r.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadMemoSnapshot(path); err != nil {
-		t.Fatalf("foreign file should cold-start, got %v", err)
-	}
+	return string(out)
 }
 
 // TestExitCode pins the typed exit-code contract: budget rejections exit 2,

@@ -4,6 +4,7 @@ package cli
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -66,7 +67,11 @@ func ParseModel(spec string) (*model.ClosedAbove, error) {
 		}
 		return model.New(gens)
 	}
-	params, err := parseParams(rest)
+	takes := []string{"n"}
+	if kind == "stars" {
+		takes = append(takes, "s")
+	}
+	params, err := parseParams(rest, takes)
 	if err != nil {
 		return nil, err
 	}
@@ -146,12 +151,21 @@ func FormatModel(m *model.ClosedAbove) string {
 	return sb.String()
 }
 
-func parseParams(s string) (map[string]int, error) {
+// parseParams parses comma-separated key=int parameters, rejecting a key
+// outside takes or given twice: specs arrive in HTTP bodies, and a silently
+// dropped or overridden parameter would answer for a different model.
+func parseParams(s string, takes []string) (map[string]int, error) {
 	out := make(map[string]int)
 	for _, part := range strings.Split(s, ",") {
 		key, val, found := strings.Cut(strings.TrimSpace(part), "=")
 		if !found {
 			return nil, fmt.Errorf("cli: bad parameter %q", part)
+		}
+		if !slices.Contains(takes, key) {
+			return nil, fmt.Errorf("cli: parameter %q not taken by this model kind (takes %s)", part, strings.Join(takes, ", "))
+		}
+		if _, dup := out[key]; dup {
+			return nil, fmt.Errorf("cli: parameter %q given twice", key)
 		}
 		v, err := strconv.Atoi(val)
 		if err != nil {

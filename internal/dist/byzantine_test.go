@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"ksettop/internal/memo"
+	"ksettop/internal/durable"
 )
 
 // lieMode selects how a liarProxy mutates shard payloads.
@@ -260,7 +260,7 @@ func TestDistLiePointsArbiterOverturns(t *testing.T) {
 // Byzantine tier would be untested.
 func TestDistLiePayloadsWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, 41)
+	durable.WriteUvarint(&buf, 41)
 	lied := lieCountOffByOne(buf.Bytes())
 	n, err := DecodeCount(lied)
 	if err != nil {

@@ -35,7 +35,7 @@ func FuzzParseJournal(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
-	f.Add(valid[:len(journalMagic)])
+	f.Add(valid[:len(journalFormat.Magic)])
 	f.Add([]byte{})
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-5] ^= 0x10
@@ -48,8 +48,8 @@ func FuzzParseJournal(f *testing.F) {
 		if !ok {
 			return
 		}
-		if end < len(journalMagic) || end > len(data) {
-			t.Fatalf("good prefix ends at %d, outside [%d, %d]", end, len(journalMagic), len(data))
+		if end < len(journalFormat.Magic) || end > len(data) {
+			t.Fatalf("good prefix ends at %d, outside [%d, %d]", end, len(journalFormat.Magic), len(data))
 		}
 		again := make(map[int][]byte)
 		end2, ok2 := parseJournal(data[:end], jobKey, again)

@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
+	"ksettop/internal/durable"
 	"ksettop/internal/faultinject"
-	"ksettop/internal/memo"
 )
 
 // The shard journal is the coordinator's crash-recovery log: an append-only
-// file of committed shard results, each record CRC-checksummed, extending
-// the internal/memo snapshot framing (varint length prefixes + IEEE CRC32).
-// A coordinator killed mid-sweep reopens the journal on restart, replays the
+// file of committed shard results in the internal/durable framing — a keyed
+// header naming the sweep, then one record per commit, each a uvarint shard
+// index, a length-prefixed payload and a CRC32 trailer over both. A
+// coordinator killed mid-sweep reopens the journal on restart, replays the
 // committed prefix, and resumes dispatching only the missing shards — the
 // merged output is byte-identical to an uninterrupted run because the merge
 // consumes results in shard-index order regardless of commit order.
@@ -26,18 +26,8 @@ import (
 // byte, while a journal whose header names a DIFFERENT job (or a foreign
 // file) is reset — resuming someone else's sweep would corrupt results.
 
-// journalMagic identifies the journal format (trailing version byte).
-var journalMagic = []byte("ksetdistj\x01")
-
-// recordCRC is the integrity checksum of one journal record: IEEE CRC32
-// over the shard index (as a varint) followed by the payload.
-func recordCRC(shard uint64, payload []byte) uint32 {
-	var tmp [binary.MaxVarintLen64]byte
-	crc := crc32.NewIEEE()
-	crc.Write(tmp[:binary.PutUvarint(tmp[:], shard)])
-	crc.Write(payload)
-	return crc.Sum32()
-}
+// journalFormat is the journal header: magic, then the sweep's job key.
+var journalFormat = durable.Format{Magic: []byte("ksetdistj\x01"), Keyed: true}
 
 // Journal is an open shard journal positioned for appends.
 type Journal struct {
@@ -77,9 +67,7 @@ func OpenJournal(path, jobKey string) (j *Journal, commits map[int][]byte, resum
 	}
 	if fresh {
 		var buf bytes.Buffer
-		buf.Write(journalMagic)
-		memo.WriteUvarint(&buf, uint64(len(jobKey)))
-		buf.WriteString(jobKey)
+		journalFormat.WriteHeader(&buf, jobKey)
 		if err := f.Truncate(0); err == nil {
 			_, err = f.WriteAt(buf.Bytes(), 0)
 		}
@@ -107,12 +95,8 @@ func OpenJournal(path, jobKey string) (j *Journal, commits map[int][]byte, resum
 // whether the header matched. A damaged record stops the scan (its offset is
 // the truncation point); a damaged header reports ok=false.
 func parseJournal(data []byte, jobKey string, commits map[int][]byte) (end int, ok bool) {
-	if !bytes.HasPrefix(data, journalMagic) {
-		return 0, false
-	}
-	r := bytes.NewReader(data[len(journalMagic):])
-	key, err := memo.ReadLengthPrefixed(r)
-	if err != nil || string(key) != jobKey {
+	key, r, err := journalFormat.ReadHeader("", data)
+	if err != nil || key != jobKey {
 		return 0, false
 	}
 	total := len(data)
@@ -122,15 +106,11 @@ func parseJournal(data []byte, jobKey string, commits map[int][]byte) (end int, 
 		if err != nil {
 			return end, true
 		}
-		payload, err := memo.ReadLengthPrefixed(r)
+		payload, err := durable.ReadLengthPrefixed(r)
 		if err != nil {
 			return end, true
 		}
-		var crc [4]byte
-		if _, err := io.ReadFull(r, crc[:]); err != nil {
-			return end, true
-		}
-		if recordCRC(shard, payload) != binary.LittleEndian.Uint32(crc[:]) {
+		if durable.CheckCRC(r, binary.AppendUvarint(nil, shard), payload) != nil {
 			return end, true
 		}
 		commits[int(shard)] = payload
@@ -143,13 +123,12 @@ func parseJournal(data []byte, jobKey string, commits map[int][]byte) (end int, 
 // by fsync, so a record is either wholly present or (after a crash)
 // truncated away on the next open.
 func (j *Journal) Append(shard int, payload []byte) error {
+	tag := binary.AppendUvarint(nil, uint64(shard))
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, uint64(shard))
-	memo.WriteUvarint(&buf, uint64(len(payload)))
+	buf.Write(tag)
+	durable.WriteUvarint(&buf, uint64(len(payload)))
 	buf.Write(payload)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], recordCRC(uint64(shard), payload))
-	buf.Write(crc[:])
+	durable.WriteCRC(&buf, tag, payload)
 	if _, err := j.f.Write(buf.Bytes()); err != nil {
 		return fmt.Errorf("dist: journal append: %w", err)
 	}

@@ -151,3 +151,45 @@ func TestJournalRemove(t *testing.T) {
 		t.Fatalf("journal still on disk: %v", err)
 	}
 }
+
+// TestJournalGolden pins the journal format (ksetdistj\x01) against an
+// image written by the encoder that predates internal/durable: appends must
+// reproduce it byte for byte, and reopening it must recover every commit,
+// so a journal left by an older coordinator still resumes.
+func TestJournalGolden(t *testing.T) {
+	const jobKey = "count|star:n=4|24"
+	records := []struct {
+		shard   int
+		payload []byte
+	}{{0, []byte{3}}, {2, []byte{1, 2, 3, 4}}, {1, nil}, {300, bytes.Repeat([]byte{9}, 200)}}
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	j, _, _ := openForTest(t, path, jobKey)
+	for _, r := range records {
+		if err := j.Append(r.shard, r.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, golden) {
+		t.Fatalf("journal encoding drifted (err %v):\n got %x\nwant %x", err, data, golden)
+	}
+
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, commits, resumed := openForTest(t, path, jobKey)
+	j.Close()
+	if !resumed || len(commits) != len(records) {
+		t.Fatalf("golden journal: resumed=%v, %d commits, want %d", resumed, len(commits), len(records))
+	}
+	for _, r := range records {
+		if got, ok := commits[r.shard]; !ok || !bytes.Equal(got, r.payload) {
+			t.Fatalf("shard %d: got %x (ok=%v), want %x", r.shard, got, ok, r.payload)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"ksettop/internal/bits"
+	"ksettop/internal/durable"
 	"ksettop/internal/memo"
 	"ksettop/internal/model"
 	"ksettop/internal/par"
@@ -129,7 +130,7 @@ func runCount(ctx context.Context, m *model.ClosedAbove, lo, hi int64) ([]byte, 
 		return nil, err
 	}
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, count)
+	durable.WriteUvarint(&buf, count)
 	return buf.Bytes(), nil
 }
 
@@ -143,7 +144,7 @@ func mergeCount(parts [][]byte) ([]byte, error) {
 		total += n
 	}
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, total)
+	durable.WriteUvarint(&buf, total)
 	return buf.Bytes(), nil
 }
 
@@ -167,10 +168,10 @@ func runEnum(ctx context.Context, m *model.ClosedAbove, lo, hi int64) ([]byte, e
 		positions = positions[:0]
 		mask.ForEachBit(func(bit int) { positions = append(positions, bit) })
 		sort.Ints(positions)
-		memo.WriteUvarint(&buf, uint64(len(positions)))
+		durable.WriteUvarint(&buf, uint64(len(positions)))
 		prev := 0
 		for _, p := range positions {
-			memo.WriteUvarint(&buf, uint64(p-prev))
+			durable.WriteUvarint(&buf, uint64(p-prev))
 			prev = p
 		}
 		return true

@@ -16,8 +16,8 @@ import (
 
 	"ksettop/internal/checkpoint"
 	"ksettop/internal/cli"
+	"ksettop/internal/durable"
 	"ksettop/internal/faultinject"
-	"ksettop/internal/memo"
 	"ksettop/internal/model"
 	"ksettop/internal/obs"
 )
@@ -364,7 +364,7 @@ func lieCountOffByOne(payload []byte) []byte {
 		return append(append([]byte(nil), payload...), 0)
 	}
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, n+1)
+	durable.WriteUvarint(&buf, n+1)
 	return buf.Bytes()
 }
 

@@ -11,7 +11,7 @@ import (
 	"sync"
 
 	"ksettop/internal/bits"
-	"ksettop/internal/memo"
+	"ksettop/internal/durable"
 	"ksettop/internal/model"
 )
 
@@ -127,13 +127,13 @@ func (t *shardTable) encode() ([]byte, error) {
 	sort.Strings(keys)
 	var buf bytes.Buffer
 	buf.WriteByte(distShardsVersion)
-	memo.WriteUvarint(&buf, uint64(len(keys)))
+	durable.WriteUvarint(&buf, uint64(len(keys)))
 	for _, k := range keys {
 		pos, acc := t.states[k].Snapshot()
-		memo.WriteUvarint(&buf, uint64(len(k)))
+		durable.WriteUvarint(&buf, uint64(len(k)))
 		buf.WriteString(k)
-		memo.WriteUvarint(&buf, uint64(pos))
-		memo.WriteUvarint(&buf, uint64(len(acc)))
+		durable.WriteUvarint(&buf, uint64(pos))
+		durable.WriteUvarint(&buf, uint64(len(acc)))
 		buf.Write(acc)
 	}
 	return buf.Bytes(), nil
@@ -235,7 +235,7 @@ func runCountDurable(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st
 		return nil, err
 	}
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, count)
+	durable.WriteUvarint(&buf, count)
 	return buf.Bytes(), nil
 }
 
@@ -262,10 +262,10 @@ func runEnumDurable(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st 
 		positions = positions[:0]
 		mask.ForEachBit(func(bit int) { positions = append(positions, bit) })
 		sort.Ints(positions)
-		memo.WriteUvarint(&buf, uint64(len(positions)))
+		durable.WriteUvarint(&buf, uint64(len(positions)))
 		prev := 0
 		for _, p := range positions {
-			memo.WriteUvarint(&buf, uint64(p-prev))
+			durable.WriteUvarint(&buf, uint64(p-prev))
 			prev = p
 		}
 		seen++

@@ -8,7 +8,7 @@ import (
 	"io"
 	"sync"
 
-	"ksettop/internal/memo"
+	"ksettop/internal/durable"
 )
 
 // This file is the durability layer of the Betti-number reduction. Progress
@@ -98,13 +98,13 @@ func (p *reduceProgress) encode() ([]byte, error) {
 	defer p.mu.Unlock()
 	var buf bytes.Buffer
 	buf.WriteByte(homologyCkptVersion)
-	memo.WriteUvarint(&buf, uint64(p.maxDim))
-	memo.WriteUvarint(&buf, uint64(p.nextQ))
-	memo.WriteUvarint(&buf, uint64(len(p.rank)))
+	durable.WriteUvarint(&buf, uint64(p.maxDim))
+	durable.WriteUvarint(&buf, uint64(p.nextQ))
+	durable.WriteUvarint(&buf, uint64(len(p.rank)))
 	for _, r := range p.rank {
-		memo.WriteUvarint(&buf, uint64(r))
+		durable.WriteUvarint(&buf, uint64(r))
 	}
-	memo.WriteUvarint(&buf, uint64(len(p.cleared)))
+	durable.WriteUvarint(&buf, uint64(len(p.cleared)))
 	packed := make([]byte, (len(p.cleared)+7)/8)
 	for i, c := range p.cleared {
 		if c {

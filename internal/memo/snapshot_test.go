@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"ksettop/internal/durable"
 	"ksettop/internal/faultinject"
 )
 
@@ -155,11 +156,11 @@ func TestSnapshotBitFlipDetected(t *testing.T) {
 			}
 			continue
 		}
-		if errors.Is(err, ErrCorruptSnapshot) {
+		if errors.Is(err, durable.ErrCorrupt) {
 			rejected++
-			var ce *CorruptSnapshotError
+			var ce *durable.CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("bit %d: err %v is not a *CorruptSnapshotError", bit, err)
+				t.Fatalf("bit %d: err %v is not a *durable.CorruptError", bit, err)
 			}
 		}
 		if n := cache.Len(); n != 0 {
@@ -189,8 +190,8 @@ func TestSnapshotTruncationDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 		cache.Clear()
-		if err := LoadSnapshot(path); !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("cut at %d: err = %v, want ErrCorruptSnapshot", cut, err)
+		if err := LoadSnapshot(path); !errors.Is(err, durable.ErrCorrupt) {
+			t.Fatalf("cut at %d: err = %v, want durable.ErrCorrupt", cut, err)
 		}
 		if n := cache.Len(); n != 0 {
 			t.Fatalf("cut at %d: truncated load half-populated the cache (%d entries)", cut, n)
@@ -198,28 +199,23 @@ func TestSnapshotTruncationDetected(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1StillLoads pins backward compatibility: a version-1 file
-// (no checksums) still restores.
-func TestSnapshotV1StillLoads(t *testing.T) {
+// TestSnapshotV1Rejected pins that version-1 files (no checksums) are no
+// longer loaded: they are reported as corrupt, so callers start cold, and
+// nothing is imported.
+func TestSnapshotV1Rejected(t *testing.T) {
 	cache := registerStringCache("v1.section")
-	var buf bytes.Buffer
-	buf.Write(snapshotMagicV1)
-	WriteUvarint(&buf, 1)
-	name := "v1.section"
-	payload := []byte("\x01k\x01v") // key "k" → value "v" in the test codec
-	WriteUvarint(&buf, uint64(len(name)))
-	buf.WriteString(name)
-	WriteUvarint(&buf, uint64(len(payload)))
-	buf.Write(payload)
+	// Magic, one section: name "v1.section", payload key "k" → value "v" in
+	// the test codec, no CRC.
+	v1 := []byte("ksetmemo\x01\x01\x0av1.section\x04\x01k\x01v")
 	path := filepath.Join(t.TempDir(), "snap-v1.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadSnapshot(path); err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
+	if err := LoadSnapshot(path); !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("v1 snapshot: err = %v, want durable.ErrCorrupt", err)
 	}
-	if got, ok := cache.Get("k"); !ok || got != "v" {
-		t.Errorf("restored k = %q (ok=%v), want v", got, ok)
+	if n := cache.Len(); n != 0 {
+		t.Fatalf("v1 snapshot imported %d entries", n)
 	}
 }
 

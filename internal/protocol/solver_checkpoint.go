@@ -7,7 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 
-	"ksettop/internal/memo"
+	"ksettop/internal/durable"
 )
 
 // This file is the durability layer of the parallel engine: it serializes
@@ -93,12 +93,12 @@ type solverCkptState struct {
 // structures, rebuilt clause-by-clause on restore.
 func encodeSharedStore(ng *nogoodStore) []byte {
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, uint64(ng.count()))
+	durable.WriteUvarint(&buf, uint64(ng.count()))
 	for c := int32(0); c < int32(ng.count()); c++ {
 		keys := ng.clause(c)
-		memo.WriteUvarint(&buf, uint64(len(keys)))
+		durable.WriteUvarint(&buf, uint64(len(keys)))
 		for _, key := range keys {
-			memo.WriteUvarint(&buf, uint64(key))
+			durable.WriteUvarint(&buf, uint64(key))
 		}
 	}
 	return buf.Bytes()
@@ -148,40 +148,40 @@ func decodeSharedStore(r *bytes.Reader, numViews, numValues int) (*nogoodStore, 
 func (pr *parallelRun) encodeCheckpoint(probeNodes, prefixNodes int, sharedBytes []byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(solverCkptVersion)
-	memo.WriteUvarint(&buf, uint64(probeNodes))
-	memo.WriteUvarint(&buf, uint64(prefixNodes))
+	durable.WriteUvarint(&buf, uint64(probeNodes))
+	durable.WriteUvarint(&buf, uint64(prefixNodes))
 	buf.Write(sharedBytes)
 
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	durable := 0
+	kept := 0
 	for _, r := range pr.records {
 		if r.status != taskCancelled {
-			durable++
+			kept++
 		}
 	}
-	memo.WriteUvarint(&buf, uint64(durable))
+	durable.WriteUvarint(&buf, uint64(kept))
 	for _, r := range pr.records {
 		if r.status == taskCancelled {
 			continue
 		}
-		memo.WriteUvarint(&buf, uint64(len(r.path)))
+		durable.WriteUvarint(&buf, uint64(len(r.path)))
 		buf.Write(r.path)
 		buf.WriteByte(byte(r.status))
-		memo.WriteUvarint(&buf, uint64(r.nodes))
-		memo.WriteUvarint(&buf, uint64(r.learned))
-		memo.WriteUvarint(&buf, uint64(len(r.decided)))
+		durable.WriteUvarint(&buf, uint64(r.nodes))
+		durable.WriteUvarint(&buf, uint64(r.learned))
+		durable.WriteUvarint(&buf, uint64(len(r.decided)))
 		for _, v := range r.decided {
-			memo.WriteUvarint(&buf, uint64(v+1)) // NoValue (-1) -> 0
+			durable.WriteUvarint(&buf, uint64(v+1)) // NoValue (-1) -> 0
 		}
 	}
-	memo.WriteUvarint(&buf, uint64(len(pr.frontier)))
+	durable.WriteUvarint(&buf, uint64(len(pr.frontier)))
 	for _, task := range pr.frontierSorted() {
-		memo.WriteUvarint(&buf, uint64(len(task.path)))
+		durable.WriteUvarint(&buf, uint64(len(task.path)))
 		buf.Write(task.path)
-		memo.WriteUvarint(&buf, uint64(len(task.decisions)))
+		durable.WriteUvarint(&buf, uint64(len(task.decisions)))
 		for _, d := range task.decisions {
-			memo.WriteUvarint(&buf, uint64(d))
+			durable.WriteUvarint(&buf, uint64(d))
 		}
 	}
 	return buf.Bytes()

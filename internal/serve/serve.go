@@ -34,6 +34,7 @@ import (
 	"ksettop/internal/cli"
 	"ksettop/internal/core"
 	"ksettop/internal/dist"
+	"ksettop/internal/durable"
 	"ksettop/internal/faultinject"
 	"ksettop/internal/memo"
 	"ksettop/internal/model"
@@ -660,7 +661,7 @@ func (s *Server) WarmBoot() {
 		return
 	}
 	if err := memo.LoadSnapshot(s.cfg.SnapshotPath); err != nil {
-		if errors.Is(err, memo.ErrCorruptSnapshot) {
+		if errors.Is(err, durable.ErrCorrupt) {
 			s.log.Warnf("serve: %v; starting cold", err)
 			return
 		}
