@@ -2,10 +2,18 @@ package dist
 
 import (
 	"bytes"
+	"encoding/json"
+	"hash/crc32"
 	"maps"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzParseJournal drives the shard-journal parser with arbitrary bytes: it
@@ -60,4 +68,72 @@ func FuzzParseJournal(f *testing.F) {
 			t.Fatal("good prefix re-parses to different commits")
 		}
 	})
+}
+
+// FuzzWorkerExec posts arbitrary bodies to a worker's /dist/v1/exec: the
+// handler must never panic, and must answer either 200 with an ExecResponse
+// whose CRC matches its payload, or a 4xx/5xx JSON error envelope. Seeds are
+// a valid count request, inverted and negative rank ranges, an unknown op
+// and malformed JSON. Models naming more than 5 processes are skipped, as
+// their closure construction alone can run for minutes.
+func FuzzWorkerExec(f *testing.F) {
+	for _, body := range []string{
+		`{"op":"count","model":"star:n=3","shard":0,"from":0,"to":96}`,
+		`{"op":"enum","model":"star:n=3","shard":1,"from":40,"to":8}`,
+		`{"op":"count","model":"star:n=3","from":-7,"to":-1,"lease_ms":-5}`,
+		`{"op":"sum","model":"star:n=3","from":0,"to":96}`,
+		`{"op":"count","model":`,
+	} {
+		f.Add([]byte(body))
+	}
+	// A short lease bounds every execution: a slow shard answers 504.
+	w := NewWorker(WorkerConfig{MaxLease: time.Second, Logf: func(string, ...any) {}})
+	h := w.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req ExecRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && processesNamed(req.Model) > 5 {
+			t.Skip()
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/dist/v1/exec", bytes.NewReader(body)))
+		if n := w.Stats().Panics; n != 0 {
+			t.Fatalf("handler panicked on %q (%d recovered panics)", body, n)
+		}
+		if rec.Code == http.StatusOK {
+			var resp ExecResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 body is not an ExecResponse: %v\n%s", err, rec.Body)
+			}
+			if got := crc32.ChecksumIEEE(resp.Payload); got != resp.CRC {
+				t.Fatalf("200 response CRC %08x, payload checksums to %08x", resp.CRC, got)
+			}
+			return
+		}
+		if rec.Code < 400 || rec.Code > 599 {
+			t.Fatalf("status %d, want 200 or an error status", rec.Code)
+		}
+		var envelope struct {
+			Error workerError `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Error.Kind == "" {
+			t.Fatalf("status %d body is not a JSON error envelope (%v): %s", rec.Code, err, rec.Body)
+		}
+	})
+}
+
+// processesNamed bounds the process count a model spec can name: its largest
+// integer, or the most rows of one '|'-separated adjacency generator.
+func processesNamed(spec string) int {
+	most := 0
+	for _, g := range strings.Split(spec, "|") {
+		most = max(most, strings.Count(g, ";")+1)
+	}
+	for _, digits := range strings.FieldsFunc(spec, func(r rune) bool { return r < '0' || r > '9' }) {
+		n, err := strconv.Atoi(digits)
+		if err != nil {
+			return math.MaxInt
+		}
+		most = max(most, n)
+	}
+	return most
 }

@@ -417,20 +417,29 @@ func TestPooledStateCleanAfterWitnessTask(t *testing.T) {
 		},
 		valueOrder: []Value{0, 1},
 	}
-	pr := &parallelRun{
-		tables:   tables,
-		shared:   newNogoodStore(len(tables.views), tables.numValues, maxSharedNogoods, maxNogoodLen),
-		taskCap:  1000,
-		budget:   1000,
-		ctl:      &par.Ctl{},
-		frontier: make(map[string]searchTask),
+	// The race detector makes sync.Pool drop a random share of Puts, so
+	// re-run the task on a fresh run until the pool hands the released
+	// state back.
+	var s *cspState
+	for attempt := 0; s == nil; attempt++ {
+		if attempt == 100 {
+			t.Fatal("the state pool never returned the released state")
+		}
+		pr := &parallelRun{
+			tables:   tables,
+			shared:   newNogoodStore(len(tables.views), tables.numValues, maxSharedNogoods, maxNogoodLen),
+			taskCap:  1000,
+			budget:   1000,
+			ctl:      &par.Ctl{},
+			frontier: make(map[string]searchTask),
+		}
+		pr.addFrontier(searchTask{})
+		pr.runTask(searchTask{}, nil)
+		if len(pr.records) != 1 || pr.records[0].status != taskWitness {
+			t.Fatalf("expected a witness record, got %+v", pr.records)
+		}
+		s, _ = pr.statePool.Get().(*cspState)
 	}
-	pr.addFrontier(searchTask{})
-	pr.runTask(searchTask{}, nil)
-	if len(pr.records) != 1 || pr.records[0].status != taskWitness {
-		t.Fatalf("expected a witness record, got %+v", pr.records)
-	}
-	s := pr.statePool.Get().(*cspState)
 	for v, f := range s.frameOf {
 		if f != -1 {
 			t.Errorf("released state has stale frameOf[%d] = %d", v, f)
