@@ -40,7 +40,6 @@ func run() (err error) {
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
 	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
 	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
-	clauseBudget := flag.Int("clause-budget", 0, cli.ClauseBudgetFlagUsage)
 	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
 	workers := flag.String("workers", "", cli.WorkersFlagUsage)
 	verifyFraction := flag.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
@@ -64,7 +63,7 @@ func run() (err error) {
 	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
 	jobKey := cli.JobKey("ksetbounds", *spec, fmt.Sprint(*rounds), fmt.Sprint(*verify),
-		fmt.Sprint(*solverBudget), fmt.Sprint(*clauseBudget))
+		fmt.Sprint(*solverBudget))
 	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval, *resume)
 	defer func() {
 		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
@@ -86,9 +85,6 @@ func run() (err error) {
 		return err
 	}
 	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {
-		return err
-	}
-	if err := cli.ApplyClauseBudgetFlag(*clauseBudget); err != nil {
 		return err
 	}
 	if err := cli.LoadMemoSnapshot(*memoSnapshot); err != nil {

@@ -42,7 +42,6 @@ func run() (err error) {
 	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
 	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
 	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
-	clauseBudget := flag.Int("clause-budget", 0, cli.ClauseBudgetFlagUsage)
 	workers := flag.String("workers", "", cli.WorkersFlagUsage)
 	verifyFraction := flag.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
 	quarantineThreshold := flag.Float64("quarantine-threshold", 0, cli.QuarantineThresholdFlagUsage)
@@ -65,7 +64,7 @@ func run() (err error) {
 	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
 	jobKey := cli.JobKey("ksetexperiments", *only,
-		fmt.Sprint(*solverBudget), fmt.Sprint(*clauseBudget))
+		fmt.Sprint(*solverBudget))
 	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval, *resume)
 	defer func() {
 		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
@@ -87,9 +86,6 @@ func run() (err error) {
 		return err
 	}
 	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {
-		return err
-	}
-	if err := cli.ApplyClauseBudgetFlag(*clauseBudget); err != nil {
 		return err
 	}
 	if err := cli.LoadMemoSnapshot(*memoSnapshot); err != nil {

@@ -38,7 +38,6 @@ func run() (err error) {
 	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
 	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
 	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
-	clauseBudget := flag.Int("clause-budget", 0, cli.ClauseBudgetFlagUsage)
 	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
 	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
 	checkpointPath := flag.String("checkpoint", "", cli.CheckpointFlagUsage)
@@ -53,7 +52,7 @@ func run() (err error) {
 	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
 	jobKey := cli.JobKey("ksettopo", *spec, fmt.Sprint(*values), fmt.Sprint(*maxDim),
-		fmt.Sprint(*solverBudget), fmt.Sprint(*clauseBudget))
+		fmt.Sprint(*solverBudget))
 	_, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval, *resume)
 	defer func() {
 		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
@@ -65,9 +64,6 @@ func run() (err error) {
 		return err
 	}
 	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {
-		return err
-	}
-	if err := cli.ApplyClauseBudgetFlag(*clauseBudget); err != nil {
 		return err
 	}
 	if err := cli.LoadMemoSnapshot(*memoSnapshot); err != nil {

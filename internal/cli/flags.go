@@ -56,20 +56,6 @@ func ApplySolverBudgetFlag(n int) error {
 	return nil
 }
 
-// ClauseBudgetFlagUsage is the shared help text of the -clause-budget flag.
-const ClauseBudgetFlagUsage = "learned-clause store budget with LBD/age eviction (0 = stock append-only bounds)"
-
-// ApplyClauseBudgetFlag sets the process-wide clause-store budget: n > 0
-// bounds the solver's learned-clause stores at n (shared) and n/4 (per
-// task) with deterministic aging/eviction; 0 restores the stock policy.
-func ApplyClauseBudgetFlag(n int) error {
-	if n < 0 {
-		return fmt.Errorf("cli: -clause-budget=%d must be ≥ 0", n)
-	}
-	protocol.SetClauseStoreBudget(n)
-	return nil
-}
-
 // MemoSnapshotUsage is the shared help text of the -memo-snapshot flag.
 const MemoSnapshotUsage = "memo snapshot file: loaded before the run when present, rewritten after a successful run (empty = off)"
 

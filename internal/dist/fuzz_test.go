@@ -70,9 +70,55 @@ func FuzzParseJournal(f *testing.F) {
 	})
 }
 
+// TestWorkerExecRankRange pins /dist/v1/exec's range check: a negative or
+// inverted rank range is a 400 bad_request before any op runs, and an empty
+// range is a 200 covering zero ranks.
+func TestWorkerExecRankRange(t *testing.T) {
+	h := NewWorker(WorkerConfig{Logf: func(string, ...any) {}}).Handler()
+	for _, tc := range []struct {
+		name     string
+		from, to int64
+		status   int
+	}{
+		{"inverted", 40, 8, http.StatusBadRequest},
+		{"negative from", -7, 4, http.StatusBadRequest},
+		{"negative both", -7, -1, http.StatusBadRequest},
+		{"empty", 5, 5, http.StatusOK},
+		{"empty at zero", 0, 0, http.StatusOK},
+		{"valid", 0, 96, http.StatusOK},
+	} {
+		body, err := json.Marshal(ExecRequest{Op: "count", Model: "star:n=3", From: tc.from, To: tc.to})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/dist/v1/exec", bytes.NewReader(body)))
+		if rec.Code != tc.status {
+			t.Fatalf("%s [%d, %d): status %d, want %d: %s", tc.name, tc.from, tc.to, rec.Code, tc.status, rec.Body)
+		}
+		if tc.status == http.StatusOK {
+			var resp ExecResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if resp.Ranks != tc.to-tc.from {
+				t.Errorf("%s: ranks %d, want %d", tc.name, resp.Ranks, tc.to-tc.from)
+			}
+			continue
+		}
+		var envelope struct {
+			Error workerError `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Error.Kind != "bad_request" {
+			t.Errorf("%s: body is not a bad_request envelope (%v): %s", tc.name, err, rec.Body)
+		}
+	}
+}
+
 // FuzzWorkerExec posts arbitrary bodies to a worker's /dist/v1/exec: the
 // handler must never panic, and must answer either 200 with an ExecResponse
-// whose CRC matches its payload, or a 4xx/5xx JSON error envelope. Seeds are
+// whose CRC matches its payload and whose ranks equal to − from ≥ 0, or a
+// 4xx/5xx JSON error envelope. Seeds are
 // a valid count request, inverted and negative rank ranges, an unknown op
 // and malformed JSON. Models naming more than 5 processes are skipped, as
 // their closure construction alone can run for minutes.
@@ -91,7 +137,8 @@ func FuzzWorkerExec(f *testing.F) {
 	h := w.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req ExecRequest
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && processesNamed(req.Model) > 5 {
+		decoded := json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil
+		if decoded && processesNamed(req.Model) > 5 {
 			t.Skip()
 		}
 		rec := httptest.NewRecorder()
@@ -106,6 +153,9 @@ func FuzzWorkerExec(f *testing.F) {
 			}
 			if got := crc32.ChecksumIEEE(resp.Payload); got != resp.CRC {
 				t.Fatalf("200 response CRC %08x, payload checksums to %08x", resp.CRC, got)
+			}
+			if !decoded || resp.Ranks != req.To-req.From || resp.Ranks < 0 {
+				t.Fatalf("200 response covers %d ranks for request %q", resp.Ranks, body)
 			}
 			return
 		}

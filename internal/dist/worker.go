@@ -239,6 +239,11 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		writeWorkerError(rw, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
+	if req.From < 0 || req.To < req.From {
+		writeWorkerError(rw, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("rank range [%d, %d) is not 0 ≤ from ≤ to", req.From, req.To))
+		return
+	}
 	// A traced request (X-Kset-Trace from the coordinator's grant span)
 	// collects this worker's spans request-scoped and ships them back in
 	// the response — cross-process stitching without a trace collector

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -233,5 +234,68 @@ func TestSolveChaosInjectedFaults(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("goroutine leak: %d before chaos, %d after", before, n)
+	}
+}
+
+// TestTableBuildCancellation pins the table build's cancellation polling:
+// the one rank-ordered sweep polls its stop flag every tablePollRanks
+// ranks, so a Ctl stopped before the build scans nothing and a Ctl stopped
+// mid-block scans to the end of that block only; SolveOneRoundCtx on a
+// cancelled context returns the wrapped cause. The stops are driven from
+// the poll itself, so the test needs no timers. It runs at p=1 and p=2:
+// the build is the same single sweep at every parallelism.
+func TestTableBuildCancellation(t *testing.T) {
+	all := midSweepInstance(t)
+	const numValues = 4
+	in := newSolveInput(all, numValues)
+	total := int64(numValues*numValues*numValues*numValues) * int64(len(in.execLists))
+	blocks := int((total + tablePollRanks - 1) / tablePollRanks)
+	if blocks < 4 {
+		t.Fatalf("instance too small: %d ranks span %d polling blocks", total, blocks)
+	}
+	defer par.SetParallelism(0)
+	for _, workers := range []int{1, 2} {
+		par.SetParallelism(workers)
+
+		polls := 0
+		views, cons := buildSolveTables(in, total, func() bool { polls++; return false })
+		if views == nil || cons == nil || polls != blocks {
+			t.Fatalf("workers=%d: uncancelled build polled %d times over %d blocks (tables %v)", workers, polls, blocks, views != nil)
+		}
+
+		ctl := &par.Ctl{}
+		ctl.Stop()
+		polls = 0
+		views, cons = buildSolveTables(in, total, func() bool { polls++; return ctl.Stopped() })
+		if views != nil || cons != nil || polls != 1 {
+			t.Fatalf("workers=%d: build stopped before its start polled %d times (tables %v), want 1 and none", workers, polls, views != nil)
+		}
+
+		// The Ctl stops inside the second block, [tablePollRanks,
+		// 2·tablePollRanks): the build must finish that block and stop at
+		// the third poll.
+		ctl = &par.Ctl{}
+		polls = 0
+		views, cons = buildSolveTables(in, total, func() bool {
+			polls++
+			if polls == 2 {
+				ctl.Stop()
+				return false
+			}
+			return ctl.Stopped()
+		})
+		if views != nil || cons != nil || polls != 3 {
+			t.Fatalf("workers=%d: build stopped mid-block polled %d times (tables %v), want 3 and none", workers, polls, views != nil)
+		}
+
+		cause := errors.New("table build cancelled")
+		ctx, cancel := context.WithCancelCause(context.Background())
+		cancel(cause)
+		for _, engine := range engines {
+			_, err := engine.solve(ctx, all, numValues, 3, 50_000_000)
+			if !errors.Is(err, cause) || !strings.HasPrefix(err.Error(), "protocol: solve aborted: ") {
+				t.Fatalf("workers=%d engine=%s: err = %v, want the wrapped cancellation cause", workers, engine.name, err)
+			}
+		}
 	}
 }

@@ -72,12 +72,13 @@ type SolveResult struct {
 // the product graph's in-neighborhoods, so the r-round oblivious question is
 // exactly this one-round question on S^r.
 //
-// The assignments × graphs constraint sweep is sharded across the par
-// worker pool with per-shard intern tables, merged in shard order, and the
-// search phase runs on the work-stealing learning engine, whose
-// rank-ordered reduction keeps the whole SolveResult identical to a
-// sequential run of the same engine for every parallelism setting (see
-// solver_parallel.go). SolveOneRoundSeq is its sequential reference.
+// The assignments × graphs constraint sweep interns every view and
+// constraint once, in one rank-ordered pass that is the same at every
+// parallelism setting, and the search phase runs on the work-stealing
+// learning engine, whose rank-ordered reduction keeps the whole SolveResult
+// identical to a sequential run of the same engine for every parallelism
+// setting (see solver_parallel.go). SolveOneRoundSeq is its sequential
+// reference.
 //
 // The search is exponential; nodeBudget bounds explored nodes (error when
 // exhausted).
@@ -86,8 +87,8 @@ func SolveOneRound(roundGraphs []graph.Digraph, numValues, k, nodeBudget int) (S
 }
 
 // SolveOneRoundCtx is SolveOneRound bound to a context: cancellation or
-// deadline expiry aborts the search cooperatively (table build, probe, task
-// sweep — all within one shard / ~128 nodes of polling granularity) and
+// deadline expiry aborts the search cooperatively (the table build within
+// 4096 ranks, the probe and task sweep within ~128 nodes) and
 // returns a wrapped context error. Runs that complete are byte-identical to
 // uncancelled SolveOneRound calls.
 func SolveOneRoundCtx(ctx context.Context, roundGraphs []graph.Digraph, numValues, k, nodeBudget int) (SolveResult, error) {
@@ -175,6 +176,51 @@ func solveOneRound(ctx context.Context, roundGraphs []graph.Digraph, numValues, 
 		}
 	}
 
+	// Build the view universe and the execution constraints over the rank
+	// space assignments × lists. Distinct executions frequently induce
+	// identical view SETS; since the constraint "≤ k distinct decisions"
+	// depends only on the view set, constraints are deduplicated, which
+	// shrinks hard instances by orders of magnitude. Both tables intern
+	// through 64-bit hashes with full content comparison — no per-execution
+	// key strings or view slices are allocated; memory grows only with the
+	// number of DISTINCT views and constraints.
+	in := newSolveInput(roundGraphs, numValues)
+	total := int64(numAssignments) * int64(len(in.execLists))
+	var views *viewIntern
+	var constraints *constraintIntern
+	tableCtx, tableSpan := obs.StartSpan(ctx, "solver.tables")
+	defer tableSpan.End() // idempotent: records at the explicit End below
+	tableCtl := &par.Ctl{}
+	if err := par.ForEachShardNCtx(tableCtx, total, 1, tableCtl, func(_ int, _, to int64, ctl *par.Ctl) {
+		views, constraints = buildSolveTables(in, to, ctl.Stopped)
+	}); err != nil || views == nil {
+		return SolveResult{}, cancelCause(tableCtl, ctx)
+	}
+
+	tableSpan.SetInt("views", int64(len(views.views)))
+	tableSpan.SetInt("constraints", int64(constraints.count()))
+	tableSpan.End()
+
+	res := SolveResult{Views: len(views.views), Executions: numAssignments * len(roundGraphs)}
+	if numValues > 16 {
+		return res, fmt.Errorf("protocol: solver supports ≤16 values, got %d", numValues)
+	}
+
+	t := assembleTables(k, numValues, views, constraints)
+	if err := search(ctx, t, nodeBudget, &res); err != nil {
+		return res, err
+	}
+	obsSolveNodes.Add(uint64(res.Nodes))
+	solveSpan.SetInt("nodes", int64(res.Nodes))
+	solveSpan.SetInt("solvable", boolInt(res.Solvable))
+	return res, nil
+}
+
+// newSolveInput collects the table build's read-only context: the distinct
+// in-neighborhoods across roundGraphs and, per graph, its deduplicated list
+// of in-set ids.
+func newSolveInput(roundGraphs []graph.Digraph, numValues int) solveInput {
+	n := roundGraphs[0].N()
 	// The view of process p under graph g depends only on In_g(p) and the
 	// assignment, so the distinct in-neighborhoods across all graphs are
 	// collected once up front: per assignment, each distinct in-set is
@@ -218,66 +264,12 @@ func solveOneRound(ctx context.Context, roundGraphs []graph.Digraph, numValues, 
 		execLists[c] = lists.get(int32(c))
 	}
 
-	// Build the view universe and the execution constraints over the rank
-	// space assignments × lists. Distinct executions frequently induce
-	// identical view SETS; since the constraint "≤ k distinct decisions"
-	// depends only on the view set, constraints are deduplicated, which
-	// shrinks hard instances by orders of magnitude. Both tables intern
-	// through 64-bit hashes with full content comparison — no per-execution
-	// key strings or view slices are allocated; memory grows only with the
-	// number of DISTINCT views and constraints.
-	in := solveInput{
+	return solveInput{
 		n:         n,
 		numValues: numValues,
 		inSets:    inSets,
 		execLists: execLists,
 	}
-	total := int64(numAssignments) * int64(len(execLists))
-	shards := par.NumShards(total)
-	var views *viewIntern
-	var constraints *constraintIntern
-	tableCtx, tableSpan := obs.StartSpan(ctx, "solver.tables")
-	defer tableSpan.End() // idempotent: records at the explicit End below
-	tableCtl := &par.Ctl{}
-	if shards <= 1 {
-		if err := par.ForEachShardNCtx(tableCtx, total, 1, tableCtl, func(_ int, from, to int64, _ *par.Ctl) {
-			views, constraints = buildSolveTables(in, from, to)
-		}); err != nil {
-			return SolveResult{}, cancelCause(tableCtl, ctx)
-		}
-	} else {
-		localViews := make([]*viewIntern, shards)
-		localCons := make([]*constraintIntern, shards)
-		if err := par.ForEachShardNCtx(tableCtx, total, shards, tableCtl, func(shard int, from, to int64, _ *par.Ctl) {
-			localViews[shard], localCons[shard] = buildSolveTables(in, from, to)
-		}); err != nil {
-			// Cancelled mid-build: some shard tables are missing, so the
-			// merge (and everything after it) is off the table.
-			return SolveResult{}, cancelCause(tableCtl, ctx)
-		}
-		if tableCtl.Stopped() {
-			return SolveResult{}, cancelCause(tableCtl, ctx)
-		}
-		views, constraints = mergeSolveTables(n, localViews, localCons)
-	}
-
-	tableSpan.SetInt("views", int64(len(views.views)))
-	tableSpan.SetInt("constraints", int64(constraints.count()))
-	tableSpan.End()
-
-	res := SolveResult{Views: len(views.views), Executions: numAssignments * len(roundGraphs)}
-	if numValues > 16 {
-		return res, fmt.Errorf("protocol: solver supports ≤16 values, got %d", numValues)
-	}
-
-	t := assembleTables(k, numValues, views, constraints)
-	if err := search(ctx, t, nodeBudget, &res); err != nil {
-		return res, err
-	}
-	obsSolveNodes.Add(uint64(res.Nodes))
-	solveSpan.SetInt("nodes", int64(res.Nodes))
-	solveSpan.SetInt("solvable", boolInt(res.Solvable))
-	return res, nil
 }
 
 func boolInt(b bool) int64 {

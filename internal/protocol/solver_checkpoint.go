@@ -48,7 +48,6 @@ func solverFingerprint(t *solveTables, budget int) uint64 {
 	wu(uint64(len(t.execViews)))
 	wu(uint64(budget))
 	wu(uint64(probeLimit()))
-	wu(uint64(CurrentClauseStoreBudget()))
 	for _, d := range t.initDomains {
 		binary.LittleEndian.PutUint16(b[:2], d)
 		h.Write(b[:2])
@@ -105,15 +104,15 @@ func encodeSharedStore(ng *nogoodStore) []byte {
 }
 
 // decodeSharedStore rebuilds the frozen store by replaying the clause list
-// through add() against the active bounding policy; a clause the policy
-// rejects means the checkpoint was written under different knobs than the
+// through add() against the store's bounds; a clause the store rejects
+// means the checkpoint was written under different bounds than the
 // fingerprint admitted — corrupt by construction.
 func decodeSharedStore(r *bytes.Reader, numViews, numValues int) (*nogoodStore, error) {
 	count, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, fmt.Errorf("clause count: %w", err)
 	}
-	ng := newSharedNogoodStore(numViews, numValues)
+	ng := newNogoodStore(numViews, numValues, maxSharedNogoods)
 	maxKey := uint64(numViews) * uint64(numValues)
 	keys := make([]int32, 0, maxNogoodLen)
 	for c := uint64(0); c < count; c++ {
@@ -121,7 +120,7 @@ func decodeSharedStore(r *bytes.Reader, numViews, numValues int) (*nogoodStore, 
 		if err != nil {
 			return nil, fmt.Errorf("clause %d length: %w", c, err)
 		}
-		if n == 0 || n > uint64(ng.maxLen) {
+		if n == 0 || n > maxNogoodLen {
 			return nil, fmt.Errorf("clause %d length %d out of range", c, n)
 		}
 		keys = keys[:0]
@@ -136,7 +135,7 @@ func decodeSharedStore(r *bytes.Reader, numViews, numValues int) (*nogoodStore, 
 			keys = append(keys, int32(key))
 		}
 		if !ng.add(keys) {
-			return nil, fmt.Errorf("clause %d rejected by store policy", c)
+			return nil, fmt.Errorf("clause %d rejected by store bounds", c)
 		}
 	}
 	return ng, nil

@@ -114,55 +114,6 @@ func probeLimit() int {
 	return stockProbeLimit
 }
 
-var clauseBudgetOverride atomic.Int64
-
-// SetClauseStoreBudget bounds the learned-clause stores and switches them
-// from the stock append-only truncation to deterministic aging/eviction: a
-// full store drops its lower-scored half (longest clauses first — length is
-// the LBD stand-in — oldest among equals) and keeps learning. n is the
-// shared probe store's clause bound; each subtree task's private store gets
-// max(n/4, 16). n ≤ 0 restores the stock policy (append-only at the
-// compile-time bounds). Solvable and the witness map are invariant across
-// budgets — learned clauses only prune solution-free subtrees and the
-// branch order is fixed — while node statistics are comparable only between
-// runs using the same budget (each is still byte-identical across
-// -parallelism).
-func SetClauseStoreBudget(n int) {
-	if n < 0 {
-		n = 0
-	}
-	clauseBudgetOverride.Store(int64(n))
-}
-
-// CurrentClauseStoreBudget reports the clause-store budget (0 = stock).
-func CurrentClauseStoreBudget() int { return int(clauseBudgetOverride.Load()) }
-
-// newSharedNogoodStore builds the probe's shared clause store under the
-// active bounding policy.
-func newSharedNogoodStore(numViews, numValues int) *nogoodStore {
-	if n := clauseBudgetOverride.Load(); n > 0 {
-		ng := newNogoodStore(numViews, numValues, int(n), maxNogoodLen)
-		ng.evict = true
-		return ng
-	}
-	return newNogoodStore(numViews, numValues, maxSharedNogoods, maxNogoodLen)
-}
-
-// newTaskNogoodStore builds one subtree task's private clause store under
-// the active bounding policy.
-func newTaskNogoodStore(numViews, numValues int) *nogoodStore {
-	if n := clauseBudgetOverride.Load(); n > 0 {
-		budget := int(n) / 4
-		if budget < 16 {
-			budget = 16
-		}
-		ng := newNogoodStore(numViews, numValues, budget, maxNogoodLen)
-		ng.evict = true
-		return ng
-	}
-	return newNogoodStore(numViews, numValues, maxTaskNogoods, maxNogoodLen)
-}
-
 // SearchStats breaks the engine's deterministic node accounting down by
 // phase. All fields are identical for every parallelism setting; under
 // SolveOneRoundSeq they stay zero (SolveResult.Nodes carries the count).
@@ -529,7 +480,7 @@ func (pr *parallelRun) runTask(task searchTask, d *par.Deque) {
 		return
 	}
 	t := pr.tables
-	local := newTaskNogoodStore(len(t.views), t.numValues)
+	local := newNogoodStore(len(t.views), t.numValues, maxTaskNogoods)
 	var s *cspState
 	if pooled := pr.statePool.Get(); pooled != nil {
 		s = pooled.(*cspState)
@@ -669,7 +620,7 @@ func solveParallel(ctx context.Context, t *solveTables, budget int) (parallelRes
 		res.stats.PrefixNodes = prefixNodes
 		res.stats.SharedNogoods = shared.count()
 	} else {
-		shared = newSharedNogoodStore(len(t.views), t.numValues)
+		shared = newNogoodStore(len(t.views), t.numValues, maxSharedNogoods)
 		var probeStop func(int) bool
 		if ctx != nil && ctx.Done() != nil {
 			probeStop = func(int) bool { return ctl.Stopped() }

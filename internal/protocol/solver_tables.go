@@ -12,8 +12,9 @@ import (
 // the assignments × in-set-list rank space into the flat, read-only search
 // tables (interned views, deduplicated execution constraints, CSR
 // adjacency, initial domains, static value order) that both search engines
-// consume. Everything here is deterministic in rank order, so the tables —
-// and therefore the search — are identical for every parallelism setting.
+// consume. One sequential sweep interns each view and constraint exactly
+// once in rank order, so the tables — and therefore the search — are
+// identical for every parallelism setting.
 
 // solveTables is the immutable context of one solve: shared read-only by
 // the sequential oracle, the probe phase and every parallel subtree task.
@@ -123,19 +124,19 @@ type solveInput struct {
 	execLists [][]int32
 }
 
-// buildSolveTables interns the views and execution constraints of the ranks
-// in [from, to), where rank r denotes assignment r/len(execLists) applied to
-// list r%len(execLists), scanning in ascending rank order. Each worker shard
-// gets its own intern tables; mergeSolveTables stitches them together.
-func buildSolveTables(in solveInput, from, to int64) (*viewIntern, *constraintIntern) {
+// tablePollRanks is how many ranks the table build scans between
+// cancellation polls: par's sequential threshold, so a cancelled build stops
+// within the work of one unsharded sweep.
+const tablePollRanks = 4096
+
+// buildSolveTables interns the views and execution constraints of the rank
+// space [0, total), where rank r denotes assignment r/len(execLists) applied
+// to list r%len(execLists), scanning in ascending rank order. It polls stop
+// every tablePollRanks ranks and returns nil tables once stop reports true.
+func buildSolveTables(in solveInput, total int64, stop func() bool) (*viewIntern, *constraintIntern) {
 	views := newViewIntern(in.n)
 	constraints := newConstraintIntern()
-	if from >= to {
-		return views, constraints
-	}
-	L := int64(len(in.execLists))
 	assignment := make([]Value, in.n)
-	assignmentFromRank(from/L, in.numValues, assignment)
 	viewOfInSet := make([]int32, len(in.inSets))
 	refresh := func() {
 		for s, inSet := range in.inSets {
@@ -144,8 +145,12 @@ func buildSolveTables(in solveInput, from, to int64) (*viewIntern, *constraintIn
 	}
 	refresh()
 	scratch := make([]int32, 0, in.n)
-	li := from % L
-	for r := from; r < to; r++ {
+	L := int64(len(in.execLists))
+	li := int64(0)
+	for r := int64(0); r < total; r++ {
+		if r%tablePollRanks == 0 && stop() {
+			return nil, nil
+		}
 		ids := scratch[:0]
 		for _, s := range in.execLists[li] {
 			ids = append(ids, viewOfInSet[s])
@@ -154,47 +159,10 @@ func buildSolveTables(in solveInput, from, to int64) (*viewIntern, *constraintIn
 		li++
 		if li == L {
 			li = 0
-			if r+1 < to {
+			if r+1 < total {
 				incCounter(assignment, in.numValues)
 				refresh()
 			}
-		}
-	}
-	return views, constraints
-}
-
-// assignmentFromRank writes the rank-th assignment in incCounter order
-// (last index least significant) into assignment.
-func assignmentFromRank(rank int64, numValues int, assignment []Value) {
-	for i := len(assignment) - 1; i >= 0; i-- {
-		assignment[i] = Value(rank % int64(numValues))
-		rank /= int64(numValues)
-	}
-}
-
-// mergeSolveTables folds the per-shard intern tables into one global pair,
-// in shard order. Shards cover contiguous ascending rank ranges, so
-// first-encounter order across the merged shards equals the first-encounter
-// order of a sequential sweep — view ids, constraint ids, and therefore the
-// whole search are byte-identical to the single-shard path.
-func mergeSolveTables(n int, localViews []*viewIntern, localCons []*constraintIntern) (*viewIntern, *constraintIntern) {
-	views := newViewIntern(n)
-	constraints := newConstraintIntern()
-	scratch := make([]int32, 0, n)
-	for s := range localViews {
-		lv, lc := localViews[s], localCons[s]
-		remap := make([]int32, len(lv.views))
-		for id, v := range lv.views {
-			remap[id] = views.internView(v, lv.hashes[id])
-		}
-		for c := 0; c < lc.count(); c++ {
-			ids := lc.get(int32(c))
-			mapped := scratch[:0]
-			for _, id := range ids {
-				mapped = append(mapped, remap[id])
-			}
-			// Remapping is injective, so only the order needs restoring.
-			constraints.insert(sortDedupInt32(mapped))
 		}
 	}
 	return views, constraints
@@ -250,25 +218,6 @@ func (vi *viewIntern) intern(in bits.Set, assignment []Value) int32 {
 		idx = (idx + 1) & vi.mask
 	}
 	return vi.insertAt(idx, v.Clone(), h)
-}
-
-// internView interns an already-flattened view with a precomputed hash,
-// taking ownership of v (the merge path hands over shard-local views whose
-// tables are then discarded).
-func (vi *viewIntern) internView(v View, h uint64) int32 {
-	idx := h & vi.mask
-	for {
-		slot := vi.slots[idx]
-		if slot == 0 {
-			break
-		}
-		id := slot - 1
-		if vi.hashes[id] == h && viewsEqual(vi.views[id], v) {
-			return id
-		}
-		idx = (idx + 1) & vi.mask
-	}
-	return vi.insertAt(idx, v, h)
 }
 
 func (vi *viewIntern) insertAt(idx uint64, v View, h uint64) int32 {

@@ -165,12 +165,9 @@ func TestSolverMultiRoundViaProducts(t *testing.T) {
 }
 
 func TestSolverDeterministicAcrossParallelism(t *testing.T) {
-	// The table-building sweep shards across the worker pool with per-shard
-	// intern tables; the shard-order merge must reproduce the sequential
-	// view/constraint universe exactly, so the whole SolveResult — including
-	// the explored node count — is pinned across worker counts. The n=4 star
-	// closure (1695 graphs, 256 assignments) is large enough that the
-	// sharded path actually runs at every multi-worker setting.
+	// The whole SolveResult — including the explored node count — is pinned
+	// across worker counts on the n=4 star closure (1695 graphs, 256
+	// assignments).
 	m, err := model.NonEmptyKernelModel(4)
 	if err != nil {
 		t.Fatalf("NonEmptyKernelModel: %v", err)
