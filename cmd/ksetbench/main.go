@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -245,7 +246,7 @@ func compareAgainst(snap snapshot, path string, allowed float64) error {
 func serveBench() ([]benchResult, error) {
 	s := serve.New(serve.Config{
 		MaxConcurrent: 16,
-		Logf:          func(string, ...any) {},
+		Log:           slog.New(slog.DiscardHandler),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

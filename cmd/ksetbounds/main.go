@@ -20,8 +20,6 @@ import (
 
 	"ksettop/internal/cli"
 	"ksettop/internal/core"
-	"ksettop/internal/dist"
-	"ksettop/internal/model"
 	"ksettop/internal/obs"
 	"ksettop/internal/par"
 	"ksettop/internal/protocol"
@@ -38,17 +36,12 @@ func run() (err error) {
 	rounds := flag.Int("rounds", 1, "analyze rounds 1..r")
 	verify := flag.Bool("verify", false, "re-check the one-round bounds mechanically")
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
 	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
 	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
-	workers := flag.String("workers", "", cli.WorkersFlagUsage)
-	verifyFraction := flag.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
-	quarantineThreshold := flag.Float64("quarantine-threshold", 0, cli.QuarantineThresholdFlagUsage)
 	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
 	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
 	checkpointPath := flag.String("checkpoint", "", cli.CheckpointFlagUsage)
 	checkpointInterval := flag.Duration("checkpoint-interval", 30*time.Second, cli.CheckpointIntervalFlagUsage)
-	resume := flag.Bool("resume", false, cli.ResumeFlagUsage)
 	flag.Parse()
 	obs.SetProcessName("ksetbounds")
 	if err := cli.ApplyLogLevelFlag(*logLevel); err != nil {
@@ -64,26 +57,13 @@ func run() (err error) {
 	defer stopSignals()
 	jobKey := cli.JobKey("ksetbounds", *spec, fmt.Sprint(*rounds), fmt.Sprint(*verify),
 		fmt.Sprint(*solverBudget))
-	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval, *resume)
+	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval)
 	defer func() {
 		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
 			err = ferr
 		}
 	}()
 	par.SetParallelism(*parallelism)
-	if list := cli.SplitWorkers(*workers); len(list) > 0 {
-		coord := dist.NewCoordinator(dist.CoordConfig{
-			Workers:             list,
-			VerifyFraction:      *verifyFraction,
-			QuarantineThreshold: *quarantineThreshold,
-		})
-		coord.Start(ctx)
-		model.SetDistributor(coord)
-		defer model.SetDistributor(nil)
-	}
-	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
-		return err
-	}
 	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {
 		return err
 	}

@@ -39,7 +39,6 @@ func main() {
 func run() (err error) {
 	only := flag.String("only", "", "comma-separated experiment IDs (default all)")
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
 	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
 	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
 	workers := flag.String("workers", "", cli.WorkersFlagUsage)
@@ -49,7 +48,6 @@ func run() (err error) {
 	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
 	checkpointPath := flag.String("checkpoint", "", cli.CheckpointFlagUsage)
 	checkpointInterval := flag.Duration("checkpoint-interval", 30*time.Second, cli.CheckpointIntervalFlagUsage)
-	resume := flag.Bool("resume", false, cli.ResumeFlagUsage)
 	flag.Parse()
 	obs.SetProcessName("ksetexperiments")
 	if err := cli.ApplyLogLevelFlag(*logLevel); err != nil {
@@ -65,7 +63,7 @@ func run() (err error) {
 	defer stopSignals()
 	jobKey := cli.JobKey("ksetexperiments", *only,
 		fmt.Sprint(*solverBudget))
-	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval, *resume)
+	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval)
 	defer func() {
 		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
 			err = ferr
@@ -81,9 +79,6 @@ func run() (err error) {
 		coord.Start(ctx)
 		model.SetDistributor(coord)
 		defer model.SetDistributor(nil)
-	}
-	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
-		return err
 	}
 	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {
 		return err

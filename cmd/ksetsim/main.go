@@ -40,7 +40,6 @@ func run() (err error) {
 	seed := flag.Int64("seed", 1, "random seed for -mode random")
 	limit := flag.Int("limit", 4_000_000, "execution budget for -mode worst")
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
 	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
 	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
 	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
@@ -66,9 +65,6 @@ func run() (err error) {
 		}
 	}()
 	par.SetParallelism(*parallelism)
-	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
-		return err
-	}
 	if err := cli.LoadMemoSnapshot(*memoSnapshot); err != nil {
 		return err
 	}

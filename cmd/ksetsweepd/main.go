@@ -1,6 +1,6 @@
 // Command ksetsweepd is the distributed-sweep worker daemon: it executes
-// rank-shard enumeration ops on behalf of a ksetserved/ksetbounds/
-// ksetexperiments coordinator and answers its heartbeat probes.
+// rank-shard enumeration ops on behalf of a ksetserved or ksetexperiments
+// coordinator and answers its heartbeat probes.
 //
 // Usage:
 //
@@ -33,6 +33,7 @@ package main
 import (
 	"context"
 	"flag"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -55,7 +56,6 @@ func main() {
 func run() error {
 	addr := flag.String("addr", ":9090", "listen address")
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
 	maxConcurrent := flag.Int("max-concurrent", 8, "concurrent shard executions admitted before shedding with 503")
 	maxLease := flag.Duration("max-lease", time.Minute, "hard cap on any granted lease duration")
 	drainGrace := flag.Duration("drain-grace", 15*time.Second, "shutdown grace for in-flight shard executions")
@@ -75,9 +75,6 @@ func run() error {
 	}
 	flushTrace := cli.StartTraceOut(*traceOut)
 	par.SetParallelism(*parallelism)
-	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
-		return err
-	}
 	if err := cli.LoadMemoSnapshot(*memoSnapshot); err != nil {
 		return err
 	}
@@ -90,8 +87,8 @@ func run() error {
 		defer faultinject.Disable()
 	}
 
-	// A daemon restart is the resume case by definition, so the checkpoint
-	// is reloaded unconditionally — no -resume flag here.
+	// A daemon restart is the resume case by definition: a matching
+	// checkpoint is always reloaded.
 	var ckpt *checkpoint.Runner
 	if *checkpointPath != "" {
 		ckpt = checkpoint.NewRunner(*checkpointPath, cli.JobKey("ksetsweepd"), *checkpointInterval)
@@ -118,7 +115,7 @@ func run() error {
 				select {
 				case <-t.C:
 					if err := cli.SaveMemoSnapshot(*memoSnapshot); err != nil {
-						obs.DefaultLogger().Warnf("memo: background snapshot: %v", err)
+						slog.Warn("memo: background snapshot failed", "err", err)
 					}
 				case <-ctx.Done():
 					return
@@ -132,7 +129,7 @@ func run() error {
 	if ckpt != nil {
 		ckpt.Stop()
 		if serr := ckpt.SaveNow(); serr != nil {
-			obs.DefaultLogger().Warnf("checkpoint: drain save: %v", serr)
+			slog.Warn("checkpoint: drain save failed", "err", serr)
 		}
 	}
 	if serr := cli.SaveMemoSnapshot(*memoSnapshot); serr != nil && err == nil {

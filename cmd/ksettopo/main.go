@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"ksettop/internal/cli"
@@ -35,37 +36,32 @@ func run() (err error) {
 	values := flag.Int("values", 2, "input values for the protocol complex")
 	maxDim := flag.Int("maxdim", -1, "homology dimension cap (default n−2)")
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
 	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
-	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
 	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
 	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
 	checkpointPath := flag.String("checkpoint", "", cli.CheckpointFlagUsage)
 	checkpointInterval := flag.Duration("checkpoint-interval", 30*time.Second, cli.CheckpointIntervalFlagUsage)
-	resume := flag.Bool("resume", false, cli.ResumeFlagUsage)
 	flag.Parse()
 	obs.SetProcessName("ksettopo")
 	if err := cli.ApplyLogLevelFlag(*logLevel); err != nil {
 		return err
 	}
 	flushTrace := cli.StartTraceOut(*traceOut)
+	defer func() {
+		if err := flushTrace(); err != nil {
+			fmt.Fprintln(os.Stderr, "ksettopo: trace-out:", err)
+		}
+	}()
 	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
-	jobKey := cli.JobKey("ksettopo", *spec, fmt.Sprint(*values), fmt.Sprint(*maxDim),
-		fmt.Sprint(*solverBudget))
-	_, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval, *resume)
+	jobKey := cli.JobKey("ksettopo", *spec, fmt.Sprint(*values), fmt.Sprint(*maxDim))
+	_, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval)
 	defer func() {
 		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
 			err = ferr
 		}
 	}()
 	par.SetParallelism(*parallelism)
-	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
-		return err
-	}
-	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {
-		return err
-	}
 	if err := cli.LoadMemoSnapshot(*memoSnapshot); err != nil {
 		return err
 	}
@@ -84,9 +80,6 @@ func run() (err error) {
 		return err
 	}
 	if err := reportProtocol(m, *values, dim); err != nil {
-		return err
-	}
-	if err := flushTrace(); err != nil {
 		return err
 	}
 	return cli.SaveMemoSnapshot(*memoSnapshot)

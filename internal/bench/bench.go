@@ -9,6 +9,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"log/slog"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -510,13 +511,16 @@ func resumeWarm(b *testing.B) {
 	}
 }
 
+// quietLog silences the operational logs of in-process daemons.
+var quietLog = slog.New(slog.DiscardHandler)
+
 // distWorkers starts n in-process sweep workers on loopback listeners and
 // returns their addresses plus a shutdown func.
 func distWorkers(n int) ([]string, func()) {
 	addrs := make([]string, n)
 	servers := make([]*httptest.Server, n)
 	for i := range addrs {
-		w := dist.NewWorker(dist.WorkerConfig{Logf: func(string, ...any) {}})
+		w := dist.NewWorker(dist.WorkerConfig{Log: quietLog})
 		servers[i] = httptest.NewServer(w.Handler())
 		addrs[i] = strings.TrimPrefix(servers[i].URL, "http://")
 	}
@@ -546,7 +550,7 @@ func distSweep(verifyFraction float64) func(*testing.B) {
 			Shards:         24,
 			DisableHedging: true,
 			VerifyFraction: verifyFraction,
-			Logf:           func(string, ...any) {},
+			Log:            quietLog,
 		})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -574,7 +578,7 @@ func distRecovery(b *testing.B) {
 		Shards:         24,
 		DisableHedging: true,
 		JournalPath:    filepath.Join(b.TempDir(), "sweep.journal"),
-		Logf:           func(string, ...any) {},
+		Log:            quietLog,
 	}
 	job := dist.Job{Op: dist.OpEnum, Model: "star:n=4"}
 	want, err := dist.RunSequential(context.Background(), job)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"sort"
 	"strings"
@@ -39,7 +40,7 @@ type Runner struct {
 	interval time.Duration
 
 	mu       sync.Mutex
-	seq      int               // section-name allocator
+	seq      int // section-name allocator
 	captures map[string]func() ([]byte, error)
 	retained map[string][]byte // last capture of unregistered sections
 	pending  map[string][]byte // loaded sections not yet consumed by Resume
@@ -82,7 +83,7 @@ func (r *Runner) LoadForResume() bool {
 	secs, err := Load(r.path, r.jobKey)
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
-			obs.DefaultLogger().Warnf("checkpoint: cannot resume from %s: %v; starting cold", r.path, err)
+			slog.Warn("checkpoint: cannot resume; starting cold", "path", r.path, "err", err)
 			mColdStarts.Inc()
 		}
 		return false
@@ -240,7 +241,7 @@ func (r *Runner) Start() {
 				return
 			case <-t.C:
 				if err := r.SaveNow(); err != nil {
-					obs.DefaultLogger().Warnf("checkpoint: periodic save: %v", err)
+					slog.Warn("checkpoint: periodic save failed", "err", err)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -11,15 +12,13 @@ import (
 	"time"
 
 	"ksettop/internal/checkpoint"
-	"ksettop/internal/obs"
 	"ksettop/internal/runctx"
 )
 
 // This file is the durable-run surface of the batch CLIs: graceful
 // SIGINT/SIGTERM handling (cancel the root context, flush trace/memo/
 // checkpoint state, exit with a distinct code) and the
-// -checkpoint/-checkpoint-interval/-resume flag plumbing around
-// internal/checkpoint.
+// -checkpoint/-checkpoint-interval flag plumbing around internal/checkpoint.
 
 // ErrInterrupted is the sentinel a signal-cancelled run's error matches
 // under errors.Is; ExitCode maps it to ExitInterrupted (3).
@@ -64,32 +63,28 @@ const CheckpointFlagUsage = "checkpoint file for durable runs: solver/homology/s
 // CheckpointIntervalFlagUsage is the shared help text of -checkpoint-interval.
 const CheckpointIntervalFlagUsage = "background checkpoint save cadence for -checkpoint"
 
-// ResumeFlagUsage is the shared help text of the -resume flag.
-const ResumeFlagUsage = "resume from the -checkpoint file when it holds a matching interrupted run; corrupt, truncated or foreign files warn and start cold"
-
 // JobKey builds a checkpoint job identity from a tool name and its
 // workload-defining flag values. Checkpoint files carry this key, so a file
 // written by a different tool or workload is rejected at load instead of
-// resumed. Checkpoint control flags (-resume itself, intervals, paths) must
-// NOT be part of the key — adding -resume on the restart command line has to
-// keep the key stable.
+// resumed. Checkpoint control flags (intervals, paths) must NOT be part of
+// the key — a restart with another -checkpoint-interval resumes the same job.
 func JobKey(tool string, parts ...string) string {
 	return tool + "|" + strings.Join(parts, "|")
 }
 
 // StartCheckpoint builds the checkpoint runner for a batch run and attaches
-// it to ctx: loads the file for resume when asked, starts the background
-// save ticker, and installs the runner-carrying context as the runctx base
-// (layered on the SignalContext installation). An empty path returns ctx
-// unchanged and a nil runner — every later call on it is a no-op.
-func StartCheckpoint(ctx context.Context, path, jobKey string, interval time.Duration, resume bool) (context.Context, *checkpoint.Runner) {
+// it to ctx: resumes from the file when it holds this job's interrupted run
+// (a missing file is a cold start; a corrupt, truncated or foreign one warns
+// and starts cold), starts the background save ticker, and installs the
+// runner-carrying context as the runctx base (layered on the SignalContext
+// installation). An empty path returns ctx unchanged and a nil runner —
+// every later call on it is a no-op.
+func StartCheckpoint(ctx context.Context, path, jobKey string, interval time.Duration) (context.Context, *checkpoint.Runner) {
 	if path == "" {
 		return ctx, nil
 	}
 	r := checkpoint.NewRunner(path, jobKey, interval)
-	if resume {
-		r.LoadForResume()
-	}
+	r.LoadForResume()
 	r.Start()
 	ctx = checkpoint.WithRunner(ctx, r)
 	runctx.SetBase(ctx)
@@ -109,11 +104,11 @@ func FinishDurable(r *checkpoint.Runner, memoSnapshot string, runErr error) erro
 		return r.Remove()
 	}
 	if err := r.SaveNow(); err != nil {
-		obs.DefaultLogger().Warnf("checkpoint: final save: %v", err)
+		slog.Warn("checkpoint: final save failed", "err", err)
 	}
 	if errors.Is(runErr, ErrInterrupted) {
 		if err := SaveMemoSnapshot(memoSnapshot); err != nil {
-			obs.DefaultLogger().Warnf("memo: snapshot on interrupt: %v", err)
+			slog.Warn("memo: snapshot on interrupt failed", "err", err)
 		}
 	}
 	return nil

@@ -1,11 +1,14 @@
 package cli
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -39,7 +42,7 @@ func TestJobKeyStable(t *testing.T) {
 		t.Fatalf("JobKey = %q", got)
 	}
 	// Checkpoint control flags are excluded by construction: the key is only
-	// what the caller passes, so the same workload with -resume added
+	// what the caller passes, so a restart with other checkpoint settings
 	// produces the same key.
 	if JobKey("t", "a") != JobKey("t", "a") {
 		t.Fatal("JobKey is not deterministic")
@@ -74,7 +77,7 @@ func TestSignalContextKillCancelsWithInterrupt(t *testing.T) {
 
 func TestStartCheckpointEmptyPathIsOff(t *testing.T) {
 	ctx := context.Background()
-	got, r := StartCheckpoint(ctx, "", "job", time.Second, true)
+	got, r := StartCheckpoint(ctx, "", "job", time.Second)
 	if got != ctx || r != nil {
 		t.Fatal("empty -checkpoint must return the context unchanged and a nil runner")
 	}
@@ -87,9 +90,64 @@ func TestStartCheckpointEmptyPathIsOff(t *testing.T) {
 	}
 }
 
+// writeCheckpoint saves a checkpoint file for jobKey holding one "phase"
+// section with fingerprint 7.
+func writeCheckpoint(t *testing.T, path, jobKey, state string) {
+	t.Helper()
+	r := checkpoint.NewRunner(path, jobKey, 0)
+	r.Register("phase", 7, func() ([]byte, error) { return []byte(state), nil })
+	if err := r.SaveNow(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// captureDefaultLog runs fn with the default slog logger writing JSON to a
+// buffer and returns what it logged.
+func captureDefaultLog(t *testing.T, fn func()) string {
+	t.Helper()
+	var buf bytes.Buffer
+	saved := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&buf, nil)))
+	defer slog.SetDefault(saved)
+	fn()
+	return buf.String()
+}
+
+// With -checkpoint set, a file holding this job's interrupted run is always
+// resumed: there is no opt-in.
+func TestStartCheckpointResumesMatchingFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	writeCheckpoint(t, path, "job", "mid-run state")
+	_, r := StartCheckpoint(context.Background(), path, "job", time.Hour)
+	defer runctx.SetBase(nil)
+	defer r.Stop()
+	payload, ok := r.Resume("phase", 7)
+	if !ok || string(payload) != "mid-run state" {
+		t.Fatalf("matching checkpoint not resumed: ok=%v payload=%q", ok, payload)
+	}
+}
+
+// A file written by another job is never resumed: it warns and starts cold.
+func TestStartCheckpointForeignFileStartsCold(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	writeCheckpoint(t, path, "other-job", "foreign state")
+	var r *checkpoint.Runner
+	logged := captureDefaultLog(t, func() {
+		_, r = StartCheckpoint(context.Background(), path, "job", time.Hour)
+	})
+	defer runctx.SetBase(nil)
+	defer r.Stop()
+	if _, ok := r.Resume("phase", 7); ok {
+		t.Fatal("foreign checkpoint was resumed")
+	}
+	if !strings.Contains(logged, `"level":"WARN"`) || !strings.Contains(logged, "starting cold") {
+		t.Fatalf("no cold-start warning logged, got %q", logged)
+	}
+}
+
 func TestFinishDurableSuccessRemovesCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	_, r := StartCheckpoint(context.Background(), path, "job", time.Hour, false)
+	_, r := StartCheckpoint(context.Background(), path, "job", time.Hour)
 	defer runctx.SetBase(nil)
 	r.Register("phase", 1, func() ([]byte, error) { return []byte("state"), nil })
 	if err := r.SaveNow(); err != nil {
@@ -105,7 +163,7 @@ func TestFinishDurableSuccessRemovesCheckpoint(t *testing.T) {
 
 func TestFinishDurableErrorFlushesCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	_, r := StartCheckpoint(context.Background(), path, "job", time.Hour, false)
+	_, r := StartCheckpoint(context.Background(), path, "job", time.Hour)
 	defer runctx.SetBase(nil)
 	r.Register("phase", 1, func() ([]byte, error) { return []byte("mid-run state"), nil })
 	if err := FinishDurable(r, "", fmt.Errorf("run: %w (SIGTERM)", ErrInterrupted)); err != nil {

@@ -131,9 +131,9 @@ func Exit(tool string, err error) {
 }
 
 // SaveMemoSnapshot persists the memo caches to the -memo-snapshot file; an
-// empty path is a no-op. So is a run with memoization disabled: with
-// -memo=off every cache stayed empty (Put is a no-op), and overwriting the
-// file would destroy a previously warm snapshot.
+// empty path is a no-op. So is a run with memoization switched off through
+// memo.SetEnabled: every cache stayed empty (Put is a no-op), and
+// overwriting the file would destroy a previously warm snapshot.
 func SaveMemoSnapshot(path string) error {
 	if path == "" || !memo.Enabled() {
 		return nil

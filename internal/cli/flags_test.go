@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,8 +51,8 @@ func TestMemoSnapshotFlagRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveMemoSnapshotSkippedWhileDisabled pins that a -memo=off run cannot
-// overwrite a warm snapshot with empty caches.
+// TestSaveMemoSnapshotSkippedWhileDisabled pins that a run with memoization
+// switched off cannot overwrite a warm snapshot with empty caches.
 func TestSaveMemoSnapshotSkippedWhileDisabled(t *testing.T) {
 	defer memo.SetEnabled(true)
 	path := filepath.Join(t.TempDir(), "warm.snap")
@@ -164,11 +165,19 @@ func TestApplySolverBudgetFlag(t *testing.T) {
 }
 
 func TestApplyLogLevelFlag(t *testing.T) {
-	defer obs.SetLevel(obs.LevelInfo)
+	defer obs.SetLevel(slog.LevelInfo)
 	for _, v := range []string{"debug", "INFO", "warn", "warning", "Error"} {
 		if err := ApplyLogLevelFlag(v); err != nil {
 			t.Fatalf("ApplyLogLevelFlag(%q): %v", v, err)
 		}
+	}
+	// The flag moves the default logger's threshold.
+	if err := ApplyLogLevelFlag("warn"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if slog.Default().Enabled(ctx, slog.LevelInfo) || !slog.Default().Enabled(ctx, slog.LevelWarn) {
+		t.Error("-log-level warn must drop info records and keep warnings")
 	}
 	if err := ApplyLogLevelFlag("verbose"); err == nil {
 		t.Error("unknown level should be rejected")

@@ -9,26 +9,8 @@ import (
 	"strings"
 
 	"ksettop/internal/graph"
-	"ksettop/internal/memo"
 	"ksettop/internal/model"
 )
-
-// MemoFlagUsage is the shared help text of the -memo flag.
-const MemoFlagUsage = "canonical-key memo cache: on | off"
-
-// ApplyMemoFlag interprets the shared -memo flag value (on/off, with the
-// usual boolean spellings) and switches the process-wide cache layer.
-func ApplyMemoFlag(value string) error {
-	switch strings.ToLower(value) {
-	case "on", "true", "1", "yes":
-		memo.SetEnabled(true)
-	case "off", "false", "0", "no":
-		memo.SetEnabled(false)
-	default:
-		return fmt.Errorf("cli: -memo=%q, want on or off", value)
-	}
-	return nil
-}
 
 // ParseModel builds a model from a compact spec string:
 //

@@ -120,7 +120,7 @@ func (p *delayProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // honestDelay > 0 slows the honest workers' exec path.
 func startLiarFleet(t *testing.T, n int, mode lieMode, delay, honestDelay time.Duration) ([]string, *liarProxy) {
 	t.Helper()
-	wcfg := WorkerConfig{Logf: func(string, ...any) {}}
+	wcfg := WorkerConfig{Log: discardLog}
 	proxy := &liarProxy{inner: NewWorker(wcfg).Handler(), mode: mode, delay: delay}
 	proxy.lying.Store(true)
 	addrs := make([]string, n)
@@ -230,7 +230,7 @@ func TestDistLiePointsArbiterOverturns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			workers := startWorkers(t, 1, WorkerConfig{Logf: func(string, ...any) {}})
+			workers := startWorkers(t, 1, WorkerConfig{Log: discardLog})
 			cfg := testCoordConfig(workers)
 			cfg.VerifyFraction = 1
 			cfg.MaxAttempts = 10
@@ -336,7 +336,7 @@ func TestDistVerifyCleanOnHonestFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := startWorkers(t, 3, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 3, WorkerConfig{Log: discardLog})
 	cfg := testCoordConfig(workers)
 	cfg.VerifyFraction = 1
 	c := NewCoordinator(cfg)

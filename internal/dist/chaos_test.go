@@ -22,7 +22,7 @@ func TestDistChaosMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	workers := startWorkers(t, 3, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 3, WorkerConfig{Log: discardLog})
 	cfg := testCoordConfig(workers)
 	cfg.DisableHedging = false
 	cfg.HedgeMin = 50 * time.Millisecond
@@ -54,7 +54,7 @@ func TestDistChaosMatrix(t *testing.T) {
 // disabled (legacy semantics), a fully corrupt fleet exhausts attempts and
 // the sweep fails rather than return wrong bytes.
 func TestDistCorruptionNeverMerges(t *testing.T) {
-	workers := startWorkers(t, 2, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 2, WorkerConfig{Log: discardLog})
 	cfg := testCoordConfig(workers)
 	cfg.Shards = 4
 	cfg.MaxAttempts = 3
@@ -80,7 +80,7 @@ func TestDistCorruptFleetQuarantinedAndDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := startWorkers(t, 2, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 2, WorkerConfig{Log: discardLog})
 	cfg := testCoordConfig(workers)
 	cfg.Shards = 4
 	cfg.MaxAttempts = 40 // quarantine must trip long before attempts exhaust
@@ -109,7 +109,7 @@ func TestDistJournalRecoveryRandomKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := startWorkers(t, 3, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 3, WorkerConfig{Log: discardLog})
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 
 	for trial := uint64(0); trial < 4; trial++ {
@@ -171,7 +171,7 @@ func TestDistJournalRotRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := startWorkers(t, 3, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 3, WorkerConfig{Log: discardLog})
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	cfg := testCoordConfig(workers)
 	cfg.JournalPath = path
@@ -201,7 +201,7 @@ func TestDistJournalRotRecomputes(t *testing.T) {
 // typed budget error and without dispatching the whole rank space many times
 // over.
 func TestDistBudgetTrip(t *testing.T) {
-	workers := startWorkers(t, 3, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 3, WorkerConfig{Log: discardLog})
 	c := NewCoordinator(testCoordConfig(workers))
 	_, err := c.Run(context.Background(), Job{Op: OpCount, Model: "star:n=4", Budget: 500})
 	if err == nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -26,9 +27,6 @@ type CoordConfig struct {
 	// Workers are the worker addresses (host:port). Empty means no
 	// distribution: Run falls back to the local in-process engine.
 	Workers []string
-	// VNodes is the virtual-node count per worker on the hash ring.
-	// Default 64.
-	VNodes int
 	// Shards overrides the shard count of a sweep (0 = 8 × workers,
 	// clamped to the rank-space size). The shard count is part of the job
 	// identity: a journal resume requires the same sharding.
@@ -58,9 +56,6 @@ type CoordConfig struct {
 	// MinRanks is the rank-space size below which CountClosure declines
 	// distribution (HTTP overhead dominates tiny sweeps). Default 4096.
 	MinRanks int64
-	// SweepBudget is the shared work budget (ranks) applied to
-	// distributor-initiated sweeps; 0 = unlimited.
-	SweepBudget int64
 	// NoWorkerGrace is how long a sweep waits with zero live workers before
 	// degrading to local compute (or failing, with DisableDegrade). Default
 	// 10s.
@@ -71,47 +66,39 @@ type CoordConfig struct {
 	// verification (shards flagged by a disagreeing duplicate are still
 	// verified).
 	VerifyFraction float64
-	// QuorumReplicas is how many distinct per-worker results a divergence
-	// majority vote needs before it can decide; short of replicas, a local
-	// recompute arbitrates. Default 3.
-	QuorumReplicas int
 	// QuarantineThreshold is the per-worker divergence score that trips
 	// quarantine (divergences count 1.0, corrupt responses 1.0, transport
 	// failures 0.25, successes decay 0.5). 0 selects the default 3;
 	// negative disables quarantine entirely.
 	QuarantineThreshold float64
-	// QuarantineBackoff/QuarantineBackoffMax shape the half-open probe
-	// schedule of a quarantined worker: base × 2^(trips−1), capped.
-	// Defaults 1s / 5m.
-	QuarantineBackoff    time.Duration
-	QuarantineBackoffMax time.Duration
-	// DegradeFloor is the minimum live-and-trusted worker count below which
-	// a sweep degrades to local compute. Default 1.
-	DegradeFloor int
+	// QuarantineBackoff is the base of the half-open probe schedule of a
+	// quarantined worker: base × 2^(trips−1), capped at
+	// quarantineBackoffMax. Default 1s.
+	QuarantineBackoff time.Duration
 	// DisableDegrade makes a sweep fail instead of degrading to local
-	// compute when the trusted fleet falls below the floor.
+	// compute when no live trusted worker is left.
 	DisableDegrade bool
 	// Seed drives the deterministic retry jitter. Default 1.
 	Seed uint64
 	// JournalPath, when set, journals shard commits so a killed coordinator
 	// warm-restarts the sweep without recomputing committed shards.
 	JournalPath string
-	// Client is the HTTP client for grants and heartbeats. Default: plain
-	// client (per-request contexts carry the deadlines).
-	Client *http.Client
-	// Log receives operational log lines. Default obs.DefaultLogger()
-	// (leveled JSON on stderr).
-	Log *obs.Logger
-	// Logf, when set and Log is nil, receives every log line
-	// pre-formatted — the pre-obs hook, kept so embedders and tests that
-	// silence or capture logs keep working.
-	Logf func(format string, args ...any)
+	// Log receives operational log lines. Default slog.Default() (JSON on
+	// stderr).
+	Log *slog.Logger
 }
 
+// Fixed coordinator tuning.
+const (
+	// quorumReplicas is how many distinct per-worker results a divergence
+	// majority vote needs before it can decide; short of replicas, a local
+	// recompute arbitrates.
+	quorumReplicas = 3
+	// quarantineBackoffMax caps the half-open probe backoff.
+	quarantineBackoffMax = 5 * time.Minute
+)
+
 func (c CoordConfig) withDefaults() CoordConfig {
-	if c.VNodes <= 0 {
-		c.VNodes = defaultVNodes
-	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 15 * time.Second
 	}
@@ -151,33 +138,17 @@ func (c CoordConfig) withDefaults() CoordConfig {
 	if c.VerifyFraction > 1 {
 		c.VerifyFraction = 1
 	}
-	if c.QuorumReplicas <= 0 {
-		c.QuorumReplicas = 3
-	}
 	if c.QuarantineThreshold == 0 {
 		c.QuarantineThreshold = 3
 	}
 	if c.QuarantineBackoff <= 0 {
 		c.QuarantineBackoff = time.Second
 	}
-	if c.QuarantineBackoffMax <= 0 {
-		c.QuarantineBackoffMax = 5 * time.Minute
-	}
-	if c.DegradeFloor <= 0 {
-		c.DegradeFloor = 1
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	if c.Log == nil {
-		if c.Logf != nil {
-			c.Log = obs.NewFuncLogger(c.Logf)
-		} else {
-			c.Log = obs.DefaultLogger()
-		}
+		c.Log = slog.Default()
 	}
 	return c
 }
@@ -228,7 +199,7 @@ type Coordinator struct {
 	cfg    CoordConfig
 	ring   *Ring
 	client *http.Client
-	log    *obs.Logger
+	log    *slog.Logger
 	met    coordMetrics
 
 	mu      sync.Mutex
@@ -318,8 +289,8 @@ func NewCoordinator(cfg CoordConfig) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:    cfg,
-		ring:   NewRing(cfg.VNodes),
-		client: cfg.Client,
+		ring:   NewRing(defaultVNodes),
+		client: &http.Client{},
 		log:    cfg.Log,
 		met:    newCoordMetrics(),
 		live:   make(map[string]bool, len(cfg.Workers)),
@@ -434,10 +405,10 @@ func (c *Coordinator) setLive(worker string, live bool) {
 	c.met.liveWorkers.Set(n)
 	if live {
 		c.met.workerRejoins.Inc()
-		c.log.Infof("dist: worker %s rejoined", worker)
+		c.log.Info("dist: worker rejoined", "worker", worker)
 	} else {
 		c.met.workerDeaths.Inc()
-		c.log.Warnf("dist: worker %s declared dead (%d missed heartbeats)", worker, c.cfg.HeartbeatMisses)
+		c.log.Warn("dist: worker declared dead", "worker", worker, "missed_heartbeats", c.cfg.HeartbeatMisses)
 	}
 }
 
@@ -591,7 +562,7 @@ func (c *Coordinator) run(ctx context.Context, job Job) ([]byte, error) {
 	if len(c.cfg.Workers) == 0 {
 		return RunLocal(ctx, job, c.cfg.Shards)
 	}
-	op, ok := LookupOp(job.Op)
+	op, ok := opTable[job.Op]
 	if !ok {
 		return nil, fmt.Errorf("dist: unknown op %q", job.Op)
 	}
@@ -628,7 +599,7 @@ func (c *Coordinator) run(ctx context.Context, job Job) ([]byte, error) {
 		if resumed {
 			c.met.journalResumes.Inc()
 			c.met.journalSkips.Add(uint64(len(commits)))
-			c.log.Infof("dist: resumed sweep from journal, %d/%d shards already committed", len(commits), shards)
+			c.log.Info("dist: resumed sweep from journal", "committed", len(commits), "shards", shards)
 		}
 	}
 	closeJournal := true
@@ -703,14 +674,14 @@ func (c *Coordinator) run(ctx context.Context, job Job) ([]byte, error) {
 			}
 		}
 
-		// Trust floor: with live-and-trusted workers below the degrade
-		// floor, serve the rest of the sweep from local compute instead of
-		// stalling — immediately if quarantine shrank the fleet, after
-		// NoWorkerGrace if workers are merely dead.
-		if eligible := c.EligibleWorkers(); eligible < c.cfg.DegradeFloor {
+		// Trust floor: with no live-and-trusted worker left, serve the rest
+		// of the sweep from local compute instead of stalling — immediately
+		// if quarantine emptied the fleet, after NoWorkerGrace if workers
+		// are merely dead.
+		if c.EligibleWorkers() == 0 {
 			reason := ""
 			if q := c.QuarantinedWorkers(); q > 0 {
-				reason = fmt.Sprintf("%d live trusted workers (floor %d, %d quarantined)", eligible, c.cfg.DegradeFloor, q)
+				reason = fmt.Sprintf("no live trusted workers (%d quarantined)", q)
 			} else if noWorkerSince.IsZero() {
 				noWorkerSince = now
 			} else if now.Sub(noWorkerSince) > c.cfg.NoWorkerGrace {
@@ -721,7 +692,7 @@ func (c *Coordinator) run(ctx context.Context, job Job) ([]byte, error) {
 					return fail(fmt.Errorf("dist: %s", reason))
 				}
 				c.met.degraded.Inc()
-				c.log.Warnf("dist: degrading sweep to local compute: %s", reason)
+				c.log.Warn("dist: degrading sweep to local compute", "reason", reason)
 				cancelAll()
 				if err := c.finishLocal(ctx, v, states, total, budget); err != nil {
 					return nil, err
@@ -861,7 +832,7 @@ func (c *Coordinator) run(ctx context.Context, job Job) ([]byte, error) {
 	if jr != nil {
 		closeJournal = false
 		if err := jr.Remove(); err != nil {
-			c.log.Warnf("dist: removing completed journal: %v", err)
+			c.log.Warn("dist: removing completed journal failed", "err", err)
 		}
 	}
 	return out, nil
@@ -1013,16 +984,16 @@ func (c *Coordinator) CountClosure(ctx context.Context, m *model.ClosedAbove) (i
 			// Degraded serving: the fleet is up but untrusted, so the
 			// caller's local engine answers.
 			c.met.degraded.Inc()
-			c.log.Warnf("dist: no live trusted workers (%d quarantined); serving count from the local engine", q)
+			c.log.Warn("dist: no live trusted workers; serving count from the local engine", "quarantined", q)
 		}
 		return 0, false, nil
 	}
-	out, err := c.Run(ctx, Job{Op: OpCount, Model: cli.FormatModel(m), Budget: c.cfg.SweepBudget})
+	out, err := c.Run(ctx, Job{Op: OpCount, Model: cli.FormatModel(m)})
 	if err != nil {
 		if errors.Is(err, model.ErrEnumerationBudget) {
 			return 0, true, err
 		}
-		c.log.Warnf("dist: distributed count failed (%v); falling back to local engine", err)
+		c.log.Warn("dist: distributed count failed; falling back to local engine", "err", err)
 		return 0, false, nil
 	}
 	count, err := DecodeCount(out)

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -12,6 +13,10 @@ import (
 	"ksettop/internal/faultinject"
 	"ksettop/internal/model"
 )
+
+// discardLog silences the operational logs of in-process workers and
+// coordinators.
+var discardLog = slog.New(slog.DiscardHandler)
 
 // startWorkers launches n in-process workers and returns their addresses.
 func startWorkers(t *testing.T, n int, cfg WorkerConfig) []string {
@@ -38,14 +43,14 @@ func testCoordConfig(workers []string) CoordConfig {
 		DisableHedging: true, // hedging has its own tests; keep others deterministic
 		MinRanks:       1,
 		Seed:           7,
-		Logf:           func(string, ...any) {},
+		Log:            discardLog,
 	}
 }
 
 // The tentpole guarantee: a sweep distributed over 3 workers returns exactly
-// the bytes of the sequential engine, for every registered op.
+// the bytes of the sequential engine, for every op.
 func TestDistByteIdentity(t *testing.T) {
-	workers := startWorkers(t, 3, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 3, WorkerConfig{Log: discardLog})
 	c := NewCoordinator(testCoordConfig(workers))
 	for _, op := range []string{OpCount, OpEnum} {
 		job := Job{Op: op, Model: "star:n=4"}
@@ -94,7 +99,7 @@ func TestDistByteIdentity(t *testing.T) {
 // grant immediately; the ring re-dispatches its shards to the survivors and
 // the result is unchanged.
 func TestDistDeadWorkerRedispatch(t *testing.T) {
-	workers := startWorkers(t, 2, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 2, WorkerConfig{Log: discardLog})
 	// A third address nobody listens on.
 	dead := httptest.NewServer(nil)
 	deadAddr := strings.TrimPrefix(dead.URL, "http://")
@@ -122,7 +127,7 @@ func TestDistDeadWorkerRedispatch(t *testing.T) {
 // fail) is declared dead after the configured misses and revived when the
 // partition heals.
 func TestDistHeartbeatDetection(t *testing.T) {
-	workers := startWorkers(t, 1, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 1, WorkerConfig{Log: discardLog})
 	cfg := testCoordConfig(workers)
 	cfg.HeartbeatMisses = 3
 	c := NewCoordinator(cfg)
@@ -161,7 +166,7 @@ func TestDistModelDistributorIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	workers := startWorkers(t, 3, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 3, WorkerConfig{Log: discardLog})
 	c := NewCoordinator(testCoordConfig(workers))
 	model.SetDistributor(c)
 	defer model.SetDistributor(nil)
@@ -196,7 +201,7 @@ func TestDistCountClosureDeclines(t *testing.T) {
 		t.Fatal("nil coordinator must decline")
 	}
 	// Rank space below MinRanks.
-	workers := startWorkers(t, 1, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 1, WorkerConfig{Log: discardLog})
 	cfg := testCoordConfig(workers)
 	cfg.MinRanks = 1 << 20
 	c := NewCoordinator(cfg)
@@ -214,7 +219,7 @@ func TestDistCountClosureDeclines(t *testing.T) {
 // well past the percentile threshold, the coordinator speculatively
 // re-dispatches and the sweep still returns reference bytes.
 func TestDistHedging(t *testing.T) {
-	workers := startWorkers(t, 3, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 3, WorkerConfig{Log: discardLog})
 	cfg := testCoordConfig(workers)
 	cfg.DisableHedging = false
 	cfg.HedgeMin = 30 * time.Millisecond

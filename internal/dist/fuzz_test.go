@@ -74,7 +74,7 @@ func FuzzParseJournal(f *testing.F) {
 // inverted rank range is a 400 bad_request before any op runs, and an empty
 // range is a 200 covering zero ranks.
 func TestWorkerExecRankRange(t *testing.T) {
-	h := NewWorker(WorkerConfig{Logf: func(string, ...any) {}}).Handler()
+	h := NewWorker(WorkerConfig{Log: discardLog}).Handler()
 	for _, tc := range []struct {
 		name     string
 		from, to int64
@@ -133,7 +133,7 @@ func FuzzWorkerExec(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	// A short lease bounds every execution: a slow shard answers 504.
-	w := NewWorker(WorkerConfig{MaxLease: time.Second, Logf: func(string, ...any) {}})
+	w := NewWorker(WorkerConfig{MaxLease: time.Second, Log: discardLog})
 	h := w.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req ExecRequest

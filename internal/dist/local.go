@@ -17,7 +17,7 @@ import (
 // a trip cancels the sweep context and surfaces within roughly one shard of
 // extra work (in-flight shards poll cancellation every ~1k ranks).
 func RunLocal(ctx context.Context, job Job, shards int) ([]byte, error) {
-	op, ok := LookupOp(job.Op)
+	op, ok := opTable[job.Op]
 	if !ok {
 		return nil, errUnknownOp(job.Op)
 	}
@@ -44,7 +44,7 @@ func RunLocal(ctx context.Context, job Job, shards int) ([]byte, error) {
 	defer cancel(nil)
 	ctl := &par.Ctl{}
 	if err := par.ForEachShardNCtx(runCtx, total, shards, ctl, func(s int, from, to int64, ctl *par.Ctl) {
-		payload, err := op.Run(runCtx, m, from, to)
+		payload, err := op.Run(runCtx, m, from, to, nil)
 		if err != nil {
 			ctl.StopCause(err)
 			return
@@ -65,7 +65,7 @@ func RunLocal(ctx context.Context, job Job, shards int) ([]byte, error) {
 // byte for byte. The budget, if any, is charged once at the end (a
 // sequential sweep has no early-surface opportunity).
 func RunSequential(ctx context.Context, job Job) ([]byte, error) {
-	op, ok := LookupOp(job.Op)
+	op, ok := opTable[job.Op]
 	if !ok {
 		return nil, errUnknownOp(job.Op)
 	}
@@ -80,7 +80,7 @@ func RunSequential(ctx context.Context, job Job) ([]byte, error) {
 	if total <= 0 {
 		return op.Merge(nil)
 	}
-	part, err := op.Run(ctx, m, 0, total)
+	part, err := op.Run(ctx, m, 0, total, nil)
 	if err != nil {
 		return nil, err
 	}

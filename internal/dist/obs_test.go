@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func TestDistTracePropagation(t *testing.T) {
 		obs.ResetTrace(0)
 	})
 
-	workers := startWorkers(t, 3, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 3, WorkerConfig{Log: discardLog})
 	c := NewCoordinator(testCoordConfig(workers))
 	if _, err := c.Run(context.Background(), Job{Op: OpCount, Model: "star:n=4"}); err != nil {
 		t.Fatal(err)
@@ -99,7 +100,7 @@ func TestDistTracePropagation(t *testing.T) {
 func TestDistNoSpansWhenTracingOff(t *testing.T) {
 	obs.ResetTrace(0)
 	t.Cleanup(func() { obs.ResetTrace(0) })
-	workers := startWorkers(t, 2, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 2, WorkerConfig{Log: discardLog})
 	c := NewCoordinator(testCoordConfig(workers))
 	if _, err := c.Run(context.Background(), Job{Op: OpCount, Model: "star:n=4"}); err != nil {
 		t.Fatal(err)
@@ -111,22 +112,27 @@ func TestDistNoSpansWhenTracingOff(t *testing.T) {
 
 // A clean sweep over a healthy fleet is the happy path: the structured logs
 // it emits must stay below ERROR, because the chaos CI gate treats any
-// ERROR line on a fault-free run as a bug.
+// ERROR line on a fault-free run as a bug. Every captured record is echoed
+// into the test output, so that gate's grep over `go test -v` sees them too.
 func TestDistHappyPathNoErrorLogs(t *testing.T) {
 	var coordBuf, workerBuf bytes.Buffer
-	wcfg := WorkerConfig{Log: obs.NewLogger(&workerBuf, obs.LevelDebug)}
+	debugJSON := &slog.HandlerOptions{Level: slog.LevelDebug}
+	wcfg := WorkerConfig{Log: slog.New(slog.NewJSONHandler(&workerBuf, debugJSON))}
 	workers := startWorkers(t, 3, wcfg)
 	cfg := testCoordConfig(workers)
-	cfg.Logf = nil
-	cfg.Log = obs.NewLogger(&coordBuf, obs.LevelDebug)
+	cfg.Log = slog.New(slog.NewJSONHandler(&coordBuf, debugJSON))
 	c := NewCoordinator(cfg)
 	if _, err := c.Run(context.Background(), Job{Op: OpEnum, Model: "star:n=4"}); err != nil {
 		t.Fatal(err)
 	}
 	for name, buf := range map[string]*bytes.Buffer{"coordinator": &coordBuf, "worker": &workerBuf} {
 		for _, line := range strings.Split(buf.String(), "\n") {
-			if strings.Contains(line, `"level":"error"`) {
-				t.Fatalf("%s emitted ERROR on the happy path: %s", name, line)
+			if line == "" {
+				continue
+			}
+			t.Logf("%s: %s", name, line)
+			if strings.Contains(line, `"level":"ERROR"`) {
+				t.Errorf("%s emitted ERROR on the happy path", name)
 			}
 		}
 	}
@@ -135,7 +141,7 @@ func TestDistHappyPathNoErrorLogs(t *testing.T) {
 // /metrics on a worker serves Prometheus text exposition covering both the
 // engine-wide default registry and the worker's own counters.
 func TestWorkerMetricsEndpoint(t *testing.T) {
-	workers := startWorkers(t, 1, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 1, WorkerConfig{Log: discardLog})
 	c := NewCoordinator(testCoordConfig(workers[:1]))
 	if _, err := c.Run(context.Background(), Job{Op: OpCount, Model: "star:n=4"}); err != nil {
 		t.Fatal(err)

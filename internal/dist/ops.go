@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"ksettop/internal/bits"
 	"ksettop/internal/durable"
@@ -22,7 +21,7 @@ import (
 // deterministic, so the merged result is byte-identical to running the op
 // sequentially over [0, Size()).
 type Job struct {
-	// Op names a registered op ("count", "enum").
+	// Op names the op ("count", "enum").
 	Op string `json:"op"`
 	// Model is the cli-grammar model spec (FormatModel output round-trips
 	// any model).
@@ -32,7 +31,7 @@ type Job struct {
 	Budget int64 `json:"budget,omitempty"`
 }
 
-// Registered op names.
+// Op names.
 const (
 	// OpCount counts the closure elements in a rank shard; the merge sums
 	// shard counts. Payload: uvarint(count).
@@ -47,48 +46,23 @@ const (
 
 // Op is one distributable sweep kind: Run computes a shard payload, Merge
 // folds the per-shard payloads (indexed by shard, ascending) into the final
-// result. Both must be deterministic functions of their inputs. Resume,
-// when set, is Run with durable progress: it initializes from st (a rank
-// position + op-specific partial accumulator recorded by an earlier
-// interrupted execution of the same shard) and writes progress back through
-// it, producing a payload byte-identical to a cold Run. Ops without Resume
-// simply recompute from lo on a checkpointing worker.
+// result. Both must be deterministic functions of their inputs. A non-nil st
+// makes Run durable: it resumes from st (a rank position + op-specific
+// partial accumulator recorded by an earlier interrupted execution of the
+// same shard, ignored when it does not fit [lo, hi]) and writes progress
+// back through it, producing a payload byte-identical to a cold run.
 type Op struct {
-	Run    func(ctx context.Context, m *model.ClosedAbove, lo, hi int64) ([]byte, error)
-	Resume func(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st *ShardState) ([]byte, error)
-	Merge  func(parts [][]byte) ([]byte, error)
+	Run   func(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st *ShardState) ([]byte, error)
+	Merge func(parts [][]byte) ([]byte, error)
 }
 
-var (
-	opMu  sync.RWMutex
-	opSet = map[string]Op{}
-)
-
-// RegisterOp adds a named op. Registering a duplicate name panics — op
-// names are wire identifiers and must be unambiguous.
-func RegisterOp(name string, op Op) {
-	opMu.Lock()
-	defer opMu.Unlock()
-	if _, ok := opSet[name]; ok {
-		panic(fmt.Sprintf("dist: duplicate op %q", name))
-	}
-	opSet[name] = op
+// opTable is the fixed op table, keyed by wire name.
+var opTable = map[string]Op{
+	OpCount: {Run: runCount, Merge: mergeCount},
+	OpEnum:  {Run: runEnum, Merge: mergeEnum},
 }
 
 func errUnknownOp(name string) error { return fmt.Errorf("dist: unknown op %q", name) }
-
-// LookupOp resolves a registered op by name.
-func LookupOp(name string) (Op, bool) {
-	opMu.RLock()
-	defer opMu.RUnlock()
-	op, ok := opSet[name]
-	return op, ok
-}
-
-func init() {
-	RegisterOp(OpCount, Op{Run: runCount, Resume: runCountDurable, Merge: mergeCount})
-	RegisterOp(OpEnum, Op{Run: runEnum, Resume: runEnumDurable, Merge: mergeEnum})
-}
 
 // rangeMasksCtx drives e.RangeMasks over [lo, hi) with cooperative
 // cancellation: the yield wrapper polls every ~1k ranks, so a cancelled
@@ -117,14 +91,30 @@ func rangeMasksCtx(ctx context.Context, e *model.Enumeration, lo, hi int64, yiel
 	return nil
 }
 
-func runCount(ctx context.Context, m *model.ClosedAbove, lo, hi int64) ([]byte, error) {
+// runCount counts the closure elements of [lo, hi). Durable accumulator
+// encoding: the 8-byte LE running count.
+func runCount(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st *ShardState) ([]byte, error) {
 	e, err := m.Enumeration()
 	if err != nil {
 		return nil, err
 	}
+	start := lo
 	var count uint64
-	if err := rangeMasksCtx(ctx, e, lo, hi, func(bits.Words) bool {
+	if st != nil {
+		if pos, acc := st.Snapshot(); pos > lo && pos <= hi && len(acc) == 8 {
+			start = pos
+			count = binary.LittleEndian.Uint64(acc)
+		}
+	}
+	seen := int64(0)
+	if err := rangeMasksCtx(ctx, e, start, hi, func(bits.Words) bool {
 		count++
+		seen++
+		if st != nil && seen&shardFlushMask == 0 {
+			var acc [8]byte
+			binary.LittleEndian.PutUint64(acc[:], count)
+			st.Set(start+seen, acc[:])
+		}
 		return true
 	}); err != nil {
 		return nil, err
@@ -157,14 +147,25 @@ func DecodeCount(payload []byte) (int64, error) {
 	return int64(n), nil
 }
 
-func runEnum(ctx context.Context, m *model.ClosedAbove, lo, hi int64) ([]byte, error) {
+// runEnum serializes the closure elements of [lo, hi). Durable accumulator
+// encoding: the payload bytes emitted for ranks below pos — OpEnum payloads
+// are per-rank concatenations, so the prefix is itself the partial payload.
+func runEnum(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st *ShardState) ([]byte, error) {
 	e, err := m.Enumeration()
 	if err != nil {
 		return nil, err
 	}
+	start := lo
 	var buf bytes.Buffer
+	if st != nil {
+		if pos, acc := st.Snapshot(); pos > lo && pos <= hi {
+			start = pos
+			buf.Write(acc)
+		}
+	}
 	var positions []int
-	if err := rangeMasksCtx(ctx, e, lo, hi, func(mask bits.Words) bool {
+	seen := int64(0)
+	if err := rangeMasksCtx(ctx, e, start, hi, func(mask bits.Words) bool {
 		positions = positions[:0]
 		mask.ForEachBit(func(bit int) { positions = append(positions, bit) })
 		sort.Ints(positions)
@@ -173,6 +174,10 @@ func runEnum(ctx context.Context, m *model.ClosedAbove, lo, hi int64) ([]byte, e
 		for _, p := range positions {
 			durable.WriteUvarint(&buf, uint64(p-prev))
 			prev = p
+		}
+		seen++
+		if st != nil && seen&shardFlushMask == 0 {
+			st.Set(start+seen, buf.Bytes())
 		}
 		return true
 	}); err != nil {

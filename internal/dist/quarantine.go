@@ -125,7 +125,7 @@ func (c *Coordinator) recordDivergence(worker string, shard int, op string) {
 		h.lied = make(map[string]bool)
 	}
 	h.lied[op] = true
-	c.log.Warnf("dist: worker %s diverged on shard %d of a %s sweep (score %.2f)", worker, shard, op, h.score)
+	c.log.Warn("dist: worker diverged", "worker", worker, "shard", shard, "op", op, "score", h.score)
 	c.maybeQuarantineLocked(worker, h)
 }
 
@@ -168,17 +168,17 @@ func (c *Coordinator) maybeQuarantineLocked(worker string, h *workerHealth) {
 	h.trips++
 	c.met.quarantineTrips.Inc()
 	c.quarantinedGaugeLocked()
-	c.log.Warnf("dist: worker %s quarantined (score %.2f ≥ %.2f): leases revoked, placement skipped, half-open probe in %s",
-		worker, h.score, c.cfg.QuarantineThreshold, c.quarantineBackoffLocked(h))
+	c.log.Warn("dist: worker quarantined: leases revoked, placement skipped", "worker", worker,
+		"score", h.score, "threshold", c.cfg.QuarantineThreshold, "probe_in", c.quarantineBackoffLocked(h))
 }
 
 // quarantineBackoffLocked is the half-open probe delay after h.trips
 // consecutive trips: QuarantineBackoff × 2^(trips−1), capped at
-// QuarantineBackoffMax.
+// quarantineBackoffMax.
 func (c *Coordinator) quarantineBackoffLocked(h *workerHealth) time.Duration {
 	d := c.cfg.QuarantineBackoff << uint(h.trips-1)
-	if d <= 0 || d > c.cfg.QuarantineBackoffMax {
-		d = c.cfg.QuarantineBackoffMax
+	if d <= 0 || d > quarantineBackoffMax {
+		d = quarantineBackoffMax
 	}
 	return d
 }
@@ -233,14 +233,14 @@ func (c *Coordinator) probeQuarantined(ctx context.Context, worker string) {
 		c.met.quarantineReadmissions.Inc()
 		c.quarantinedGaugeLocked()
 		c.mu.Unlock()
-		c.log.Infof("dist: worker %s passed its half-open probe (%s); re-admitted", worker, strings.Join(ops, ","))
+		c.log.Info("dist: worker passed its half-open probe; re-admitted", "worker", worker, "ops", strings.Join(ops, ","))
 		return
 	}
 	h.since = time.Now()
 	h.trips++
 	next := c.quarantineBackoffLocked(h)
 	c.mu.Unlock()
-	c.log.Warnf("dist: worker %s failed its half-open probe (%s); quarantine extended (next probe in %s)", worker, strings.Join(ops, ","), next)
+	c.log.Warn("dist: worker failed its half-open probe; quarantine extended", "worker", worker, "ops", strings.Join(ops, ","), "probe_in", next)
 }
 
 // probeOps lists the ops a half-open probe must cover, sorted: every op in
@@ -312,7 +312,7 @@ func probeReference(opName string) ([]probeShard, error) {
 	v, _ := probeRefs.LoadOrStore(opName, new(probeRef))
 	ref := v.(*probeRef)
 	ref.once.Do(func() {
-		op, ok := LookupOp(opName)
+		op, ok := opTable[opName]
 		if !ok {
 			ref.err = errUnknownOp(opName)
 			return
@@ -328,7 +328,7 @@ func probeReference(opName string) ([]probeShard, error) {
 			return
 		}
 		for _, to := range []int64{total, total / 2} {
-			payload, err := op.Run(context.Background(), m, 0, to)
+			payload, err := op.Run(context.Background(), m, 0, to, nil)
 			if err != nil {
 				ref.err = err
 				return

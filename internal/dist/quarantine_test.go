@@ -139,7 +139,7 @@ func TestDistAllQuarantinedDegradesWithoutLeases(t *testing.T) {
 // the known-answer probe stays quarantined with doubled backoff; once it
 // answers honestly it is re-admitted and its score reset.
 func TestDistQuarantineProbeLiesExtendReadmitsWhenHonest(t *testing.T) {
-	workers := startWorkers(t, 1, WorkerConfig{Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 1, WorkerConfig{Log: discardLog})
 	cfg := testCoordConfig(workers)
 	cfg.QuarantineBackoff = 20 * time.Millisecond
 	c := NewCoordinator(cfg)

@@ -23,7 +23,7 @@ func TestDistRaceLeaseExpiryDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	workers := startWorkers(t, 3, WorkerConfig{MaxConcurrent: 16, Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 3, WorkerConfig{MaxConcurrent: 16, Log: discardLog})
 	// Two interleaved straggler populations: one past the lease (expiry +
 	// re-dispatch), one within it (slow enough to lose races against hedges).
 	armFaults(t, 5, "delay:dist.exec@1+5:250ms,delay:dist.exec@3+5:40ms")
@@ -69,7 +69,7 @@ func TestDistRaceConcurrentSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := startWorkers(t, 2, WorkerConfig{MaxConcurrent: 16, Logf: func(string, ...any) {}})
+	workers := startWorkers(t, 2, WorkerConfig{MaxConcurrent: 16, Log: discardLog})
 	cfg := testCoordConfig(workers)
 	cfg.Shards = 8
 	c := NewCoordinator(cfg)

@@ -19,7 +19,7 @@ import (
 // wrong result, so a deterministic VerifyFraction of committed shards (plus
 // every shard whose hedge-loser bytes disagree) is re-executed on distinct
 // ring replicas before the merge. An agreeing replica settles the shard; a
-// disagreeing one escalates to a majority vote over ≥ QuorumReplicas
+// disagreeing one escalates to a majority vote over ≥ quorumReplicas
 // distinct results, with a local recompute as the tie-breaking arbiter —
 // ops are deterministic, so local bytes are ground truth. Every vote that
 // loses to the decided truth is a recorded divergence feeding the
@@ -149,7 +149,7 @@ func (v *verifier) launchArbiter(runCtx context.Context, st *shardState, done ch
 	shard, from, to := st.idx, st.from, st.to
 	op, m := v.op, v.m
 	go func() {
-		payload, err := op.Run(runCtx, m, from, to)
+		payload, err := op.Run(runCtx, m, from, to, nil)
 		comp := completion{shard: shard, g: g, payload: payload, err: err, elapsed: time.Since(g.started)}
 		select {
 		case done <- comp:
@@ -189,11 +189,11 @@ func (v *verifier) onCompletion(st *shardState, comp completion) error {
 		}
 		v.c.met.verifyMismatches.Inc()
 		v.c.met.divergenceEvents.Inc()
-		v.c.log.Warnf("dist: shard %d: verification replica %s disagrees with committed result from worker %s; escalating to quorum",
-			st.idx, comp.g.worker, st.committedBy)
+		v.c.log.Warn("dist: verification replica disagrees with committed result; escalating to quorum",
+			"shard", st.idx, "replica", comp.g.worker, "committed_by", st.committedBy)
 		return nil
 	}
-	if truth, ok := majorityVote(st.votes, v.c.cfg.QuorumReplicas); ok {
+	if truth, ok := majorityVote(st.votes, quorumReplicas); ok {
 		return v.settle(st, truth, "quorum majority")
 	}
 	return nil
@@ -218,8 +218,8 @@ func (v *verifier) onDuplicate(st *shardState, comp completion) error {
 	}
 	c.met.crossCheckMismatches.Inc()
 	c.met.divergenceEvents.Inc()
-	c.log.Warnf("dist: shard %d: duplicate result from worker %s disagrees with committed result from worker %s",
-		st.idx, comp.g.worker, st.committedBy)
+	c.log.Warn("dist: duplicate result disagrees with committed result",
+		"shard", st.idx, "worker", comp.g.worker, "committed_by", st.committedBy)
 	if st.verified {
 		c.recordDivergence(comp.g.worker, st.idx, v.job.Op)
 		return nil
@@ -247,7 +247,7 @@ func (v *verifier) settle(st *shardState, truth []byte, source string) error {
 	}
 	if !bytes.Equal(st.result, truth) {
 		v.c.met.verifyOverturned.Inc()
-		v.c.log.Warnf("dist: shard %d: committed result from worker %s overturned by %s", st.idx, st.committedBy, source)
+		v.c.log.Warn("dist: committed result overturned", "shard", st.idx, "committed_by", st.committedBy, "by", source)
 		st.result = append([]byte(nil), truth...)
 		if st.journaled && v.jr != nil {
 			if err := v.jr.Append(st.idx, st.result); err != nil {
@@ -312,7 +312,7 @@ func (c *Coordinator) finishLocal(ctx context.Context, v *verifier, states []*sh
 		if st.committed && (!st.needVerify || st.verified) {
 			return
 		}
-		payload, err := v.op.Run(runCtx, v.m, from, to)
+		payload, err := v.op.Run(runCtx, v.m, from, to, nil)
 		if err != nil {
 			ctl.StopCause(err)
 			return

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -38,11 +39,8 @@ type WorkerConfig struct {
 	// shards resumes it mid-range instead of recomputing (the -checkpoint
 	// flag on ksetsweepd). Payloads are byte-identical either way.
 	Checkpoint *checkpoint.Runner
-	// Log receives operational log lines. Default obs.DefaultLogger().
-	Log *obs.Logger
-	// Logf, when set and Log is nil, receives every log line
-	// pre-formatted (the pre-obs hook; tests silence logs through it).
-	Logf func(format string, args ...any)
+	// Log receives operational log lines. Default slog.Default().
+	Log *slog.Logger
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
@@ -53,11 +51,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 		c.MaxLease = time.Minute
 	}
 	if c.Log == nil {
-		if c.Logf != nil {
-			c.Log = obs.NewFuncLogger(c.Logf)
-		} else {
-			c.Log = obs.DefaultLogger()
-		}
+		c.Log = slog.Default()
 	}
 	return c
 }
@@ -78,7 +72,7 @@ type WorkerStats struct {
 // the heartbeat probes the coordinator's failure detector sends.
 type Worker struct {
 	cfg   WorkerConfig
-	log   *obs.Logger
+	log   *slog.Logger
 	mux   *http.ServeMux
 	sem   chan struct{}
 	start time.Time
@@ -129,9 +123,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		w.shards = newShardTable()
 		if payload, ok := w.ckpt.Resume(kindDistShards, distShardsFP()); ok {
 			if err := w.shards.restore(payload); err != nil {
-				w.log.Warnf("dist: shard checkpoint section unusable (%v); starting cold", err)
+				w.log.Warn("dist: shard checkpoint section unusable; starting cold", "err", err)
 			} else {
-				w.log.Infof("dist: restored in-flight shard progress from checkpoint")
+				w.log.Info("dist: restored in-flight shard progress from checkpoint")
 			}
 		}
 		w.ckpt.Register(kindDistShards, distShardsFP(), w.shards.encode)
@@ -215,7 +209,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		if rec := recover(); rec != nil {
 			w.panics.Inc()
 			w.execErrors.Inc()
-			w.log.Errorf("dist: worker recovered exec panic: %v\n%s", rec, debug.Stack())
+			w.log.Error("dist: worker recovered exec panic", "panic", rec, "stack", string(debug.Stack()))
 			writeWorkerError(rw, http.StatusInternalServerError, "internal", fmt.Sprintf("panic: %v", rec))
 		}
 	}()
@@ -271,7 +265,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		writeWorkerError(rw, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
-	op, ok := LookupOp(req.Op)
+	op, ok := opTable[req.Op]
 	if !ok {
 		writeWorkerError(rw, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown op %q", req.Op))
 		return
@@ -290,16 +284,15 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(execCtx, lease)
 	defer cancel()
 
-	var payload []byte
-	if w.shards != nil && op.Resume != nil {
-		key := shardKey(req)
-		st := w.shards.claim(key, req.From)
-		payload, err = op.Resume(ctx, m, req.From, req.To, st)
-		if st != nil {
-			w.shards.release(key, err == nil)
-		}
-	} else {
-		payload, err = op.Run(ctx, m, req.From, req.To)
+	var key string
+	var st *ShardState
+	if w.shards != nil {
+		key = shardKey(req)
+		st = w.shards.claim(key, req.From)
+	}
+	payload, err := op.Run(ctx, m, req.From, req.To, st)
+	if st != nil {
+		w.shards.release(key, err == nil)
 	}
 	if err != nil {
 		w.execErrors.Inc()
@@ -430,13 +423,13 @@ func (w *Worker) Run(ctx context.Context, addr string, drainGrace time.Duration)
 	}
 	bound := ln.Addr().String()
 	w.boundAddr.Store(&bound)
-	w.log.Infof("dist: worker listening on %s", bound)
+	w.log.Info("dist: worker listening on", "addr", bound)
 	srv := &http.Server{Handler: w.Handler()}
 
 	shutdownErr := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
-		w.log.Infof("dist: worker draining (grace %s)", drainGrace)
+		w.log.Info("dist: worker draining", "grace", drainGrace)
 		sctx, cancel := context.WithTimeout(context.Background(), drainGrace)
 		defer cancel()
 		shutdownErr <- srv.Shutdown(sctx)

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -10,9 +9,7 @@ import (
 	"sort"
 	"sync"
 
-	"ksettop/internal/bits"
 	"ksettop/internal/durable"
-	"ksettop/internal/model"
 )
 
 // This file is the worker-side durability layer: a worker with a checkpoint
@@ -204,77 +201,4 @@ func (t *shardTable) restore(payload []byte) error {
 		t.states[e.key] = &ShardState{pos: e.pos, acc: e.acc}
 	}
 	return nil
-}
-
-// runCountDurable is runCount resuming from and writing through st (nil st:
-// identical to runCount). Accumulator encoding: 8-byte LE running count.
-func runCountDurable(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st *ShardState) ([]byte, error) {
-	e, err := m.Enumeration()
-	if err != nil {
-		return nil, err
-	}
-	start := lo
-	var count uint64
-	if st != nil {
-		if pos, acc := st.Snapshot(); pos > lo && pos <= hi && len(acc) == 8 {
-			start = pos
-			count = binary.LittleEndian.Uint64(acc)
-		}
-	}
-	seen := int64(0)
-	if err := rangeMasksCtx(ctx, e, start, hi, func(mask bits.Words) bool {
-		count++
-		seen++
-		if st != nil && seen&shardFlushMask == 0 {
-			var acc [8]byte
-			binary.LittleEndian.PutUint64(acc[:], count)
-			st.Set(start+seen, acc[:])
-		}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	durable.WriteUvarint(&buf, count)
-	return buf.Bytes(), nil
-}
-
-// runEnumDurable is runEnum resuming from and writing through st (nil st:
-// identical to runEnum). Accumulator encoding: the payload bytes emitted
-// for ranks below pos — OpEnum payloads are per-rank concatenations, so the
-// prefix is itself the partial payload.
-func runEnumDurable(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st *ShardState) ([]byte, error) {
-	e, err := m.Enumeration()
-	if err != nil {
-		return nil, err
-	}
-	start := lo
-	var buf bytes.Buffer
-	if st != nil {
-		if pos, acc := st.Snapshot(); pos > lo && pos <= hi {
-			start = pos
-			buf.Write(acc)
-		}
-	}
-	var positions []int
-	seen := int64(0)
-	if err := rangeMasksCtx(ctx, e, start, hi, func(mask bits.Words) bool {
-		positions = positions[:0]
-		mask.ForEachBit(func(bit int) { positions = append(positions, bit) })
-		sort.Ints(positions)
-		durable.WriteUvarint(&buf, uint64(len(positions)))
-		prev := 0
-		for _, p := range positions {
-			durable.WriteUvarint(&buf, uint64(p-prev))
-			prev = p
-		}
-		seen++
-		if st != nil && seen&shardFlushMask == 0 {
-			st.Set(start+seen, buf.Bytes())
-		}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

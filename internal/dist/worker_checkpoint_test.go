@@ -31,8 +31,8 @@ func testModel(t *testing.T, spec string) *model.ClosedAbove {
 // [lo, pos): the 8-byte LE running count.
 func countAcc(t *testing.T, m *model.ClosedAbove, lo, pos int64) []byte {
 	t.Helper()
-	op, _ := LookupOp(OpCount)
-	payload, err := op.Run(context.Background(), m, lo, pos)
+	op := opTable[OpCount]
+	payload, err := op.Run(context.Background(), m, lo, pos, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,8 @@ func countAcc(t *testing.T, m *model.ClosedAbove, lo, pos int64) []byte {
 // the payload prefix emitted for those ranks.
 func enumAcc(t *testing.T, m *model.ClosedAbove, lo, pos int64) []byte {
 	t.Helper()
-	op, _ := LookupOp(OpEnum)
-	payload, err := op.Run(context.Background(), m, lo, pos)
+	op := opTable[OpEnum]
+	payload, err := op.Run(context.Background(), m, lo, pos, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func enumAcc(t *testing.T, m *model.ClosedAbove, lo, pos int64) []byte {
 
 // TestDistShardResumeByteIdentity pins the op-level durability contract: a
 // durable op resumed from a mid-shard accumulator produces exactly the bytes
-// of a cold run, for every registered op and at every split point.
+// of a cold run, for every op and at every split point.
 func TestDistShardResumeByteIdentity(t *testing.T) {
 	m := testModel(t, "star:n=4")
 	e, err := m.Enumeration()
@@ -70,22 +70,10 @@ func TestDistShardResumeByteIdentity(t *testing.T) {
 	ctx := context.Background()
 
 	for _, opName := range []string{OpCount, OpEnum} {
-		op, ok := LookupOp(opName)
-		if !ok || op.Resume == nil {
-			t.Fatalf("%s: no durable variant registered", opName)
-		}
-		want, err := op.Run(ctx, m, lo, hi)
+		op := opTable[opName]
+		want, err := op.Run(ctx, m, lo, hi, nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-
-		// nil state: identical to a cold run.
-		got, err := op.Resume(ctx, m, lo, hi, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: nil-state durable run differs from cold run", opName)
 		}
 
 		for _, pos := range []int64{lo + 1, lo + 100, 1024, hi - 1, hi} {
@@ -97,7 +85,7 @@ func TestDistShardResumeByteIdentity(t *testing.T) {
 			}
 			st := &ShardState{}
 			st.Set(pos, acc)
-			got, err := op.Resume(ctx, m, lo, hi, st)
+			got, err := op.Run(ctx, m, lo, hi, st)
 			if err != nil {
 				t.Fatalf("%s resume@%d: %v", opName, pos, err)
 			}
@@ -123,7 +111,7 @@ func TestDistShardResumeByteIdentity(t *testing.T) {
 			}
 			st := &ShardState{}
 			st.Set(bad.pos, bad.acc)
-			got, err := op.Resume(ctx, m, lo, hi, st)
+			got, err := op.Run(ctx, m, lo, hi, st)
 			if err != nil {
 				t.Fatalf("%s %s: %v", opName, bad.name, err)
 			}
@@ -243,13 +231,13 @@ func TestDistWorkerKillRestartResumeByteIdentity(t *testing.T) {
 	if !r2.LoadForResume() {
 		t.Fatal("worker checkpoint did not load")
 	}
-	w2 := NewWorker(WorkerConfig{Checkpoint: r2, Logf: func(string, ...any) {}})
+	w2 := NewWorker(WorkerConfig{Checkpoint: r2, Log: discardLog})
 	ts := httptest.NewServer(w2.Handler())
 	defer ts.Close()
 
 	for _, opName := range []string{OpCount, OpEnum} {
-		op, _ := LookupOp(opName)
-		want, err := op.Run(context.Background(), m, lo, hi)
+		op := opTable[opName]
+		want, err := op.Run(context.Background(), m, lo, hi, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +275,7 @@ func TestDistWorkerCheckpointLeaseExpiryRecordsProgress(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "worker.ckpt")
 
 	r1 := checkpoint.NewRunner(path, "job", 0)
-	w1 := NewWorker(WorkerConfig{Checkpoint: r1, Logf: func(string, ...any) {}})
+	w1 := NewWorker(WorkerConfig{Checkpoint: r1, Log: discardLog})
 	ts1 := httptest.NewServer(w1.Handler())
 	defer ts1.Close()
 
@@ -313,12 +301,12 @@ func TestDistWorkerCheckpointLeaseExpiryRecordsProgress(t *testing.T) {
 	if !r2.LoadForResume() {
 		t.Fatal("checkpoint did not load after lease expiry")
 	}
-	w2 := NewWorker(WorkerConfig{Checkpoint: r2, Logf: func(string, ...any) {}})
+	w2 := NewWorker(WorkerConfig{Checkpoint: r2, Log: discardLog})
 	ts2 := httptest.NewServer(w2.Handler())
 	defer ts2.Close()
 
-	op, _ := LookupOp(OpEnum)
-	want, err := op.Run(context.Background(), m, lo, hi)
+	op := opTable[OpEnum]
+	want, err := op.Run(context.Background(), m, lo, hi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +327,7 @@ func TestDistSweepWithCheckpointingWorkersByteIdentity(t *testing.T) {
 	addrs := make([]string, 2)
 	for i := range addrs {
 		r := checkpoint.NewRunner(filepath.Join(dir, fmt.Sprintf("w%d.ckpt", i)), "job", 0)
-		ts := httptest.NewServer(NewWorker(WorkerConfig{Checkpoint: r, Logf: func(string, ...any) {}}).Handler())
+		ts := httptest.NewServer(NewWorker(WorkerConfig{Checkpoint: r, Log: discardLog}).Handler())
 		t.Cleanup(ts.Close)
 		addrs[i] = strings.TrimPrefix(ts.URL, "http://")
 	}

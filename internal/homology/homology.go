@@ -44,6 +44,7 @@ package homology
 import (
 	"context"
 	"fmt"
+	"log/slog"
 
 	"ksettop/internal/checkpoint"
 	"ksettop/internal/obs"
@@ -128,7 +129,7 @@ func (cc *ChainComplex) ReducedBettiCtx(ctx context.Context, maxDim int) ([]int,
 		if payload, ok := runner.Resume(kindHomologyReduction, fp); ok {
 			restored, err := decodeReduceProgress(payload, cc, maxDim)
 			if err != nil {
-				obs.DefaultLogger().Warnf("checkpoint: homology section unusable (%v); recomputing", err)
+				slog.Warn("checkpoint: homology section unusable; recomputing", "err", err)
 			} else {
 				prog = restored
 				startQ = restored.nextQ

@@ -25,6 +25,16 @@ type Flight[V any] struct {
 	calls map[string]*flightCall[V]
 }
 
+// FlightPanicError is the shared error of a flight whose leader's fn
+// panicked: leader and followers all receive it instead of a crash.
+type FlightPanicError struct {
+	Value any // the recovered panic value
+}
+
+func (e *FlightPanicError) Error() string {
+	return fmt.Sprintf("memo: flight leader panicked: %v", e.Value)
+}
+
 type flightCall[V any] struct {
 	done chan struct{}
 	val  V
@@ -52,13 +62,14 @@ func (f *Flight[V]) Do(key string, fn func() (V, error)) (v V, err error, shared
 	f.mu.Unlock()
 
 	// A panicking fn must not strand the followers: the deferred cleanup
-	// converts the panic into the flight's shared error and releases them.
+	// converts the panic into the flight's shared *FlightPanicError and
+	// releases them.
 	// The leader gets the same error instead of a crash — Flight callers
 	// (the service request path) treat leader and follower uniformly.
 	finished := false
 	defer func() {
 		if !finished {
-			c.err = fmt.Errorf("memo: flight leader panicked: %v", recover())
+			c.err = &FlightPanicError{Value: recover()}
 			err = c.err
 		}
 		f.mu.Lock()

@@ -93,8 +93,9 @@ func TestFlightLeaderPanicReleasesFollowers(t *testing.T) {
 			<-release
 			panic("injected")
 		})
-		if err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Errorf("leader err = %v, want panic-derived error", err)
+		var pe *FlightPanicError
+		if !errors.As(err, &pe) || pe.Value != "injected" || !strings.Contains(err.Error(), "panicked") {
+			t.Errorf("leader err = %v, want a *FlightPanicError carrying the panic value", err)
 		}
 	}()
 	go func() {

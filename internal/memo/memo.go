@@ -11,7 +11,7 @@
 // Caches are safe for concurrent use (experiments fan out across the par
 // worker pool) and bounded: each cache holds at most its capacity entries
 // and evicts least-recently-used ones. The package-level switch
-// (SetEnabled(false) / the cmds' -memo=off flag) turns every cache into a
+// (SetEnabled(false), a test and benchmark hook) turns every cache into a
 // pass-through, which pins that memoization never changes results.
 package memo
 

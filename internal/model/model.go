@@ -48,7 +48,7 @@ func setKey(kind string, gens []graph.Digraph) string {
 // New builds the closed-above model generated by gens. Generators that
 // contain another generator are redundant (↑H ⊆ ↑G when G ⊆ H) and are
 // pruned; duplicates are removed. Results are memoized per canonical
-// generator-set key (disable with memo.SetEnabled(false) or -memo=off).
+// generator-set key (disable with memo.SetEnabled(false)).
 func New(gens []graph.Digraph) (*ClosedAbove, error) {
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("model: closed-above model needs at least one generator")

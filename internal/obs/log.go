@@ -1,159 +1,70 @@
 package obs
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// Structured leveled JSON logging. One line per event:
+// Structured logging is the standard library's log/slog. init installs a
+// JSON handler on stderr as the process default, at info level, one line
+// per record:
 //
-//	{"ts":"2026-08-08T12:00:00.000Z","level":"info","msg":"serve: listening on :8080"}
+//	{"time":"2026-08-08T12:00:00.000Z","level":"INFO","msg":"serve: listening on","addr":":8080"}
 //
-// The Logger replaces the three per-package `Logf func(string,
-// ...any)` defaults; those config hooks still work — NewFuncLogger
-// adapts one into a Logger so existing tests that silence logs keep
-// compiling unchanged.
+// SetLevel moves the threshold (-log-level), and every ERROR record is
+// counted into kset_obs_log_errors_total. Components take a *slog.Logger
+// and default to slog.Default().
 
-// Level is a log severity.
-type Level int32
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the lowercase level name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
-// ParseLevel parses "debug" | "info" | "warn" | "error" (case
-// insensitive).
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	}
-	return LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error)", s)
-}
+var logLevel slog.LevelVar
 
 var errorLines = DefaultRegistry().Counter("kset_obs_log_errors_total",
 	"ERROR-level structured log lines emitted")
 
-// A Logger writes leveled JSON lines. Safe for concurrent use. A nil
-// *Logger discards everything.
-type Logger struct {
-	level atomic.Int32
-	mu    sync.Mutex
-	out   io.Writer
-	fn    func(format string, args ...any) // legacy Logf sink, wins over out
-}
+// countingHandler counts ERROR records before passing them on.
+type countingHandler struct{ slog.Handler }
 
-// NewLogger returns a Logger writing JSON lines at or above level to w.
-func NewLogger(w io.Writer, level Level) *Logger {
-	l := &Logger{out: w}
-	l.level.Store(int32(level))
-	return l
-}
-
-// NewFuncLogger adapts a legacy `Logf func(format, args...)` hook into
-// a Logger: every emitted line (any level) is forwarded pre-formatted
-// to fn. Used to honor the Logf fields tests and embedders still set.
-func NewFuncLogger(fn func(format string, args ...any)) *Logger {
-	l := &Logger{fn: fn}
-	l.level.Store(int32(LevelDebug))
-	return l
-}
-
-// SetLevel changes the minimum emitted level.
-func (l *Logger) SetLevel(level Level) {
-	if l != nil {
-		l.level.Store(int32(level))
-	}
-}
-
-// Levelf emits a formatted message at the given level.
-func (l *Logger) Levelf(level Level, format string, args ...any) {
-	if l == nil || int32(level) < l.level.Load() {
-		return
-	}
-	if level == LevelError {
+func (h countingHandler) Handle(ctx context.Context, r slog.Record) error {
+	if r.Level >= slog.LevelError {
 		errorLines.Inc()
 	}
-	msg := fmt.Sprintf(format, args...)
-	if l.fn != nil {
-		l.fn("%s", msg)
-		return
-	}
-	line, err := json.Marshal(struct {
-		TS    string `json:"ts"`
-		Level string `json:"level"`
-		Msg   string `json:"msg"`
-	}{
-		TS:    time.Now().UTC().Format("2006-01-02T15:04:05.000Z07:00"),
-		Level: level.String(),
-		Msg:   msg,
-	})
-	if err != nil {
-		return
-	}
-	l.mu.Lock()
-	if l.out != nil {
-		l.out.Write(append(line, '\n'))
-	}
-	l.mu.Unlock()
+	return h.Handler.Handle(ctx, r)
 }
 
-// Debugf logs at debug level.
-func (l *Logger) Debugf(format string, args ...any) { l.Levelf(LevelDebug, format, args...) }
+func (h countingHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	return countingHandler{h.Handler.WithAttrs(attrs)}
+}
 
-// Infof logs at info level.
-func (l *Logger) Infof(format string, args ...any) { l.Levelf(LevelInfo, format, args...) }
+func (h countingHandler) WithGroup(name string) slog.Handler {
+	return countingHandler{h.Handler.WithGroup(name)}
+}
 
-// Warnf logs at warn level.
-func (l *Logger) Warnf(format string, args ...any) { l.Levelf(LevelWarn, format, args...) }
+// newLogHandler is the process log handler writing to w: JSON lines at or
+// above the SetLevel threshold, ERROR records counted.
+func newLogHandler(w io.Writer) slog.Handler {
+	return countingHandler{slog.NewJSONHandler(w, &slog.HandlerOptions{Level: &logLevel})}
+}
 
-// Errorf logs at error level.
-func (l *Logger) Errorf(format string, args ...any) { l.Levelf(LevelError, format, args...) }
+func init() { slog.SetDefault(slog.New(newLogHandler(os.Stderr))) }
 
-var std atomic.Pointer[Logger]
-
-func init() { std.Store(NewLogger(os.Stderr, LevelInfo)) }
-
-// DefaultLogger is the process-wide logger (stderr, info level). It is
-// the single default behind the serve/dist Logf hooks.
-func DefaultLogger() *Logger { return std.Load() }
-
-// SetDefaultLogger swaps the process-wide logger (tests capture output
-// this way). Nil is ignored.
-func SetDefaultLogger(l *Logger) {
-	if l != nil {
-		std.Store(l)
+// ParseLevel parses "debug" | "info" | "warn" (or "warning") | "error",
+// case insensitive.
+func ParseLevel(s string) (slog.Level, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "debug":
+		return slog.LevelDebug, nil
+	case "info":
+		return slog.LevelInfo, nil
+	case "warn", "warning":
+		return slog.LevelWarn, nil
+	case "error":
+		return slog.LevelError, nil
 	}
+	return slog.LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error)", s)
 }
 
 // SetLevel sets the default logger's minimum level (-log-level).
-func SetLevel(level Level) { std.Load().SetLevel(level) }
+func SetLevel(level slog.Level) { logLevel.Set(level) }

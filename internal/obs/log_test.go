@@ -4,89 +4,77 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
 )
 
-func TestLoggerLevelsAndJSON(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
-	l.Debugf("hidden %d", 1)
-	l.Infof("visible %q", "x")
-	l.Warnf("warned")
-	l.Errorf("failed: %v", "boom")
-	sc := bufio.NewScanner(&buf)
-	var lines []map[string]string
+// jsonLines decodes buf as one JSON object per line.
+func jsonLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
+	t.Helper()
+	var lines []map[string]any
+	sc := bufio.NewScanner(buf)
 	for sc.Scan() {
-		var m map[string]string
+		var m map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
 			t.Fatalf("line is not JSON: %q: %v", sc.Text(), err)
 		}
 		lines = append(lines, m)
 	}
+	return lines
+}
+
+func TestLoggerLevelsAndJSON(t *testing.T) {
+	if _, ok := slog.Default().Handler().(countingHandler); !ok {
+		t.Fatalf("default slog handler is %T, want the obs handler", slog.Default().Handler())
+	}
+	var buf bytes.Buffer
+	l := slog.New(newLogHandler(&buf))
+	l.Debug("hidden", "n", 1)
+	l.Info("visible", "x", "y")
+	l.Warn("warned")
+	l.Error("failed", "err", "boom")
+	lines := jsonLines(t, &buf)
 	if len(lines) != 3 {
 		t.Fatalf("got %d lines, want 3 (debug filtered)", len(lines))
 	}
-	wantLevels := []string{"info", "warn", "error"}
-	for i, m := range lines {
-		if m["level"] != wantLevels[i] {
-			t.Errorf("line %d level = %q, want %q", i, m["level"], wantLevels[i])
+	for i, want := range []string{"INFO", "WARN", "ERROR"} {
+		if lines[i]["level"] != want {
+			t.Errorf("line %d level = %v, want %q", i, lines[i]["level"], want)
 		}
-		if m["ts"] == "" || m["msg"] == "" {
-			t.Errorf("line %d missing ts/msg: %v", i, m)
+		if lines[i]["time"] == nil || lines[i]["msg"] == nil {
+			t.Errorf("line %d missing time/msg: %v", i, lines[i])
 		}
 	}
-	if lines[0]["msg"] != `visible "x"` {
-		t.Errorf("formatting lost: %q", lines[0]["msg"])
+	if lines[0]["msg"] != "visible" || lines[0]["x"] != "y" {
+		t.Errorf("message or attribute lost: %v", lines[0])
 	}
 }
 
+// -log-level warn drops info records and keeps warnings.
 func TestLoggerSetLevel(t *testing.T) {
+	defer SetLevel(slog.LevelInfo)
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelError)
-	l.Warnf("nope")
-	l.SetLevel(LevelDebug)
-	l.Debugf("yep")
-	if got := buf.String(); !strings.Contains(got, "yep") || strings.Contains(got, "nope") {
+	l := slog.New(newLogHandler(&buf))
+	lvl, err := ParseLevel("warn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetLevel(lvl)
+	l.Info("nope")
+	l.Warn("kept")
+	SetLevel(slog.LevelDebug)
+	l.Debug("yep")
+	if got := buf.String(); !strings.Contains(got, "kept") || !strings.Contains(got, "yep") || strings.Contains(got, "nope") {
 		t.Fatalf("SetLevel not honored: %q", got)
 	}
 }
 
-func TestFuncLoggerAdapter(t *testing.T) {
-	var mu sync.Mutex
-	var got []string
-	l := NewFuncLogger(func(format string, args ...any) {
-		mu.Lock()
-		got = append(got, strings.TrimSpace(strings.ReplaceAll(format, "%s", "")))
-		_ = args
-		mu.Unlock()
-	})
-	l.Infof("hello %d", 7)
-	mu.Lock()
-	n := len(got)
-	mu.Unlock()
-	if n != 1 {
-		t.Fatalf("func sink called %d times, want 1", n)
-	}
-}
-
-func TestFuncLoggerForwardsRendered(t *testing.T) {
-	var lines []string
-	l := NewFuncLogger(func(format string, args ...any) {
-		lines = append(lines, strings.TrimSuffix(
-			strings.ReplaceAll(format, "%s", args[0].(string)), "\n"))
-	})
-	l.Errorf("bad thing %d", 42)
-	if len(lines) != 1 || lines[0] != "bad thing 42" {
-		t.Fatalf("rendered line = %v", lines)
-	}
-}
-
 func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "INFO": LevelInfo, " warn ": LevelWarn,
-		"warning": LevelWarn, "Error": LevelError,
+	for in, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "INFO": slog.LevelInfo, " warn ": slog.LevelWarn,
+		"warning": slog.LevelWarn, "Error": slog.LevelError,
 	} {
 		got, err := ParseLevel(in)
 		if err != nil || got != want {
@@ -98,43 +86,43 @@ func TestParseLevel(t *testing.T) {
 	}
 }
 
-func TestNilLoggerSafe(t *testing.T) {
-	var l *Logger
-	l.Infof("no panic")
-	l.SetLevel(LevelDebug)
-}
-
+// An ERROR record bumps kset_obs_log_errors_total, a WARN record does not,
+// and loggers derived with attributes keep counting.
 func TestErrorCounter(t *testing.T) {
+	l := slog.New(newLogHandler(&bytes.Buffer{}))
 	before := errorLines.Value()
-	NewLogger(&bytes.Buffer{}, LevelInfo).Errorf("tracked")
-	if errorLines.Value() != before+1 {
-		t.Fatal("error-line counter not bumped")
+	l.Warn("not tracked")
+	if errorLines.Value() != before {
+		t.Fatal("a WARN record bumped the error-line counter")
+	}
+	l.Error("tracked")
+	l.With("component", "test").Error("tracked too")
+	if got := errorLines.Value(); got != before+2 {
+		t.Fatalf("error-line counter = %d, want %d", got, before+2)
+	}
+	var prom bytes.Buffer
+	WritePrometheusTo(&prom, DefaultRegistry())
+	if !strings.Contains(prom.String(), "kset_obs_log_errors_total") {
+		t.Fatal("kset_obs_log_errors_total missing from the default registry's exposition")
 	}
 }
 
 func TestConcurrentLogging(t *testing.T) {
+	// The slog handler serializes its writes, so a bare buffer is safe.
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelDebug)
+	l := slog.New(newLogHandler(&buf))
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				l.Infof("w%d-%d", i, j)
+				l.Info("tick", "worker", i, "n", j)
 			}
 		}(i)
 	}
 	wg.Wait()
-	sc := bufio.NewScanner(&buf)
-	count := 0
-	for sc.Scan() {
-		if !json.Valid(sc.Bytes()) {
-			t.Fatalf("interleaved line: %q", sc.Text())
-		}
-		count++
-	}
-	if count != 800 {
-		t.Fatalf("got %d lines, want 800", count)
+	if n := len(jsonLines(t, &buf)); n != 800 {
+		t.Fatalf("got %d lines, want 800", n)
 	}
 }

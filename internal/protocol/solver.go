@@ -149,6 +149,10 @@ func searchSequential(ctx context.Context, t *solveTables, nodeBudget int, res *
 	return nil
 }
 
+// MaxSolverValues is the most input values the decision-map solver accepts:
+// a view's per-value decision state is a 16-bit mask.
+const MaxSolverValues = 16
+
 // solveOneRound validates the input, builds the search tables and runs the
 // given search phase over them.
 func solveOneRound(ctx context.Context, roundGraphs []graph.Digraph, numValues, k, nodeBudget int, search searchFunc) (SolveResult, error) {
@@ -157,6 +161,9 @@ func solveOneRound(ctx context.Context, roundGraphs []graph.Digraph, numValues, 
 	}
 	if numValues < 2 {
 		return SolveResult{}, fmt.Errorf("protocol: solver needs ≥2 values, got %d", numValues)
+	}
+	if numValues > MaxSolverValues {
+		return SolveResult{}, fmt.Errorf("protocol: solver supports ≤%d values, got %d", MaxSolverValues, numValues)
 	}
 	if k < 1 {
 		return SolveResult{}, fmt.Errorf("protocol: k %d must be ≥ 1", k)
@@ -202,9 +209,6 @@ func solveOneRound(ctx context.Context, roundGraphs []graph.Digraph, numValues, 
 	tableSpan.End()
 
 	res := SolveResult{Views: len(views.views), Executions: numAssignments * len(roundGraphs)}
-	if numValues > 16 {
-		return res, fmt.Errorf("protocol: solver supports ≤16 values, got %d", numValues)
-	}
 
 	t := assembleTables(k, numValues, views, constraints)
 	if err := search(ctx, t, nodeBudget, &res); err != nil {

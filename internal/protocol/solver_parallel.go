@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"context"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -595,7 +596,7 @@ func solveParallel(ctx context.Context, t *solveTables, budget int) (parallelRes
 		if payload, ok := runner.Resume(kindSolverFrontier, ckptFP); ok {
 			st, err := decodeSolverCheckpoint(payload, t)
 			if err != nil {
-				obs.DefaultLogger().Warnf("checkpoint: solver section unusable (%v); recomputing", err)
+				slog.Warn("checkpoint: solver section unusable; recomputing", "err", err)
 			} else {
 				resumed = st
 			}

@@ -53,7 +53,7 @@ func TestServeReadyzWarmBootGate(t *testing.T) {
 // In coordinator mode /readyz additionally requires a live worker, and
 // /statz carries the dist counters.
 func TestServeCoordinatorReadyzAndStatz(t *testing.T) {
-	w := dist.NewWorker(dist.WorkerConfig{Logf: func(string, ...any) {}})
+	w := dist.NewWorker(dist.WorkerConfig{Log: discardLog})
 	wts := httptest.NewServer(w.Handler())
 	t.Cleanup(wts.Close)
 	addr := strings.TrimPrefix(wts.URL, "http://")
@@ -61,7 +61,7 @@ func TestServeCoordinatorReadyzAndStatz(t *testing.T) {
 	coord := dist.NewCoordinator(dist.CoordConfig{
 		Workers:  []string{addr},
 		MinRanks: 1,
-		Logf:     func(string, ...any) {},
+		Log:      discardLog,
 	})
 	s, ts := newTestServer(t, Config{Coordinator: coord})
 	s.WarmBoot()
@@ -125,7 +125,7 @@ func TestServeCountFallsBackWithoutFleet(t *testing.T) {
 		MaxAttempts: 2,
 		RetryBase:   time.Millisecond,
 		RetryMax:    5 * time.Millisecond,
-		Logf:        func(string, ...any) {},
+		Log:         discardLog,
 	})
 	model.SetDistributor(coord)
 	defer model.SetDistributor(nil)

@@ -39,7 +39,7 @@ func FuzzServeRequests(f *testing.F) {
 	} {
 		f.Add(uint8(seed.path), []byte(seed.body))
 	}
-	s := New(Config{DefaultTimeout: time.Second, MaxTimeout: time.Second, Logf: func(string, ...any) {}})
+	s := New(Config{DefaultTimeout: time.Second, MaxTimeout: time.Second, Log: discardLog})
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
 		path := paths[int(endpoint)%len(paths)]

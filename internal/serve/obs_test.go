@@ -19,7 +19,7 @@ import (
 // address.
 func startTestWorker(t *testing.T) string {
 	t.Helper()
-	w := dist.NewWorker(dist.WorkerConfig{Logf: func(string, ...any) {}})
+	w := dist.NewWorker(dist.WorkerConfig{Log: discardLog})
 	ts := httptest.NewServer(w.Handler())
 	t.Cleanup(ts.Close)
 	return strings.TrimPrefix(ts.URL, "http://")
@@ -65,7 +65,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 func TestServeMetricsIncludesCoordinator(t *testing.T) {
 	coord := dist.NewCoordinator(dist.CoordConfig{
 		Workers: []string{"127.0.0.1:1"},
-		Logf:    func(string, ...any) {},
+		Log:     discardLog,
 	})
 	_, ts := newTestServer(t, Config{Coordinator: coord})
 	st, body := get(t, ts, "/metrics")
@@ -150,7 +150,7 @@ func TestServeDistributedTraceTree(t *testing.T) {
 		MinRanks:       1,
 		DisableHedging: true,
 		LeaseTTL:       2 * time.Second,
-		Logf:           func(string, ...any) {},
+		Log:            discardLog,
 	})
 	model.SetDistributor(coord)
 	defer model.SetDistributor(nil)

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -34,11 +35,11 @@ import (
 	"ksettop/internal/cli"
 	"ksettop/internal/core"
 	"ksettop/internal/dist"
-	"ksettop/internal/durable"
 	"ksettop/internal/faultinject"
 	"ksettop/internal/memo"
 	"ksettop/internal/model"
 	"ksettop/internal/obs"
+	"ksettop/internal/par"
 	"ksettop/internal/protocol"
 	"ksettop/internal/topology"
 )
@@ -70,11 +71,8 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (the -pprof
 	// flag on ksetserved).
 	EnablePprof bool
-	// Log receives operational log lines. Default obs.DefaultLogger().
-	Log *obs.Logger
-	// Logf, when set and Log is nil, receives every log line pre-formatted
-	// (the pre-obs hook; tests silence logs through it).
-	Logf func(format string, args ...any)
+	// Log receives operational log lines. Default slog.Default().
+	Log *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -94,11 +92,7 @@ func (c Config) withDefaults() Config {
 		c.CheckpointEvery = time.Minute
 	}
 	if c.Log == nil {
-		if c.Logf != nil {
-			c.Log = obs.NewFuncLogger(c.Logf)
-		} else {
-			c.Log = obs.DefaultLogger()
-		}
+		c.Log = slog.Default()
 	}
 	return c
 }
@@ -123,7 +117,7 @@ type Stats struct {
 // Server is one bound-query service instance.
 type Server struct {
 	cfg   Config
-	log   *obs.Logger
+	log   *slog.Logger
 	mux   *http.ServeMux
 	sem   chan struct{}
 	fly   memo.Flight[any]
@@ -262,7 +256,7 @@ func (s *Server) api(h func(http.ResponseWriter, *http.Request)) http.HandlerFun
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.panics.Inc()
-				s.log.Errorf("serve: recovered handler panic: %v\n%s", rec, debug.Stack())
+				s.log.Error("serve: recovered handler panic", "panic", rec, "stack", string(debug.Stack()))
 				writeError(w, http.StatusInternalServerError,
 					apiError{Kind: "internal", Message: fmt.Sprintf("panic: %v", rec)})
 			}
@@ -372,7 +366,13 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, timeoutMs int, 
 			s.timeouts.Inc()
 			writeError(w, http.StatusGatewayTimeout, apiError{Kind: "deadline", Message: out.err.Error()})
 		default:
-			s.panics.Inc()
+			// Only a recovered panic counts as one: a worker panic the
+			// engine contained, or the singleflight leader's own.
+			var pe *par.PanicError
+			var fe *memo.FlightPanicError
+			if errors.As(out.err, &pe) || errors.As(out.err, &fe) {
+				s.panics.Inc()
+			}
 			writeError(w, http.StatusInternalServerError, apiError{Kind: "internal", Message: out.err.Error()})
 		}
 	}
@@ -428,8 +428,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: err.Error()})
 		return
 	}
-	if req.Values < 1 || req.K < 1 {
-		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: "values and k must be ≥ 1"})
+	if req.Values < 2 || req.Values > protocol.MaxSolverValues || req.K < 1 {
+		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request",
+			Message: fmt.Sprintf("values must be in [2, %d] and k ≥ 1", protocol.MaxSolverValues)})
 		return
 	}
 	budget := req.Budget
@@ -661,14 +662,10 @@ func (s *Server) WarmBoot() {
 		return
 	}
 	if err := memo.LoadSnapshot(s.cfg.SnapshotPath); err != nil {
-		if errors.Is(err, durable.ErrCorrupt) {
-			s.log.Warnf("serve: %v; starting cold", err)
-			return
-		}
-		s.log.Warnf("serve: snapshot load failed: %v; starting cold", err)
+		s.log.Warn("serve: snapshot load failed; starting cold", "err", err)
 		return
 	}
-	s.log.Infof("serve: warm boot from %s", s.cfg.SnapshotPath)
+	s.log.Info("serve: warm boot", "path", s.cfg.SnapshotPath)
 }
 
 // Checkpoint saves the memo caches to the configured snapshot path.
@@ -706,7 +703,7 @@ func (s *Server) Run(ctx context.Context, addr string, drainGrace time.Duration)
 	}
 	bound := ln.Addr().String()
 	s.boundAddr.Store(&bound)
-	s.log.Infof("serve: listening on %s", bound)
+	s.log.Info("serve: listening on", "addr", bound)
 	srv := &http.Server{Handler: s.Handler()}
 
 	checkpointDone := make(chan struct{})
@@ -723,7 +720,7 @@ func (s *Server) Run(ctx context.Context, addr string, drainGrace time.Duration)
 				return
 			case <-t.C:
 				if err := s.Checkpoint(); err != nil {
-					s.log.Warnf("serve: checkpoint failed: %v", err)
+					s.log.Warn("serve: checkpoint failed", "err", err)
 				}
 			}
 		}
@@ -732,7 +729,7 @@ func (s *Server) Run(ctx context.Context, addr string, drainGrace time.Duration)
 	shutdownErr := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
-		s.log.Infof("serve: draining (grace %s)", drainGrace)
+		s.log.Info("serve: draining", "grace", drainGrace)
 		sctx, cancel := context.WithTimeout(context.Background(), drainGrace)
 		defer cancel()
 		shutdownErr <- srv.Shutdown(sctx)
@@ -745,7 +742,7 @@ func (s *Server) Run(ctx context.Context, addr string, drainGrace time.Duration)
 	err = <-shutdownErr
 	<-checkpointDone
 	if cerr := s.Checkpoint(); cerr != nil {
-		s.log.Warnf("serve: final checkpoint failed: %v", cerr)
+		s.log.Warn("serve: final checkpoint failed", "err", cerr)
 	}
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -25,10 +26,25 @@ import (
 // repeated queries. faultinject state is process-global, so no test here
 // calls t.Parallel().
 
+// discardLog silences a component's operational logs.
+var discardLog = slog.New(slog.DiscardHandler)
+
+// testLog routes a server's log records to t.Log.
+func testLog(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, nil))
+}
+
+type testLogWriter struct{ t *testing.T }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Logf == nil {
-		cfg.Logf = t.Logf
+	if cfg.Log == nil {
+		cfg.Log = testLog(t)
 	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -234,6 +250,40 @@ func TestServeInjectedPanicIsolated(t *testing.T) {
 	}
 }
 
+// Bad input answers 400, and /statz panics counts recovered panics only: an
+// engine error answers 500 internal and leaves the counter alone, a worker
+// panic the engine contained bumps it.
+func TestServeSolveErrorsAreNotPanics(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, values := range []int{1, 17} {
+		st, body := post(t, ts, "/v1/solve", fmt.Sprintf(`{"model":"star:n=3","values":%d,"k":2}`, values))
+		if st != http.StatusBadRequest || errKind(t, body) != "bad_request" {
+			t.Fatalf("values %d: status %d, want a 400 bad_request envelope: %s", values, st, body)
+		}
+	}
+	if got := s.Stats().Panics; got != 0 {
+		t.Fatalf("bad values: Panics = %d, want 0", got)
+	}
+	for _, c := range []struct {
+		action     faultinject.Action
+		body       string
+		wantPanics uint64
+	}{
+		{faultinject.ActionError, `{"model":"star:n=3","values":3,"k":1}`, 0},
+		{faultinject.ActionPanic, `{"model":"star:n=3","values":2,"k":1}`, 1},
+	} {
+		faultinject.Enable(1, faultinject.Rule{Point: faultinject.PointParShard, Action: c.action, Nth: 1})
+		st, body := post(t, ts, "/v1/solve", c.body)
+		faultinject.Disable()
+		if st != http.StatusInternalServerError || errKind(t, body) != "internal" {
+			t.Fatalf("action %v: status %d, want a 500 internal envelope: %s", c.action, st, body)
+		}
+		if got := s.Stats().Panics; got != c.wantPanics {
+			t.Errorf("action %v: Panics = %d, want %d (%s)", c.action, got, c.wantPanics, body)
+		}
+	}
+}
+
 func TestServeInjectedError(t *testing.T) {
 	faultinject.Enable(1, faultinject.Rule{
 		Point:  faultinject.PointServeRequest,
@@ -338,22 +388,14 @@ func TestServeSingleflightCoalesces(t *testing.T) {
 }
 
 func TestServeCorruptSnapshotWarmBoot(t *testing.T) {
-	var mu sync.Mutex
-	var logs []string
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
+	var logs bytes.Buffer
 	path := filepath.Join(t.TempDir(), "serve.snap")
 	if err := os.WriteFile(path, []byte("definitely not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{SnapshotPath: path, Logf: logf})
+	s := New(Config{SnapshotPath: path, Log: slog.New(slog.NewJSONHandler(&logs, nil))})
 	s.WarmBoot() // must neither panic nor fail startup
-	mu.Lock()
-	joined := strings.Join(logs, "\n")
-	mu.Unlock()
+	joined := logs.String()
 	if !strings.Contains(joined, "starting cold") {
 		t.Errorf("corrupt snapshot boot did not log a cold start: %q", joined)
 	}
@@ -362,9 +404,7 @@ func TestServeCorruptSnapshotWarmBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.WarmBoot()
-	mu.Lock()
-	joined = strings.Join(logs, "\n")
-	mu.Unlock()
+	joined = logs.String()
 	if !strings.Contains(joined, "warm boot") {
 		t.Errorf("rewritten snapshot did not warm-boot: %q", joined)
 	}
@@ -410,7 +450,7 @@ func TestServeHealthAndStats(t *testing.T) {
 
 func TestServeGracefulDrain(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "drain.snap")
-	s := New(Config{SnapshotPath: path, CheckpointEvery: time.Hour, Logf: t.Logf})
+	s := New(Config{SnapshotPath: path, CheckpointEvery: time.Hour, Log: testLog(t)})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx, "127.0.0.1:0", 2*time.Second) }()
