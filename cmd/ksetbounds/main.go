@@ -13,36 +13,45 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"ksettop/internal/cli"
 	"ksettop/internal/core"
+	"ksettop/internal/model"
 	"ksettop/internal/obs"
 	"ksettop/internal/par"
 	"ksettop/internal/protocol"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		cli.Exit("ksetbounds", err)
 	}
 }
 
-func run() (err error) {
-	spec := flag.String("model", "star:n=4", "model specification (see package doc)")
-	rounds := flag.Int("rounds", 1, "analyze rounds 1..r")
-	verify := flag.Bool("verify", false, "re-check the one-round bounds mechanically")
-	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
-	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
-	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
-	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
-	checkpointPath := flag.String("checkpoint", "", cli.CheckpointFlagUsage)
-	checkpointInterval := flag.Duration("checkpoint-interval", 30*time.Second, cli.CheckpointIntervalFlagUsage)
-	flag.Parse()
+// run is the whole tool: it parses args, prints the bound table (and the
+// -verify cells) to stdout, and stops early with the cause once parent or
+// a SIGINT/SIGTERM cancels the run.
+func run(parent context.Context, args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("ksetbounds", flag.ExitOnError)
+	spec := fs.String("model", "star:n=4", "model specification (see package doc)")
+	rounds := fs.Int("rounds", 1, "analyze rounds 1..r")
+	verify := fs.Bool("verify", false, "re-check the one-round bounds mechanically")
+	parallelism := fs.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
+	solverBudget := fs.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
+	memoSnapshot := fs.String("memo-snapshot", "", cli.MemoSnapshotUsage)
+	logLevel := fs.String("log-level", "info", cli.LogLevelFlagUsage)
+	traceOut := fs.String("trace-out", "", cli.TraceOutFlagUsage)
+	checkpointPath := fs.String("checkpoint", "", cli.CheckpointFlagUsage)
+	checkpointInterval := fs.Duration("checkpoint-interval", 30*time.Second, cli.CheckpointIntervalFlagUsage)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	obs.SetProcessName("ksetbounds")
 	if err := cli.ApplyLogLevelFlag(*logLevel); err != nil {
 		return err
@@ -53,7 +62,7 @@ func run() (err error) {
 			fmt.Fprintln(os.Stderr, "ksetbounds: trace-out:", err)
 		}
 	}()
-	ctx, stopSignals := cli.SignalContext(context.Background())
+	ctx, stopSignals := cli.SignalContext(parent)
 	defer stopSignals()
 	jobKey := cli.JobKey("ksetbounds", *spec, fmt.Sprint(*rounds), fmt.Sprint(*verify),
 		fmt.Sprint(*solverBudget))
@@ -79,48 +88,64 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Print(a.Render())
+	fmt.Fprint(stdout, a.Render())
 
-	if !*verify {
-		return cli.SaveMemoSnapshot(*memoSnapshot)
+	if *verify {
+		if err := verifyOneRound(stdout, m); err != nil {
+			return err
+		}
 	}
+	return cli.SaveMemoSnapshot(*memoSnapshot)
+}
+
+// verifyOneRound re-checks the best one-round bounds and prints one cell per
+// check. A check that fails prints FAIL: and the remaining checks still run;
+// an interrupted check ends the run with its error, so the tool exits 3 and
+// keeps its checkpoint.
+func verifyOneRound(w io.Writer, m *model.ClosedAbove) error {
 	up, err := core.BestUpperOneRound(m)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("verify upper %d-set by simulation: ", up.K)
-	if err := core.VerifyUpperBySimulation(m, up, 4_000_000); err != nil {
-		fmt.Println("FAIL:", err)
-	} else {
-		fmt.Println("ok")
+	fmt.Fprintf(w, "verify upper %d-set by simulation: ", up.K)
+	if err := verifyCell(w, core.VerifyUpperBySimulation(m, up, 4_000_000)); err != nil {
+		return err
 	}
 	lo, err := core.BestLowerOneRound(m)
 	if err != nil {
 		return err
 	}
 	if lo.K < 1 {
-		fmt.Println("verify lower: vacuous (k = 0), nothing to check")
-		return cli.SaveMemoSnapshot(*memoSnapshot)
+		fmt.Fprintln(w, "verify lower: vacuous (k = 0), nothing to check")
+		return nil
 	}
-	fmt.Printf("verify lower %d-set by decision-map search: ", lo.K)
+	fmt.Fprintf(w, "verify lower %d-set by decision-map search: ", lo.K)
 	if m.N() <= 4 {
-		if err := core.VerifyLowerBySolver(m, lo, protocol.DefaultNodeBudget()); err != nil {
-			fmt.Println("FAIL:", err)
-		} else {
-			fmt.Println("ok")
+		if err := verifyCell(w, core.VerifyLowerBySolver(m, lo, protocol.DefaultNodeBudget())); err != nil {
+			return err
 		}
 	} else {
-		fmt.Println("skipped (n > 4)")
+		fmt.Fprintln(w, "skipped (n > 4)")
 	}
-	fmt.Printf("verify lower %d-set by protocol-complex connectivity: ", lo.K)
+	fmt.Fprintf(w, "verify lower %d-set by protocol-complex connectivity: ", lo.K)
 	if m.N() <= 3 {
-		if err := core.VerifyLowerByTopology(m, lo); err != nil {
-			fmt.Println("FAIL:", err)
-		} else {
-			fmt.Println("ok")
-		}
-	} else {
-		fmt.Println("skipped (n > 3)")
+		return verifyCell(w, core.VerifyLowerByTopology(m, lo))
 	}
-	return cli.SaveMemoSnapshot(*memoSnapshot)
+	fmt.Fprintln(w, "skipped (n > 3)")
+	return nil
+}
+
+// verifyCell prints one check's outcome: ok, FAIL: with the error, or
+// interrupted, in which case the error is returned.
+func verifyCell(w io.Writer, err error) error {
+	switch {
+	case errors.Is(err, cli.ErrInterrupted):
+		fmt.Fprintln(w, "interrupted")
+		return err
+	case err != nil:
+		fmt.Fprintln(w, "FAIL:", err)
+	default:
+		fmt.Fprintln(w, "ok")
+	}
+	return nil
 }

@@ -10,15 +10,18 @@ import (
 	"bytes"
 	"context"
 	"log/slog"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"ksettop/internal/bits"
 	"ksettop/internal/checkpoint"
 	"ksettop/internal/combinat"
+	"ksettop/internal/core"
 	"ksettop/internal/dist"
 	"ksettop/internal/experiments"
 	"ksettop/internal/faultinject"
@@ -86,6 +89,7 @@ func All() []Row {
 		{"E15RandomModels", experiment("E15")},
 		{"E16RoundProducts", experiment("E16")},
 		{"E17DynamicRotatingStars", experiment("E17")},
+		{"BettiCold", bettiCold},
 	}
 }
 
@@ -248,6 +252,34 @@ func protocolComplexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := topology.ProtocolComplexOneRound(m.Generators(), inputs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// bettiCold is a query-cold /v1/betti request past parsing: the one-round
+// protocol complex of a seeded random n = 5 model (two generators, edge
+// probability 0.85) over 2 values, its abstract complex (288 facets), and
+// β̃_0..β̃_3 = 3, 36, 0, 0.
+func bettiCold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	gens := make([]graph.Digraph, 2)
+	for i := range gens {
+		g, err := graph.Random(5, 0.85, rng)
+		must(b, err)
+		gens[i] = g
+	}
+	m, err := model.New(gens)
+	must(b, err)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pc, err := core.ProtocolComplexOneRound(m, 2)
+		must(b, err)
+		ac, _, err := pc.ToAbstract()
+		must(b, err)
+		betti, err := topology.ReducedBettiNumbers(ac, 3)
+		must(b, err)
+		if !slices.Equal(betti, []int{3, 36, 0, 0}) {
+			b.Fatalf("betti %v, want [3 36 0 0]", betti)
 		}
 	}
 }

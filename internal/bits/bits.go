@@ -10,7 +10,6 @@ package bits
 import (
 	"math/bits"
 	"strconv"
-	"strings"
 )
 
 // MaxElems is the largest universe size supported by Set.
@@ -99,19 +98,18 @@ func (s Set) ForEach(f func(i int)) {
 }
 
 // String renders the set as "{0,2,5}".
-func (s Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	s.ForEach(func(i int) {
-		if !first {
-			b.WriteByte(',')
+func (s Set) String() string { return string(s.AppendString(nil)) }
+
+// AppendString appends the String rendering of s to b.
+func (s Set) AppendString(b []byte) []byte {
+	b = append(b, '{')
+	for t := s; t != 0; t &= t - 1 {
+		if t != s {
+			b = append(b, ',')
 		}
-		first = false
-		b.WriteString(strconv.Itoa(i))
-	})
-	b.WriteByte('}')
-	return b.String()
+		b = strconv.AppendInt(b, int64(bits.TrailingZeros64(uint64(t))), 10)
+	}
+	return append(b, '}')
 }
 
 // Combinations calls f on every k-element subset of {0, …, n-1} in

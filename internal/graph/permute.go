@@ -1,10 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	mathbits "math/bits"
 	"slices"
-	"sort"
 
 	"ksettop/internal/bits"
 	"ksettop/internal/memo"
@@ -180,14 +180,23 @@ func hashRows(rows []bits.Set) uint64 {
 	return h
 }
 
+// inBucket reports whether the graph with the given adjacency rows, whose
+// hashRows value is h, is in the set.
+func (s *digraphSet) inBucket(h uint64, rows []bits.Set) bool {
+	for _, g := range s.buckets[h] {
+		if slices.Equal(g.out, rows) {
+			return true
+		}
+	}
+	return false
+}
+
 // addRows inserts the graph with the given adjacency rows unless an equal
 // graph is present; it reports whether an insert happened.
 func (s *digraphSet) addRows(n int, rows []bits.Set) bool {
 	h := hashRows(rows)
-	for _, g := range s.buckets[h] {
-		if slices.Equal(g.out, rows) {
-			return false
-		}
+	if s.inBucket(h, rows) {
+		return false
 	}
 	out := make([]bits.Set, n)
 	copy(out, rows)
@@ -199,10 +208,8 @@ func (s *digraphSet) addRows(n int, rows []bits.Set) bool {
 // add inserts g (sharing its rows, which must not be mutated afterwards).
 func (s *digraphSet) add(g Digraph) bool {
 	h := hashRows(g.out)
-	for _, have := range s.buckets[h] {
-		if slices.Equal(have.out, g.out) {
-			return false
-		}
+	if s.inBucket(h, g.out) {
+		return false
 	}
 	s.buckets[h] = append(s.buckets[h], g)
 	s.count++
@@ -219,8 +226,8 @@ func (s *digraphSet) graphs() []Digraph {
 }
 
 // symCache memoizes SymClosure per canonical (sorted-key) generator set:
-// every model constructor and symmetry check recomputes the n! orbit sweep
-// otherwise. Cached slices are shared read-only — callers must not mutate
+// every symmetric-model constructor and orbit count recomputes the n! orbit
+// sweep otherwise. Cached slices are shared read-only — callers must not mutate
 // the returned generators (the repository-wide convention for generator
 // slices).
 var symCache = memo.NewCache[[]Digraph](256)
@@ -243,24 +250,34 @@ func symKey(kind string, n int, gens []Digraph) string {
 // small process counts the paper's examples use. Results are memoized per
 // canonical generator-set key.
 func SymClosure(gens []Digraph) ([]Digraph, error) {
-	if len(gens) == 0 {
-		return nil, fmt.Errorf("graph: symmetric closure of empty generator list")
-	}
-	n := gens[0].n
-	for _, g := range gens {
-		if g.n != n {
-			return nil, fmt.Errorf("graph: mixed sizes %d and %d in generator list", n, g.n)
-		}
+	n, err := genSize(gens)
+	if err != nil {
+		return nil, err
 	}
 	return symCache.Do(symKey("sym", n, gens), func() ([]Digraph, error) {
 		return symClosure(n, gens)
 	})
 }
 
+// genSize returns the common process count of a generator list, rejecting
+// empty and mixed-size lists.
+func genSize(gens []Digraph) (int, error) {
+	if len(gens) == 0 {
+		return 0, fmt.Errorf("graph: symmetric closure of empty generator list")
+	}
+	n := gens[0].n
+	for _, g := range gens {
+		if g.n != n {
+			return 0, fmt.Errorf("graph: mixed sizes %d and %d in generator list", n, g.n)
+		}
+	}
+	return n, nil
+}
+
 func symClosure(n int, gens []Digraph) ([]Digraph, error) {
 	total := Factorial(n)
 	if total < 0 {
-		return nil, fmt.Errorf("graph: symmetric closure of %d processes is not enumerable", n)
+		return nil, errNotEnumerable(n)
 	}
 
 	global := newDigraphSet()
@@ -296,28 +313,65 @@ func symClosure(n int, gens []Digraph) ([]Digraph, error) {
 	return global.graphs(), nil
 }
 
+// errNotEnumerable is the error for process counts whose n! permutation
+// ranks overflow.
+func errNotEnumerable(n int) error {
+	return fmt.Errorf("graph: symmetric closure of %d processes is not enumerable", n)
+}
+
 // IsSymmetric reports whether the generator set equals its symmetric closure
-// (Def 2.4).
+// (Def 2.4). The transposition (0 1) and the n-cycle i ↦ i+1 mod n generate
+// S_n, and a finite set closed under a group's generators is closed under
+// the whole group, so the check looks up two images per generator: O(|S|)
+// set probes instead of the O(n!·|S|) closure. Process counts whose closure
+// SymClosure rejects are rejected here too.
 func IsSymmetric(gens []Digraph) (bool, error) {
-	closure, err := SymClosure(gens)
+	n, err := genSize(gens)
 	if err != nil {
 		return false, err
 	}
-	if len(closure) != len(dedup(gens)) {
-		return false, nil
+	if Factorial(n) < 0 {
+		return false, errNotEnumerable(n)
 	}
-	keys := make(map[string]bool, len(gens))
+	set := newDigraphSet()
 	for _, g := range gens {
-		keys[g.Key()] = true
+		set.add(g)
 	}
-	for _, g := range closure {
-		if !keys[g.Key()] {
-			return false, nil
+	swap := make([]int, n)
+	cycle := make([]int, n)
+	for i := range swap {
+		swap[i] = i
+		cycle[i] = (i + 1) % n
+	}
+	if n > 1 {
+		swap[0], swap[1] = 1, 0
+	}
+	rows := make([]bits.Set, n)
+	for _, g := range gens {
+		for _, perm := range [][]int{swap, cycle} {
+			permuteRows(g, perm, rows)
+			if !set.inBucket(hashRows(rows), rows) {
+				return false, nil
+			}
 		}
 	}
 	return true, nil
 }
 
+// CompareKeys orders graphs as their Key strings compare, without building
+// the strings: Key writes each row low byte first, so comparing byte-reversed
+// rows in row order is the same byte-wise comparison.
+func CompareKeys(g, h Digraph) int {
+	for u := 0; u < g.n && u < h.n; u++ {
+		a := mathbits.ReverseBytes64(uint64(g.out[u]))
+		b := mathbits.ReverseBytes64(uint64(h.out[u]))
+		if a != b {
+			return cmp.Compare(a, b)
+		}
+	}
+	return cmp.Compare(g.n, h.n)
+}
+
 func sortByKey(gs []Digraph) {
-	sort.Slice(gs, func(i, j int) bool { return gs[i].Key() < gs[j].Key() })
+	slices.SortFunc(gs, CompareKeys)
 }

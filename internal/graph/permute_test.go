@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"ksettop/internal/par"
@@ -96,6 +99,54 @@ func TestSymClosureDeterministicAcrossParallelism(t *testing.T) {
 		for i := range got {
 			if !got[i].Equal(want[i]) {
 				t.Fatalf("workers=%d: closure[%d] = %v, want %v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSortByKeyMatchesKeyStrings pins sortByKey and CompareKeys to the
+// order of the Key strings they replace, over seeded random graphs of mixed
+// sizes: prefix-length ties, and rows past 8 processes, whose Key bytes
+// order differently from the row values.
+func TestSortByKeyMatchesKeyStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var gs []Digraph
+	for i := 0; i < 300; i++ {
+		g, err := Random(1+rng.Intn(12), rng.Float64(), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs = append(gs, g)
+	}
+	for i, g := range gs {
+		h := gs[(i*7+1)%len(gs)]
+		if got, want := CompareKeys(g, h), strings.Compare(g.Key(), h.Key()); got != want {
+			t.Fatalf("CompareKeys(%v, %v) = %d, key strings compare %d", g, h, got, want)
+		}
+	}
+	sorted := slices.Clone(gs)
+	sortByKey(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i-1].Key() > sorted[i].Key() {
+			t.Fatalf("sortByKey: %v before %v", sorted[i-1], sorted[i])
+		}
+	}
+	star, err := UnionOfStars(5, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closure, err := SymClosure([]Digraph{star})
+	if err != nil {
+		t.Fatal(err)
+	}
+	products, err := ProductSet(closure, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, out := range map[string][]Digraph{"SymClosure": closure, "ProductSet": products} {
+		for i := 1; i < len(out); i++ {
+			if out[i-1].Key() >= out[i].Key() {
+				t.Fatalf("%s: graph %d not strictly after graph %d in key order", name, i, i-1)
 			}
 		}
 	}

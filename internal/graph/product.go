@@ -44,34 +44,26 @@ func ProductSet(gens []Digraph, r int) ([]Digraph, error) {
 	}
 	current := dedup(gens)
 	for round := 1; round < r; round++ {
-		seen := make(map[string]Digraph, len(current)*len(gens))
+		seen := newDigraphSet()
 		for _, g := range current {
 			for _, h := range gens {
 				p, err := Product(g, h)
 				if err != nil {
 					return nil, err
 				}
-				seen[p.Key()] = p
+				seen.add(p)
 			}
 		}
-		current = collect(seen)
+		current = seen.graphs()
 	}
 	return current, nil
 }
 
+// dedup returns the distinct graphs of gs sorted by canonical key.
 func dedup(gs []Digraph) []Digraph {
-	seen := make(map[string]Digraph, len(gs))
+	set := newDigraphSet()
 	for _, g := range gs {
-		seen[g.Key()] = g
+		set.add(g)
 	}
-	return collect(seen)
-}
-
-func collect(seen map[string]Digraph) []Digraph {
-	out := make([]Digraph, 0, len(seen))
-	for _, g := range seen {
-		out = append(out, g)
-	}
-	sortByKey(out)
-	return out
+	return set.graphs()
 }

@@ -7,7 +7,7 @@ package model
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ksettop/internal/graph"
 	"ksettop/internal/memo"
@@ -24,7 +24,8 @@ type ClosedAbove struct {
 
 // modelCache memoizes constructed models per canonical generator-set key:
 // the experiments and CLI tools build the same handful of models over and
-// over, and every construction pays a symmetric-closure check. A
+// over, and every construction pays the minimal-generator pruning (and, for
+// NewSymmetric, the n! closure). A
 // *ClosedAbove is immutable after construction, so sharing the cached value
 // is safe. countCache memoizes closure sizes (see GraphCount).
 var (
@@ -91,23 +92,13 @@ func Simple(g graph.Digraph) (*ClosedAbove, error) {
 }
 
 // minimalGenerators deduplicates gens and drops generators strictly
-// containing another. Each Key is computed exactly once and reused for the
-// dedup map and the final deterministic sort.
+// containing another, in canonical key order (graph.CompareKeys) for
+// reproducible reports.
 func minimalGenerators(gens []graph.Digraph) []graph.Digraph {
-	seen := make(map[string]bool, len(gens))
-	uniq := make([]graph.Digraph, 0, len(gens))
-	keys := make([]string, 0, len(gens))
-	for _, g := range gens {
-		k := g.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		uniq = append(uniq, g)
-		keys = append(keys, k)
-	}
+	uniq := slices.Clone(gens)
+	slices.SortFunc(uniq, graph.CompareKeys)
+	uniq = slices.CompactFunc(uniq, graph.Digraph.Equal)
 	out := make([]graph.Digraph, 0, len(uniq))
-	outKeys := make([]string, 0, len(uniq))
 	for i, g := range uniq {
 		redundant := false
 		for j, h := range uniq {
@@ -121,35 +112,9 @@ func minimalGenerators(gens []graph.Digraph) []graph.Digraph {
 		}
 		if !redundant {
 			out = append(out, g)
-			outKeys = append(outKeys, keys[i])
 		}
 	}
-	// Deterministic order for reproducible reports.
-	sort.Sort(&graphsByKey{gs: out, keys: outKeys})
 	return out
-}
-
-// graphsByKey sorts a graph slice by precomputed canonical keys, swapping
-// graphs and keys in tandem.
-type graphsByKey struct {
-	gs   []graph.Digraph
-	keys []string
-}
-
-func (s *graphsByKey) Len() int           { return len(s.gs) }
-func (s *graphsByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *graphsByKey) Swap(i, j int) {
-	s.gs[i], s.gs[j] = s.gs[j], s.gs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-// sortGraphs orders gs by canonical key, computing each key once.
-func sortGraphs(gs []graph.Digraph) {
-	keys := make([]string, len(gs))
-	for i, g := range gs {
-		keys[i] = g.Key()
-	}
-	sort.Sort(&graphsByKey{gs: gs, keys: keys})
 }
 
 // N returns the number of processes.

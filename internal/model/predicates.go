@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ksettop/internal/bits"
@@ -50,7 +51,7 @@ func MinimalGraphs(n int, pred Predicate) ([]graph.Digraph, error) {
 	for i, m := range minimal {
 		out[i] = maskGraph(n, m)
 	}
-	sortGraphs(out)
+	slices.SortFunc(out, graph.CompareKeys)
 	return out, nil
 }
 

@@ -413,8 +413,8 @@ func WriteChromeTrace(w io.Writer) error {
 		}
 		events = append(events, chromeEvent{
 			Name: sd.Name, Ph: "X", Pid: pid, Tid: tid,
-			Ts:  float64(sd.StartUnixNs) / 1e3,
-			Dur: float64(sd.DurNs) / 1e3,
+			Ts:   float64(sd.StartUnixNs) / 1e3,
+			Dur:  float64(sd.DurNs) / 1e3,
 			Args: args,
 		})
 	}

@@ -8,11 +8,12 @@
 package topology
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // AbstractComplex is an abstract simplicial complex: vertices are integers
@@ -48,38 +49,27 @@ func NewAbstract(numVertices int, generators [][]int) (*AbstractComplex, error) 
 }
 
 func normalizeSimplex(gen []int, numVertices int) ([]int, error) {
-	s := make([]int, 0, len(gen))
-	seenV := make(map[int]bool, len(gen))
 	for _, v := range gen {
 		if v < 0 || v >= numVertices {
 			return nil, fmt.Errorf("topology: vertex %d outside [0,%d)", v, numVertices)
 		}
-		if !seenV[v] {
-			seenV[v] = true
-			s = append(s, v)
-		}
 	}
-	sort.Ints(s)
-	return s, nil
+	s := slices.Clone(gen)
+	slices.Sort(s)
+	return slices.Compact(s), nil
 }
 
 // maximalSimplexes removes duplicates and every simplex that is a face of
-// another. After deduplication a simplex can only be dominated by a strictly
-// larger one, so processing in descending size order lets the containment
-// scan stop at the first equal-or-smaller accepted simplex. Pure inputs
-// (every simplex the same size — pseudospheres, protocol complexes)
-// therefore skip the quadratic scan entirely.
+// another, returning the survivors in simplex-key order (compareSimplexKeys).
+// After deduplication a simplex can only be dominated by a strictly larger
+// one, so processing in descending size order lets the containment scan stop
+// at the first equal-or-smaller accepted simplex. Pure inputs (every simplex
+// the same size — pseudospheres, protocol complexes) therefore skip the
+// quadratic scan entirely. The input slice is reordered.
 func maximalSimplexes(simplexes [][]int) [][]int {
-	seen := make(map[string]bool, len(simplexes))
-	uniq := simplexes[:0]
-	for _, s := range simplexes {
-		key := simplexKey(s)
-		if !seen[key] {
-			seen[key] = true
-			uniq = append(uniq, s)
-		}
-	}
-	sort.Slice(uniq, func(i, j int) bool { return len(uniq[i]) > len(uniq[j]) })
+	slices.SortFunc(simplexes, compareSimplexKeys)
+	uniq := slices.CompactFunc(simplexes, slices.Equal)
+	slices.SortFunc(uniq, func(a, b []int) int { return cmp.Compare(len(b), len(a)) })
 	var out [][]int
 	for _, s := range uniq {
 		dominated := false
@@ -96,7 +86,7 @@ func maximalSimplexes(simplexes [][]int) [][]int {
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return simplexKey(out[i]) < simplexKey(out[j]) })
+	slices.SortFunc(out, compareSimplexKeys)
 	return out
 }
 
@@ -111,15 +101,18 @@ func isSubset(a, b []int) bool {
 	return i == len(a)
 }
 
-func simplexKey(s []int) string {
-	var b strings.Builder
-	for i, v := range s {
-		if i > 0 {
-			b.WriteByte(',')
+// compareSimplexKeys orders sorted vertex lists as their keys — the
+// decimal vertices joined by ',' — compare as strings, without building
+// them. ',' sorts below every digit, so the keys compare vertex by vertex
+// as decimal strings, a shorter list that is a prefix of a longer one first.
+func compareSimplexKeys(a, b []int) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			var x, y [20]byte
+			return bytes.Compare(strconv.AppendInt(x[:0], int64(a[i]), 10), strconv.AppendInt(y[:0], int64(b[i]), 10))
 		}
-		b.WriteString(strconv.Itoa(v))
 	}
-	return b.String()
+	return cmp.Compare(len(a), len(b))
 }
 
 // NumVertices returns the size of the ambient vertex set.

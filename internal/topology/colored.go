@@ -2,8 +2,12 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+
+	"ksettop/internal/bits"
 )
 
 // Vertex is a colored vertex: a process (color) paired with its view
@@ -56,13 +60,28 @@ func (s Simplex[V]) ViewOf(color int) (V, bool) {
 	return zero, false
 }
 
-// Key returns a canonical map key for the simplex.
-func (s Simplex[V]) Key() string {
-	var b strings.Builder
+// Key returns a canonical map key for the simplex: "color:view|" per
+// vertex, with views rendered as fmt's %v would.
+func (s Simplex[V]) Key() string { return string(s.appendKey(nil)) }
+
+func (s Simplex[V]) appendKey(b []byte) []byte {
 	for _, v := range s {
-		fmt.Fprintf(&b, "%d:%v|", v.Color, v.View)
+		b = append(v.appendKey(b), '|')
 	}
-	return b.String()
+	return b
+}
+
+// appendKey appends the vertex key "color:view" to b; Vertices sorts by it.
+func (v Vertex[V]) appendKey(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(v.Color), 10)
+	b = append(b, ':')
+	switch view := any(v.View).(type) {
+	case IView:
+		return view.AppendString(b)
+	case bits.Set:
+		return view.AppendString(b)
+	}
+	return fmt.Append(b, v.View)
 }
 
 // IsFaceOf reports whether every vertex of s appears in t.
@@ -92,6 +111,7 @@ func (s Simplex[V]) Intersect(t Simplex[V]) Simplex[V] {
 type Complex[V comparable] struct {
 	facets         map[string]Simplex[V]
 	minDim, maxDim int
+	keyBuf         []byte // AddFacet's key scratch
 }
 
 // NewComplex returns an empty colored complex.
@@ -110,10 +130,11 @@ func (c *Complex[V]) AddFacet(s Simplex[V]) {
 	if len(s) == 0 {
 		return
 	}
-	key := s.Key()
-	if _, ok := c.facets[key]; ok {
+	c.keyBuf = s.appendKey(c.keyBuf[:0])
+	if _, ok := c.facets[string(c.keyBuf)]; ok {
 		return
 	}
+	key := string(c.keyBuf)
 	d := s.Dimension()
 	if len(c.facets) == 0 || (d == c.minDim && d == c.maxDim) {
 		c.facets[key] = s
@@ -191,23 +212,29 @@ func (c *Complex[V]) ContainsSimplex(s Simplex[V]) bool {
 	return false
 }
 
-// Vertices returns the distinct vertices of the complex, sorted by
-// (color, key order).
+// Vertices returns the distinct vertices of the complex, sorted by vertex
+// key ("color:view", compared as strings).
 func (c *Complex[V]) Vertices() []Vertex[V] {
-	seen := make(map[string]Vertex[V])
+	seen := make(map[Vertex[V]]struct{})
 	for _, f := range c.facets {
 		for _, v := range f {
-			seen[fmt.Sprintf("%d:%v", v.Color, v.View)] = v
+			seen[v] = struct{}{}
 		}
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
+	type keyed struct {
+		key string
+		v   Vertex[V]
 	}
-	sort.Strings(keys)
-	out := make([]Vertex[V], len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
+	ks := make([]keyed, 0, len(seen))
+	var buf []byte
+	for v := range seen {
+		buf = v.appendKey(buf[:0])
+		ks = append(ks, keyed{string(buf), v})
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	out := make([]Vertex[V], len(ks))
+	for i, k := range ks {
+		out[i] = k.v
 	}
 	return out
 }
@@ -238,15 +265,15 @@ func (c *Complex[V]) Intersection(other *Complex[V]) *Complex[V] {
 // returned alongside so callers can map abstract vertices back.
 func (c *Complex[V]) ToAbstract() (*AbstractComplex, []Vertex[V], error) {
 	verts := c.Vertices()
-	index := make(map[string]int, len(verts))
+	index := make(map[Vertex[V]]int, len(verts))
 	for i, v := range verts {
-		index[fmt.Sprintf("%d:%v", v.Color, v.View)] = i
+		index[v] = i
 	}
 	gens := make([][]int, 0, len(c.facets))
 	for _, f := range c.facets {
 		gen := make([]int, len(f))
 		for i, v := range f {
-			gen[i] = index[fmt.Sprintf("%d:%v", v.Color, v.View)]
+			gen[i] = index[v]
 		}
 		gens = append(gens, gen)
 	}

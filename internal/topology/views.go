@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"ksettop/internal/bits"
 )
@@ -95,19 +95,22 @@ func (v IView) MinValue() (int, bool) {
 }
 
 // String renders the view as "{0:1 2:0}".
-func (v IView) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
+func (v IView) String() string { return string(v.AppendString(nil)) }
+
+// AppendString appends the String rendering of v to b.
+func (v IView) AppendString(b []byte) []byte {
+	b = append(b, '{')
 	first := true
 	for q := 0; q < MaxInterpretedProcs; q++ {
 		if val, ok := v.Value(q); ok {
 			if !first {
-				b.WriteByte(' ')
+				b = append(b, ' ')
 			}
 			first = false
-			fmt.Fprintf(&b, "%d:%d", q, val)
+			b = strconv.AppendInt(b, int64(q), 10)
+			b = append(b, ':')
+			b = strconv.AppendInt(b, int64(val), 10)
 		}
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
 }
