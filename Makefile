@@ -33,7 +33,9 @@ chaos:
 		./internal/faultinject/ ./internal/par/ ./internal/protocol/ \
 		./internal/model/ ./internal/homology/ ./internal/memo/ \
 		./internal/cli/ ./internal/serve/ ./internal/dist/ ./internal/obs/ \
-		./internal/checkpoint/ ./internal/durable/
+		./internal/checkpoint/ ./internal/durable/ \
+		./internal/core/ ./internal/topology/ ./internal/graph/ \
+		./internal/experiments/ ./cmd/ksetexperiments/
 
 # Smoke-run every benchmark once (also re-validates the E1–E17 tables).
 bench:

@@ -84,14 +84,14 @@ func run(parent context.Context, args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	a, err := core.Analyze(m, *rounds)
+	a, err := core.AnalyzeCtx(ctx, m, *rounds)
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(stdout, a.Render())
 
 	if *verify {
-		if err := verifyOneRound(stdout, m); err != nil {
+		if err := verifyOneRound(ctx, stdout, m); err != nil {
 			return err
 		}
 	}
@@ -101,14 +101,15 @@ func run(parent context.Context, args []string, stdout io.Writer) (err error) {
 // verifyOneRound re-checks the best one-round bounds and prints one cell per
 // check. A check that fails prints FAIL: and the remaining checks still run;
 // an interrupted check ends the run with its error, so the tool exits 3 and
-// keeps its checkpoint.
-func verifyOneRound(w io.Writer, m *model.ClosedAbove) error {
+// keeps its checkpoint. Every check runs on ctx, which carries the
+// checkpoint runner to the solver.
+func verifyOneRound(ctx context.Context, w io.Writer, m *model.ClosedAbove) error {
 	up, err := core.BestUpperOneRound(m)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "verify upper %d-set by simulation: ", up.K)
-	if err := verifyCell(w, core.VerifyUpperBySimulation(m, up, 4_000_000)); err != nil {
+	if err := verifyCell(w, core.VerifyUpperBySimulationCtx(ctx, m, up, 4_000_000)); err != nil {
 		return err
 	}
 	lo, err := core.BestLowerOneRound(m)
@@ -121,7 +122,7 @@ func verifyOneRound(w io.Writer, m *model.ClosedAbove) error {
 	}
 	fmt.Fprintf(w, "verify lower %d-set by decision-map search: ", lo.K)
 	if m.N() <= 4 {
-		if err := verifyCell(w, core.VerifyLowerBySolver(m, lo, protocol.DefaultNodeBudget())); err != nil {
+		if err := verifyCell(w, core.VerifyLowerBySolverCtx(ctx, m, lo, protocol.DefaultNodeBudget())); err != nil {
 			return err
 		}
 	} else {
@@ -129,7 +130,7 @@ func verifyOneRound(w io.Writer, m *model.ClosedAbove) error {
 	}
 	fmt.Fprintf(w, "verify lower %d-set by protocol-complex connectivity: ", lo.K)
 	if m.N() <= 3 {
-		return verifyCell(w, core.VerifyLowerByTopology(m, lo))
+		return verifyCell(w, core.VerifyLowerByTopology(ctx, m, lo))
 	}
 	fmt.Fprintln(w, "skipped (n > 3)")
 	return nil

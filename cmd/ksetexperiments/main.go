@@ -18,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -31,24 +32,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		cli.Exit("ksetexperiments", err)
 	}
 }
 
-func run() (err error) {
-	only := flag.String("only", "", "comma-separated experiment IDs (default all)")
-	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
-	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
-	workers := flag.String("workers", "", cli.WorkersFlagUsage)
-	verifyFraction := flag.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
-	quarantineThreshold := flag.Float64("quarantine-threshold", 0, cli.QuarantineThresholdFlagUsage)
-	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
-	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
-	checkpointPath := flag.String("checkpoint", "", cli.CheckpointFlagUsage)
-	checkpointInterval := flag.Duration("checkpoint-interval", 30*time.Second, cli.CheckpointIntervalFlagUsage)
-	flag.Parse()
+// run is the whole tool: it parses args, prints the selected tables to
+// stdout, and stops early with the cause once parent or a SIGINT/SIGTERM
+// cancels the run.
+func run(parent context.Context, args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("ksetexperiments", flag.ExitOnError)
+	only := fs.String("only", "", "comma-separated experiment IDs (default all)")
+	parallelism := fs.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
+	memoSnapshot := fs.String("memo-snapshot", "", cli.MemoSnapshotUsage)
+	solverBudget := fs.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
+	workers := fs.String("workers", "", cli.WorkersFlagUsage)
+	verifyFraction := fs.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
+	quarantineThreshold := fs.Float64("quarantine-threshold", 0, cli.QuarantineThresholdFlagUsage)
+	logLevel := fs.String("log-level", "info", cli.LogLevelFlagUsage)
+	traceOut := fs.String("trace-out", "", cli.TraceOutFlagUsage)
+	checkpointPath := fs.String("checkpoint", "", cli.CheckpointFlagUsage)
+	checkpointInterval := fs.Duration("checkpoint-interval", 30*time.Second, cli.CheckpointIntervalFlagUsage)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	obs.SetProcessName("ksetexperiments")
 	if err := cli.ApplyLogLevelFlag(*logLevel); err != nil {
 		return err
@@ -59,7 +66,7 @@ func run() (err error) {
 			fmt.Fprintln(os.Stderr, "ksetexperiments: trace-out:", err)
 		}
 	}()
-	ctx, stopSignals := cli.SignalContext(context.Background())
+	ctx, stopSignals := cli.SignalContext(parent)
 	defer stopSignals()
 	jobKey := cli.JobKey("ksetexperiments", *only,
 		fmt.Sprint(*solverBudget))
@@ -100,13 +107,13 @@ func run() (err error) {
 		}
 	}
 	failures := 0
-	for _, o := range experiments.RunAll(selected) {
+	for _, o := range experiments.RunAll(ctx, selected) {
 		if o.Err != nil {
 			return fmt.Errorf("%s: %w", o.ID, o.Err)
 		}
 		text := o.Table.Render()
-		fmt.Print(text)
-		fmt.Printf("(%s in %v)\n\n", o.ID, o.Elapsed.Round(time.Millisecond))
+		fmt.Fprint(stdout, text)
+		fmt.Fprintf(stdout, "(%s in %v)\n\n", o.ID, o.Elapsed.Round(time.Millisecond))
 		if strings.Contains(text, "MISMATCH") || strings.Contains(text, "FAIL") {
 			failures++
 		}

@@ -55,9 +55,9 @@ func run() (err error) {
 		}
 	}()
 	// No checkpointable engine here — a SIGINT/SIGTERM still cancels the
-	// sweep promptly (via the runctx base), flushes trace + memo snapshot
-	// through the deferred FinishDurable, and exits ExitInterrupted.
-	_, stopSignals := cli.SignalContext(context.Background())
+	// sweep promptly (through ctx), flushes trace + memo snapshot through
+	// the deferred FinishDurable, and exits ExitInterrupted.
+	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
 	defer func() {
 		if ferr := cli.FinishDurable(nil, *memoSnapshot, err); err == nil {
@@ -81,7 +81,7 @@ func run() (err error) {
 
 	switch *mode {
 	case "worst":
-		res, err := protocol.WorstCase(m.Generators(), numValues, *rounds, algo, *limit)
+		res, err := protocol.WorstCase(ctx, m.Generators(), numValues, *rounds, algo, *limit)
 		if err != nil {
 			return err
 		}

@@ -55,7 +55,7 @@ func run() (err error) {
 	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
 	jobKey := cli.JobKey("ksettopo", *spec, fmt.Sprint(*values), fmt.Sprint(*maxDim))
-	_, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval)
+	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval)
 	defer func() {
 		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
 			err = ferr
@@ -76,16 +76,16 @@ func run() (err error) {
 	}
 	fmt.Println(m)
 
-	if err := reportUninterpreted(m, dim); err != nil {
+	if err := reportUninterpreted(ctx, m, dim); err != nil {
 		return err
 	}
-	if err := reportProtocol(m, *values, dim); err != nil {
+	if err := reportProtocol(ctx, m, *values, dim); err != nil {
 		return err
 	}
 	return cli.SaveMemoSnapshot(*memoSnapshot)
 }
 
-func reportUninterpreted(m *model.ClosedAbove, dim int) error {
+func reportUninterpreted(ctx context.Context, m *model.ClosedAbove, dim int) error {
 	cover, err := topology.UninterpretedCover(m.Generators())
 	if err != nil {
 		return err
@@ -116,7 +116,7 @@ func reportUninterpreted(m *model.ClosedAbove, dim int) error {
 	// One facet walk feeds the reduction; the facet-based entry would
 	// re-derive the levels the report already enumerates.
 	levels := ac.SimplexLevels(dim + 1)
-	betti, err := topology.ReducedBettiNumbersFromLevels(ac, levels, dim)
+	betti, err := topology.ReducedBettiNumbersFromLevels(ctx, ac, levels, dim)
 	if err != nil {
 		return err
 	}
@@ -134,12 +134,12 @@ func reportUninterpreted(m *model.ClosedAbove, dim int) error {
 	return nil
 }
 
-func reportProtocol(m *model.ClosedAbove, values, dim int) error {
+func reportProtocol(ctx context.Context, m *model.ClosedAbove, values, dim int) error {
 	inputs, err := topology.InputAssignments(m.N(), values)
 	if err != nil {
 		return err
 	}
-	pc, err := topology.ProtocolComplexOneRound(m.Generators(), inputs)
+	pc, err := topology.ProtocolComplexOneRound(ctx, m.Generators(), inputs)
 	if err != nil {
 		return err
 	}
@@ -151,7 +151,7 @@ func reportProtocol(m *model.ClosedAbove, values, dim int) error {
 	fmt.Printf("  %d input facets × %d generators → %d facets, %d vertices\n",
 		len(inputs), m.GeneratorCount(), ac.FacetCount(), len(verts))
 
-	betti, err := topology.ReducedBettiNumbersFromLevels(ac, ac.SimplexLevels(dim+1), dim)
+	betti, err := topology.ReducedBettiNumbersFromLevels(ctx, ac, ac.SimplexLevels(dim+1), dim)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	for _, n := range []int{4, 6, 8} {
 		cyc, err := ksettop.Cycle(n)
 		if err != nil {
@@ -33,7 +35,7 @@ func main() {
 				i, seq.Values, i, seq.Round)
 
 			// Confirm by exhaustive simulation against the cycle adversary.
-			res, err := ksettop.WorstCase([]ksettop.Digraph{cyc}, i+1, seq.Round,
+			res, err := ksettop.WorstCase(ctx, []ksettop.Digraph{cyc}, i+1, seq.Round,
 				ksettop.MinAlgorithm(seq.Round), 8_000_000)
 			if err != nil {
 				log.Fatal(err)
@@ -56,7 +58,7 @@ func main() {
 			maxR = 4
 		}
 		for r := 1; r <= maxR; r++ {
-			up, err := ksettop.UpperBoundsMultiRound(m, r)
+			up, err := ksettop.UpperBoundsMultiRound(ctx, m, r)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	for n := 3; n <= 4; n++ {
 		// Search all 2^(n(n-1)) graphs for the ⊆-minimal non-split ones:
 		// these generate the non-split closed-above model.
@@ -31,7 +33,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		a, err := ksettop.Analyze(m, 2)
+		a, err := ksettop.Analyze(ctx, m, 2)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("Thm 6.13 sweep: symmetric unions of s stars on n processes")
 	fmt.Printf("%-4s %-4s %-12s %-12s %-8s %s\n", "n", "s", "impossible", "solvable", "tight", "solver check")
 	for n := 3; n <= 7; n++ {
@@ -26,7 +28,7 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				if err := ksettop.VerifyLowerBySolver(m, lower, ksettop.DefaultNodeBudget()); err != nil {
+				if err := ksettop.VerifyLowerBySolver(ctx, m, lower, ksettop.DefaultNodeBudget()); err != nil {
 					solver = "FAIL: " + err.Error()
 				} else {
 					solver = "verified"

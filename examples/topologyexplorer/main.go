@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	star, err := ksettop.Star(3, 0)
 	if err != nil {
 		log.Fatal(err)
@@ -36,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ksettop.VerifyUninterpretedConnectivity(m); err != nil {
+	if err := ksettop.VerifyUninterpretedConnectivity(ctx, m); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("Sym(star): uninterpreted complex verified 1-connected (Thm 4.12)")
@@ -46,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pc, err := topology.ProtocolComplexOneRound(m.Generators(), inputs)
+	pc, err := topology.ProtocolComplexOneRound(ctx, m.Generators(), inputs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	betti, err := topology.ReducedBettiNumbers(ac, 1)
+	betti, err := topology.ReducedBettiNumbersCtx(ctx, ac, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pcClique, err := topology.ProtocolComplexOneRound([]ksettop.Digraph{clique}, inputs)
+	pcClique, err := topology.ProtocolComplexOneRound(ctx, []ksettop.Digraph{clique}, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bettiClique, err := topology.ReducedBettiNumbers(acClique, 0)
+	bettiClique, err := topology.ReducedBettiNumbersCtx(ctx, acClique, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -99,18 +99,19 @@ func All() []Row {
 // row times the experiment, not the rendering.
 func experiment(id string) func(*testing.B) {
 	return func(b *testing.B) {
-		var runner experiments.Runner
+		var runners []experiments.Runner
 		for _, r := range experiments.All() {
 			if r.ID == id {
-				runner = r
+				runners = append(runners, r)
 			}
 		}
-		if runner.Run == nil {
+		if len(runners) == 0 {
 			b.Fatalf("unknown experiment %s", id)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			table, err := runner.Run()
+			out := experiments.RunAll(context.Background(), runners)[0]
+			table, err := out.Table, out.Err
 			if err != nil {
 				b.Fatalf("%s: %v", id, err)
 			}
@@ -165,7 +166,7 @@ func distributedDomination(b *testing.B) {
 	gens := m.Generators()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := combinat.DistributedDominationNumber(gens); err != nil {
+		if _, err := combinat.DistributedDominationNumber(context.Background(), gens); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -250,7 +251,7 @@ func protocolComplexBuild(b *testing.B) {
 	must(b, err)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := topology.ProtocolComplexOneRound(m.Generators(), inputs); err != nil {
+		if _, err := topology.ProtocolComplexOneRound(context.Background(), m.Generators(), inputs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,11 +273,11 @@ func bettiCold(b *testing.B) {
 	must(b, err)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pc, err := core.ProtocolComplexOneRound(m, 2)
+		pc, err := core.ProtocolComplexOneRoundCtx(context.Background(), m, 2)
 		must(b, err)
 		ac, _, err := pc.ToAbstract()
 		must(b, err)
-		betti, err := topology.ReducedBettiNumbers(ac, 3)
+		betti, err := topology.ReducedBettiNumbersCtx(context.Background(), ac, 3)
 		must(b, err)
 		if !slices.Equal(betti, []int{3, 36, 0, 0}) {
 			b.Fatalf("betti %v, want [3 36 0 0]", betti)
@@ -309,7 +310,7 @@ func starComplex4(b *testing.B) *topology.AbstractComplex {
 func bettiZero(b *testing.B, ac *topology.AbstractComplex, maxDim int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		betti, err := topology.ReducedBettiNumbers(ac, maxDim)
+		betti, err := topology.ReducedBettiNumbersCtx(context.Background(), ac, maxDim)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -391,7 +392,7 @@ func worstCaseSweep(b *testing.B) {
 	algo := protocol.MinAlgorithm{R: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := protocol.WorstCase(gens, 3, 1, algo, 1_000_000)
+		res, err := protocol.WorstCase(context.Background(), gens, 3, 1, algo, 1_000_000)
 		if err != nil || res.WorstDistinct != 3 {
 			b.Fatalf("worst %d, err %v", res.WorstDistinct, err)
 		}
@@ -402,7 +403,7 @@ func worstCaseSweep(b *testing.B) {
 func starClosure(b *testing.B, n int) []graph.Digraph {
 	m, err := model.NonEmptyKernelModel(n)
 	must(b, err)
-	all, err := m.AllGraphs()
+	all, err := m.AllGraphsCtx(context.Background())
 	must(b, err)
 	return all
 }
@@ -412,7 +413,7 @@ func starClosure(b *testing.B, n int) []graph.Digraph {
 func refute(b *testing.B, all []graph.Digraph, numValues, k int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := protocol.SolveOneRound(all, numValues, k, protocol.DefaultNodeBudget())
+		res, err := protocol.SolveOneRoundCtx(context.Background(), all, numValues, k, protocol.DefaultNodeBudget())
 		if err != nil || res.Solvable {
 			b.Fatalf("solvable=%v err=%v, want impossibility", res.Solvable, err)
 		}
@@ -452,7 +453,7 @@ func solveOneRoundParallel(b *testing.B) {
 	defer protocol.SetSearchProbeLimit(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := protocol.SolveOneRound(all, 4, 3, protocol.DefaultNodeBudget())
+		res, err := protocol.SolveOneRoundCtx(context.Background(), all, 4, 3, protocol.DefaultNodeBudget())
 		if err != nil || res.Solvable || res.Stats.Tasks == 0 {
 			b.Fatalf("solvable=%v tasks=%d err=%v, want work-stealing impossibility run",
 				res.Solvable, res.Stats.Tasks, err)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ksettop/internal/checkpoint"
-	"ksettop/internal/runctx"
 )
 
 // This file is the durable-run surface of the batch CLIs: graceful
@@ -30,12 +29,11 @@ var ErrInterrupted = errors.New("cli: interrupted by signal")
 const ExitInterrupted = 3
 
 // SignalContext derives a context that is cancelled (with a cause matching
-// ErrInterrupted) on SIGINT or SIGTERM, and installs it as the process-wide
-// runctx base so every engine call — including the non-context entry points
-// the tools reach through core/experiments — aborts promptly. The returned
-// stop function releases the signal handler and resets the base context; a
-// second signal while shutdown is in flight kills the process the default
-// way, so a wedged flush cannot make the tool unkillable.
+// ErrInterrupted) on SIGINT or SIGTERM. The tools pass it to every engine
+// call, so an interrupt aborts the run promptly. The returned stop function
+// releases the signal handler; a second signal while shutdown is in flight
+// kills the process the default way, so a wedged flush cannot make the tool
+// unkillable.
 func SignalContext(parent context.Context) (context.Context, func()) {
 	ctx, cancel := context.WithCancelCause(parent)
 	ch := make(chan os.Signal, 2)
@@ -49,11 +47,9 @@ func SignalContext(parent context.Context) (context.Context, func()) {
 			signal.Stop(ch)
 		}
 	}()
-	runctx.SetBase(ctx)
 	return ctx, func() {
 		signal.Stop(ch)
 		cancel(nil)
-		runctx.SetBase(nil)
 	}
 }
 
@@ -75,10 +71,10 @@ func JobKey(tool string, parts ...string) string {
 // StartCheckpoint builds the checkpoint runner for a batch run and attaches
 // it to ctx: resumes from the file when it holds this job's interrupted run
 // (a missing file is a cold start; a corrupt, truncated or foreign one warns
-// and starts cold), starts the background save ticker, and installs the
-// runner-carrying context as the runctx base (layered on the SignalContext
-// installation). An empty path returns ctx unchanged and a nil runner —
-// every later call on it is a no-op.
+// and starts cold) and starts the background save ticker. The returned
+// context carries the runner: the engines find it there, so the tool must
+// pass that context to them. An empty path returns ctx unchanged and a nil
+// runner — every later call on it is a no-op.
 func StartCheckpoint(ctx context.Context, path, jobKey string, interval time.Duration) (context.Context, *checkpoint.Runner) {
 	if path == "" {
 		return ctx, nil
@@ -86,9 +82,7 @@ func StartCheckpoint(ctx context.Context, path, jobKey string, interval time.Dur
 	r := checkpoint.NewRunner(path, jobKey, interval)
 	r.LoadForResume()
 	r.Start()
-	ctx = checkpoint.WithRunner(ctx, r)
-	runctx.SetBase(ctx)
-	return ctx, r
+	return checkpoint.WithRunner(ctx, r), r
 }
 
 // FinishDurable finalizes a durable batch run. A clean run removes the

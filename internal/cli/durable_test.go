@@ -14,9 +14,11 @@ import (
 	"time"
 
 	"ksettop/internal/checkpoint"
+	"ksettop/internal/core"
+	"ksettop/internal/faultinject"
 	"ksettop/internal/model"
+	"ksettop/internal/obs"
 	"ksettop/internal/protocol"
-	"ksettop/internal/runctx"
 )
 
 func TestDurableExitCodeMapping(t *testing.T) {
@@ -50,14 +52,10 @@ func TestJobKeyStable(t *testing.T) {
 }
 
 // A SIGINT delivered to the process must cancel the signal context with a
-// cause matching ErrInterrupted, and must reach engines through the runctx
-// base installed by SignalContext.
+// cause matching ErrInterrupted.
 func TestSignalContextKillCancelsWithInterrupt(t *testing.T) {
 	ctx, stop := SignalContext(context.Background())
 	defer stop()
-	if runctx.Base() != ctx {
-		t.Fatal("SignalContext did not install the runctx base")
-	}
 	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +66,6 @@ func TestSignalContextKillCancelsWithInterrupt(t *testing.T) {
 	}
 	if cause := context.Cause(ctx); !errors.Is(cause, ErrInterrupted) {
 		t.Fatalf("cancellation cause %v does not match ErrInterrupted", cause)
-	}
-	stop()
-	if runctx.Base() == ctx {
-		t.Fatal("stop did not reset the runctx base")
 	}
 }
 
@@ -119,7 +113,6 @@ func TestStartCheckpointResumesMatchingFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	writeCheckpoint(t, path, "job", "mid-run state")
 	_, r := StartCheckpoint(context.Background(), path, "job", time.Hour)
-	defer runctx.SetBase(nil)
 	defer r.Stop()
 	payload, ok := r.Resume("phase", 7)
 	if !ok || string(payload) != "mid-run state" {
@@ -135,7 +128,6 @@ func TestStartCheckpointForeignFileStartsCold(t *testing.T) {
 	logged := captureDefaultLog(t, func() {
 		_, r = StartCheckpoint(context.Background(), path, "job", time.Hour)
 	})
-	defer runctx.SetBase(nil)
 	defer r.Stop()
 	if _, ok := r.Resume("phase", 7); ok {
 		t.Fatal("foreign checkpoint was resumed")
@@ -148,7 +140,6 @@ func TestStartCheckpointForeignFileStartsCold(t *testing.T) {
 func TestFinishDurableSuccessRemovesCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	_, r := StartCheckpoint(context.Background(), path, "job", time.Hour)
-	defer runctx.SetBase(nil)
 	r.Register("phase", 1, func() ([]byte, error) { return []byte("state"), nil })
 	if err := r.SaveNow(); err != nil {
 		t.Fatal(err)
@@ -164,7 +155,6 @@ func TestFinishDurableSuccessRemovesCheckpoint(t *testing.T) {
 func TestFinishDurableErrorFlushesCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	_, r := StartCheckpoint(context.Background(), path, "job", time.Hour)
-	defer runctx.SetBase(nil)
 	r.Register("phase", 1, func() ([]byte, error) { return []byte("mid-run state"), nil })
 	if err := FinishDurable(r, "", fmt.Errorf("run: %w (SIGTERM)", ErrInterrupted)); err != nil {
 		t.Fatal(err)
@@ -175,5 +165,58 @@ func TestFinishDurableErrorFlushesCheckpoint(t *testing.T) {
 	}
 	if len(secs) != 1 || secs[0].Name != "phase#1" {
 		t.Fatalf("flushed sections: %+v", secs)
+	}
+}
+
+// The checkpoint runner travels in the context StartCheckpoint returns: a
+// solver verification run on that context and aborted mid-search must
+// leave the solver's frontier in the final checkpoint, and a second run on
+// a resumed context must pick that frontier up and finish with the
+// uninterrupted verdict. Handing the verification any other context (one
+// without the runner) leaves the checkpoint empty and fails the test.
+func TestCheckpointRunnerReachesSolverThroughContext(t *testing.T) {
+	m, err := model.NonEmptyKernelModel(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, err := core.BestLowerOneRound(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protocol.SetSearchProbeLimit(16) // force the task phase the fault point sits in
+	defer protocol.SetSearchProbeLimit(0)
+	budget := protocol.DefaultNodeBudget()
+	path := filepath.Join(t.TempDir(), "verify.ckpt")
+
+	ctx, r := StartCheckpoint(context.Background(), path, "job", time.Hour)
+	faultinject.Enable(42, faultinject.Rule{Point: faultinject.PointSolverTask, Nth: 3, Action: faultinject.ActionError})
+	runErr := core.VerifyLowerBySolverCtx(ctx, m, lo, budget)
+	faultinject.Disable()
+	if !errors.Is(runErr, faultinject.ErrInjected) {
+		t.Fatalf("aborted verification = %v, want the injected task fault", runErr)
+	}
+	if err := FinishDurable(r, "", runErr); err != nil {
+		t.Fatal(err)
+	}
+	secs, err := checkpoint.Load(path, "job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(secs) == 0 || !strings.HasPrefix(secs[0].Name, "solver.") {
+		t.Fatalf("final checkpoint holds %+v, want the solver's section: the runner did not reach the solver", secs)
+	}
+
+	resumes := func() float64 { return obs.DefaultRegistry().Values()["kset_checkpoint_resumes_total"] }
+	before := resumes()
+	ctx, r = StartCheckpoint(context.Background(), path, "job", time.Hour)
+	runErr = core.VerifyLowerBySolverCtx(ctx, m, lo, budget)
+	if err := FinishDurable(r, "", runErr); err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatalf("resumed verification: %v", runErr)
+	}
+	if got := resumes() - before; got != 1 {
+		t.Fatalf("resumed verification restored %v solver states, want 1", got)
 	}
 }

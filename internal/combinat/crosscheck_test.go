@@ -1,6 +1,7 @@
 package combinat
 
 import (
+	"context"
 	"testing"
 
 	"ksettop/internal/graph"
@@ -29,7 +30,7 @@ func TestSymClosedFormVsExpansion(t *testing.T) {
 			}
 			gd, _ := DistributedDominationNumberEffective(sym)
 			for tt := 1; tt < gd; tt++ {
-				explicit, okE, err := MaxCoveringNumberEffective(sym, tt)
+				explicit, okE, err := MaxCoveringNumberEffective(context.Background(), sym, tt)
 				if err != nil {
 					t.Fatalf("MaxCoveringNumberEffective: %v", err)
 				}
@@ -63,13 +64,13 @@ func TestEffectiveDominatesLiteral(t *testing.T) {
 	g1, _ := graph.Star(4, 0)
 	g2, _ := graph.Cycle(4)
 	set := []graph.Digraph{g1, g2}
-	gdLit, _ := DistributedDominationNumber(set)
+	gdLit, _ := DistributedDominationNumber(context.Background(), set)
 	for i := 1; i < gdLit; i++ {
-		lit, okL, err := MaxCoveringNumber(set, i)
+		lit, okL, err := MaxCoveringNumber(context.Background(), set, i)
 		if err != nil {
 			t.Fatalf("MaxCoveringNumber: %v", err)
 		}
-		eff, okE, err := MaxCoveringNumberEffective(set, i)
+		eff, okE, err := MaxCoveringNumberEffective(context.Background(), set, i)
 		if err != nil {
 			t.Fatalf("MaxCoveringNumberEffective: %v", err)
 		}
@@ -85,7 +86,7 @@ func TestEffectiveDominatesLiteral(t *testing.T) {
 func TestGammaDistProductMonotone(t *testing.T) {
 	g, _ := graph.UnionOfStars(4, []int{0, 1})
 	sym, _ := graph.SymClosure([]graph.Digraph{g})
-	prods, err := graph.ProductSet(sym, 2)
+	prods, err := graph.ProductSet(context.Background(), sym, 2)
 	if err != nil {
 		t.Fatalf("ProductSet: %v", err)
 	}

@@ -12,9 +12,12 @@
 // drained by the internal/par worker pool; every reducer either selects the
 // lowest-ranked witness or is order-insensitive, so results are identical to
 // the sequential sweep regardless of scheduling.
+// The generator-set sweeps take a context (over S^r they are the long runs
+// of the multi-round bounds); single-graph numbers stay context-free.
 package combinat
 
 import (
+	"context"
 	"fmt"
 	mathbits "math/bits"
 
@@ -23,8 +26,9 @@ import (
 	"ksettop/internal/par"
 )
 
-// pollMask throttles cancellation polling in the innermost sweep loops to
-// one atomic load every 64 iterations.
+// pollMask throttles cancellation polling in the process-set sweep loops to
+// one atomic load every 64 iterations; the generator-subset loops nested in
+// them poll at par.PollMask.
 const pollMask = 63
 
 // DominationNumber returns γ(G) (Def 3.1): the size of the smallest set P
@@ -40,7 +44,7 @@ func MinDominatingSet(g graph.Digraph) (bits.Set, int) {
 	n := g.N()
 	full := g.Procs()
 	for size := 1; size <= n; size++ {
-		rank := par.First(bits.Binomial(n, size), func(from, to int64, ctl *par.Ctl) int64 {
+		rank, err := par.First(context.Background(), bits.Binomial(n, size), func(from, to int64, ctl *par.Ctl) int64 {
 			found, r := int64(-1), from
 			bits.CombinationsRange(n, size, from, to, func(p bits.Set) bool {
 				if r&pollMask == 0 && ctl.SkipAfter(r) {
@@ -55,6 +59,9 @@ func MinDominatingSet(g graph.Digraph) (bits.Set, int) {
 			})
 			return found
 		})
+		if err != nil {
+			panic(err) // uncancellable: a contained worker panic or injected fault
+		}
 		if rank >= 0 {
 			return bits.UnrankCombination(n, size, rank), size
 		}
@@ -104,7 +111,7 @@ func CoveringNumber(g graph.Digraph, i int) (int, error) {
 	if i < 1 || i > n {
 		return 0, fmt.Errorf("combinat: covering index %d outside [1,%d]", i, n)
 	}
-	best := par.Min(bits.Binomial(n, i), int64(i), func(from, to int64, ctl *par.Ctl) int64 {
+	best, err := par.Min(context.Background(), bits.Binomial(n, i), int64(i), func(from, to int64, ctl *par.Ctl) int64 {
 		local, r := int64(n), from
 		bits.CombinationsRange(n, i, from, to, func(p bits.Set) bool {
 			if r&pollMask == 0 && ctl.Stopped() {
@@ -121,7 +128,7 @@ func CoveringNumber(g graph.Digraph, i int) (int, error) {
 		})
 		return local
 	})
-	return int(best), nil
+	return int(best), err
 }
 
 // CoveringNumberSet returns cov_i(S) = min_{G∈S} cov_i(G) (Def 3.6).
@@ -131,13 +138,16 @@ func CoveringNumber(g graph.Digraph, i int) (int, error) {
 // (self-loops), the remaining graphs are skipped only once some graph has
 // already attained the global floor i — skipping them cannot change the
 // minimum. An earlier revision stopped each per-graph sweep at the floor but
-// kept scanning the remaining graphs for no benefit.
-func CoveringNumberSet(gens []graph.Digraph, i int) (int, error) {
+// kept scanning the remaining graphs for no benefit. ctx is polled per graph.
+func CoveringNumberSet(ctx context.Context, gens []graph.Digraph, i int) (int, error) {
 	if len(gens) == 0 {
 		return 0, fmt.Errorf("combinat: cov_%d of empty graph set", i)
 	}
 	best := 0
 	for idx, g := range gens {
+		if ctx.Err() != nil {
+			return 0, context.Cause(ctx)
+		}
 		c, err := CoveringNumber(g, i)
 		if err != nil {
 			return 0, err
@@ -158,13 +168,17 @@ func CoveringNumberSet(gens []graph.Digraph, i int) (int, error) {
 //
 // Because self-loops make Π dominate everything, γ_dist(S) ≤ n. It also
 // holds that γ_dist(S) ≤ γ_eq(S).
-func DistributedDominationNumber(gens []graph.Digraph) (int, error) {
+func DistributedDominationNumber(ctx context.Context, gens []graph.Digraph) (int, error) {
 	if len(gens) == 0 {
 		return 0, fmt.Errorf("combinat: γ_dist of empty graph set")
 	}
 	n := gens[0].N()
 	for i := 1; i <= n; i++ {
-		if distDominatesAll(gens, i) {
+		all, err := distDominatesAll(ctx, gens, i)
+		if err != nil {
+			return 0, err
+		}
+		if all {
 			return i, nil
 		}
 	}
@@ -175,16 +189,16 @@ func DistributedDominationNumber(gens []graph.Digraph) (int, error) {
 // jointly dominates Π. The P sweep is sharded; each worker keeps its own
 // out-set scratch and the inner graph-subset sweep runs sequentially (the
 // number of generators is small next to C(n,i)).
-func distDominatesAll(gens []graph.Digraph, i int) bool {
+func distDominatesAll(ctx context.Context, gens []graph.Digraph, i int) (bool, error) {
 	n := gens[0].N()
 	full := bits.Full(n)
 	si := i
 	if si > len(gens) {
 		si = len(gens)
 	}
-	return !par.Exists(bits.Binomial(n, i), func(from, to int64, ctl *par.Ctl) bool {
+	someViolated, err := par.Exists(ctx, bits.Binomial(n, i), func(from, to int64, ctl *par.Ctl) bool {
 		outs := make([]bits.Set, len(gens))
-		violated, r := false, from
+		violated, r, subsets := false, from, 0
 		bits.CombinationsRange(n, i, from, to, func(p bits.Set) bool {
 			if r&pollMask == 0 && ctl.Stopped() {
 				return false
@@ -194,6 +208,9 @@ func distDominatesAll(gens []graph.Digraph, i int) bool {
 				outs[gi] = g.OutSet(p)
 			}
 			bits.Combinations(len(gens), si, func(gsel bits.Set) bool {
+				if subsets++; subsets&par.PollMask == 0 && ctl.Stopped() {
+					return false
+				}
 				var union bits.Set
 				for t := uint64(gsel); t != 0; t &= t - 1 {
 					union |= outs[mathbits.TrailingZeros64(t)]
@@ -207,6 +224,7 @@ func distDominatesAll(gens []graph.Digraph, i int) bool {
 		})
 		return violated
 	})
+	return !someViolated, err
 }
 
 // DistributedDominationNumberEffective returns the value of γ_dist(S) that
@@ -234,7 +252,7 @@ func DistributedDominationNumberEffective(gens []graph.Digraph) (int, error) {
 func maxCoverScan(gens []graph.Digraph, n, i int, sizes []int, from, to int64, ctl *par.Ctl) int64 {
 	full := bits.Full(n)
 	outs := make([]bits.Set, len(gens))
-	local, r := int64(-1), from
+	local, r, subsets := int64(-1), from, 0
 	bits.CombinationsRange(n, i, from, to, func(p bits.Set) bool {
 		if r&pollMask == 0 && ctl.Stopped() {
 			return false
@@ -245,6 +263,9 @@ func maxCoverScan(gens []graph.Digraph, n, i int, sizes []int, from, to int64, c
 		}
 		for _, size := range sizes {
 			bits.Combinations(len(gens), size, func(gsel bits.Set) bool {
+				if subsets++; subsets&par.PollMask == 0 && ctl.Stopped() {
+					return false
+				}
 				var union bits.Set
 				for t := uint64(gsel); t != 0; t &= t - 1 {
 					union |= outs[mathbits.TrailingZeros64(t)]
@@ -271,7 +292,7 @@ func maxCoverScan(gens []graph.Digraph, n, i int, sizes []int, from, to int64, c
 //
 // The second return is false when no such non-dominating combination exists
 // (which happens exactly when i ≥ γ_dist(S)).
-func MaxCoveringNumber(gens []graph.Digraph, i int) (int, bool, error) {
+func MaxCoveringNumber(ctx context.Context, gens []graph.Digraph, i int) (int, bool, error) {
 	if len(gens) == 0 {
 		return 0, false, fmt.Errorf("combinat: max-cov of empty graph set")
 	}
@@ -283,11 +304,11 @@ func MaxCoveringNumber(gens []graph.Digraph, i int) (int, bool, error) {
 	if si > len(gens) {
 		si = len(gens)
 	}
-	best := par.Max(bits.Binomial(n, i), int64(n-1), func(from, to int64, ctl *par.Ctl) int64 {
+	best, err := par.Max(ctx, bits.Binomial(n, i), int64(n-1), func(from, to int64, ctl *par.Ctl) int64 {
 		return maxCoverScan(gens, n, i, []int{si}, from, to, ctl)
 	})
-	if best < 0 {
-		return 0, false, nil
+	if err != nil || best < 0 {
+		return 0, false, err
 	}
 	return int(best), true, nil
 }
@@ -298,7 +319,7 @@ func MaxCoveringNumber(gens []graph.Digraph, i int) (int, bool, error) {
 // for i < γ_eq(S) (second return false otherwise). Allowing smaller witness
 // sets only adds candidates, so the effective value is ≥ the literal Def 5.3
 // value whenever both are defined.
-func MaxCoveringNumberEffective(gens []graph.Digraph, i int) (int, bool, error) {
+func MaxCoveringNumberEffective(ctx context.Context, gens []graph.Digraph, i int) (int, bool, error) {
 	if len(gens) == 0 {
 		return 0, false, fmt.Errorf("combinat: max-cov of empty graph set")
 	}
@@ -314,19 +335,19 @@ func MaxCoveringNumberEffective(gens []graph.Digraph, i int) (int, bool, error) 
 	for size := 1; size <= maxSize; size++ {
 		sizes = append(sizes, size)
 	}
-	best := par.Max(bits.Binomial(n, i), int64(n-1), func(from, to int64, ctl *par.Ctl) int64 {
+	best, err := par.Max(ctx, bits.Binomial(n, i), int64(n-1), func(from, to int64, ctl *par.Ctl) int64 {
 		return maxCoverScan(gens, n, i, sizes, from, to, ctl)
 	})
-	if best < 0 {
-		return 0, false, nil
+	if err != nil || best < 0 {
+		return 0, false, err
 	}
 	return int(best), true, nil
 }
 
 // MaxCoveringCoefficientEffective returns M_i(S) computed from
 // MaxCoveringNumberEffective, with the Def 5.3 formula.
-func MaxCoveringCoefficientEffective(gens []graph.Digraph, i int) (int, bool, error) {
-	mc, ok, err := MaxCoveringNumberEffective(gens, i)
+func MaxCoveringCoefficientEffective(ctx context.Context, gens []graph.Digraph, i int) (int, bool, error) {
+	mc, ok, err := MaxCoveringNumberEffective(ctx, gens, i)
 	if err != nil || !ok {
 		return 0, ok, err
 	}
@@ -343,8 +364,8 @@ func MaxCoveringCoefficientEffective(gens []graph.Digraph, i int) (int, bool, er
 //	n - i                        if max-cov_i(S) = i
 //
 // It is only defined for i < γ_dist(S); the second return is false otherwise.
-func MaxCoveringCoefficient(gens []graph.Digraph, i int) (int, bool, error) {
-	mc, ok, err := MaxCoveringNumber(gens, i)
+func MaxCoveringCoefficient(ctx context.Context, gens []graph.Digraph, i int) (int, bool, error) {
+	mc, ok, err := MaxCoveringNumber(ctx, gens, i)
 	if err != nil || !ok {
 		return 0, ok, err
 	}

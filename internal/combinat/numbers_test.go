@@ -1,6 +1,7 @@
 package combinat
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -149,14 +150,14 @@ func TestCoveringNumberFamilies(t *testing.T) {
 func TestCoveringNumberSet(t *testing.T) {
 	star, _ := graph.Star(4, 0)
 	clique, _ := graph.Complete(4)
-	got, err := CoveringNumberSet([]graph.Digraph{clique, star}, 2)
+	got, err := CoveringNumberSet(context.Background(), []graph.Digraph{clique, star}, 2)
 	if err != nil {
 		t.Fatalf("CoveringNumberSet: %v", err)
 	}
 	if got != 2 {
 		t.Errorf("cov_2(S) = %d, want min(4,2) = 2", got)
 	}
-	if _, err := CoveringNumberSet(nil, 1); err == nil {
+	if _, err := CoveringNumberSet(context.Background(), nil, 1); err == nil {
 		t.Errorf("empty set should fail")
 	}
 }
@@ -184,7 +185,7 @@ func TestFigure1Quantities(t *testing.T) {
 	if eqB != 4 {
 		t.Errorf("γ_eq(Sym(fig1b)) = %d, want 4", eqB)
 	}
-	cov2, _ := CoveringNumberSet(symB, 2)
+	cov2, _ := CoveringNumberSet(context.Background(), symB, 2)
 	if cov2 != 3 {
 		t.Errorf("cov_2(Sym(fig1b)) = %d, want 3 (paper §3.2)", cov2)
 	}
@@ -199,7 +200,7 @@ func TestDistributedDominationSingletonEqualsGammaEq(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
 		g, _ := graph.Random(5, rng.Float64(), rng)
-		gd, err := DistributedDominationNumber([]graph.Digraph{g})
+		gd, err := DistributedDominationNumber(context.Background(), []graph.Digraph{g})
 		if err != nil {
 			t.Fatalf("DistributedDominationNumber: %v", err)
 		}
@@ -232,7 +233,7 @@ func TestDistributedDominationStarUnions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SymClosure: %v", err)
 		}
-		gd, err := DistributedDominationNumber(sym)
+		gd, err := DistributedDominationNumber(context.Background(), sym)
 		if err != nil {
 			t.Fatalf("DistributedDominationNumber: %v", err)
 		}
@@ -260,24 +261,24 @@ func TestMaxCoveringStarUnions(t *testing.T) {
 	g, _ := graph.UnionOfStars(5, []int{0, 1})
 	sym, _ := graph.SymClosure([]graph.Digraph{g})
 
-	gdLit, _ := DistributedDominationNumber(sym)
+	gdLit, _ := DistributedDominationNumber(context.Background(), sym)
 	if gdLit != 3 {
 		t.Fatalf("literal γ_dist = %d, want 3", gdLit)
 	}
 	for tIdx := 1; tIdx < gdLit; tIdx++ {
-		mc, ok, err := MaxCoveringNumber(sym, tIdx)
+		mc, ok, err := MaxCoveringNumber(context.Background(), sym, tIdx)
 		if err != nil || !ok {
-			t.Fatalf("MaxCoveringNumber(%d): ok=%v err=%v", tIdx, ok, err)
+			t.Fatalf("MaxCoveringNumber(context.Background(), %d): ok=%v err=%v", tIdx, ok, err)
 		}
 		if mc != tIdx {
 			t.Errorf("literal max-cov_%d = %d, want %d", tIdx, mc, tIdx)
 		}
-		m, ok, _ := MaxCoveringCoefficient(sym, tIdx)
+		m, ok, _ := MaxCoveringCoefficient(context.Background(), sym, tIdx)
 		if !ok || m != 5-tIdx {
 			t.Errorf("literal M_%d = %d (ok=%v), want %d", tIdx, m, ok, 5-tIdx)
 		}
 	}
-	if _, ok, _ := MaxCoveringNumber(sym, gdLit); ok {
+	if _, ok, _ := MaxCoveringNumber(context.Background(), sym, gdLit); ok {
 		t.Errorf("literal max-cov_%d should be undefined at literal γ_dist", gdLit)
 	}
 
@@ -286,19 +287,19 @@ func TestMaxCoveringStarUnions(t *testing.T) {
 		t.Fatalf("effective γ_dist = %d, want 4 (= n−s+1)", gdEff)
 	}
 	for tIdx := 1; tIdx < gdEff; tIdx++ {
-		mc, ok, err := MaxCoveringNumberEffective(sym, tIdx)
+		mc, ok, err := MaxCoveringNumberEffective(context.Background(), sym, tIdx)
 		if err != nil || !ok {
-			t.Fatalf("MaxCoveringNumberEffective(%d): ok=%v err=%v", tIdx, ok, err)
+			t.Fatalf("MaxCoveringNumberEffective(context.Background(), %d): ok=%v err=%v", tIdx, ok, err)
 		}
 		if mc != tIdx {
 			t.Errorf("effective max-cov_%d = %d, want %d (paper)", tIdx, mc, tIdx)
 		}
-		m, ok, _ := MaxCoveringCoefficientEffective(sym, tIdx)
+		m, ok, _ := MaxCoveringCoefficientEffective(context.Background(), sym, tIdx)
 		if !ok || m != 5-tIdx {
 			t.Errorf("effective M_%d = %d (ok=%v), want %d (paper)", tIdx, m, ok, 5-tIdx)
 		}
 	}
-	if _, ok, _ := MaxCoveringNumberEffective(sym, gdEff); ok {
+	if _, ok, _ := MaxCoveringNumberEffective(context.Background(), sym, gdEff); ok {
 		t.Errorf("effective max-cov_%d should be undefined at γ_eq", gdEff)
 	}
 }
@@ -306,17 +307,17 @@ func TestMaxCoveringStarUnions(t *testing.T) {
 func TestMaxCoveringCycle(t *testing.T) {
 	cyc, _ := graph.Cycle(6)
 	// Single cycle: a non-dominating P of size 2 spread apart covers 4.
-	mc, ok, err := MaxCoveringNumber([]graph.Digraph{cyc}, 2)
+	mc, ok, err := MaxCoveringNumber(context.Background(), []graph.Digraph{cyc}, 2)
 	if err != nil || !ok {
 		t.Fatalf("MaxCoveringNumber: ok=%v err=%v", ok, err)
 	}
 	if mc != 4 {
 		t.Errorf("max-cov_2(cycle6) = %d, want 4", mc)
 	}
-	if _, _, err := MaxCoveringNumber([]graph.Digraph{cyc}, 0); err == nil {
+	if _, _, err := MaxCoveringNumber(context.Background(), []graph.Digraph{cyc}, 0); err == nil {
 		t.Errorf("index 0 should fail")
 	}
-	if _, _, err := MaxCoveringNumber(nil, 1); err == nil {
+	if _, _, err := MaxCoveringNumber(context.Background(), nil, 1); err == nil {
 		t.Errorf("empty set should fail")
 	}
 }
@@ -410,7 +411,7 @@ func TestCoveringSequenceStarNeverReaches(t *testing.T) {
 func TestCoveringSequenceSet(t *testing.T) {
 	cycA, _ := graph.Cycle(6)
 	sym, _ := graph.SymClosure([]graph.Digraph{cycA})
-	seq, err := CoveringSequenceSet(sym, 1)
+	seq, err := CoveringSequenceSet(context.Background(), sym, 1)
 	if err != nil {
 		t.Fatalf("CoveringSequenceSet: %v", err)
 	}
@@ -418,7 +419,7 @@ func TestCoveringSequenceSet(t *testing.T) {
 	if !seq.ReachesAll || seq.Round != 5 {
 		t.Errorf("Sym(cycle6) 1-sequence: ReachesAll=%v Round=%d, want true/5", seq.ReachesAll, seq.Round)
 	}
-	if _, err := CoveringSequenceSet(nil, 1); err == nil {
+	if _, err := CoveringSequenceSet(context.Background(), nil, 1); err == nil {
 		t.Errorf("empty set should fail")
 	}
 	if _, err := CoveringSequence(cycA, 0); err == nil {
@@ -447,7 +448,7 @@ func TestQuickInvariants(t *testing.T) {
 		if DominationNumber(g) > EqualDominationNumber(g) {
 			return false
 		}
-		gd, err := DistributedDominationNumber(set)
+		gd, err := DistributedDominationNumber(context.Background(), set)
 		if err != nil {
 			return false
 		}
@@ -457,7 +458,7 @@ func TestQuickInvariants(t *testing.T) {
 		}
 		// max-cov defined exactly below γ_dist, inside [i, n−1].
 		for i := 1; i <= 5; i++ {
-			mc, ok, err := MaxCoveringNumber(set, i)
+			mc, ok, err := MaxCoveringNumber(context.Background(), set, i)
 			if err != nil {
 				return false
 			}

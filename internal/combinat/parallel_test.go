@@ -1,6 +1,7 @@
 package combinat
 
 import (
+	"context"
 	"testing"
 
 	"ksettop/internal/bits"
@@ -41,7 +42,7 @@ func TestCoveringNumberSetFloorShortCircuit(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		want := bruteCoveringNumberSet([]graph.Digraph{cyc, star}, i)
 		for _, gens := range [][]graph.Digraph{{cyc, star}, {star, cyc}} {
-			got, err := CoveringNumberSet(gens, i)
+			got, err := CoveringNumberSet(context.Background(), gens, i)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,13 +92,13 @@ func TestParallelSweepsDeterministic(t *testing.T) {
 			}
 			s.cov = append(s.cov, c)
 		}
-		gd, err := DistributedDominationNumber(starGens)
+		gd, err := DistributedDominationNumber(context.Background(), starGens)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.gammaDist = gd
 		for i := 1; i <= 4; i++ {
-			mc, ok, err := MaxCoveringNumberEffective(starGens, i)
+			mc, ok, err := MaxCoveringNumberEffective(context.Background(), starGens, i)
 			if err != nil {
 				t.Fatal(err)
 			}

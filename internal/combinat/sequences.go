@@ -1,6 +1,7 @@
 package combinat
 
 import (
+	"context"
 	"fmt"
 
 	"ksettop/internal/graph"
@@ -40,7 +41,7 @@ func CoveringSequence(g graph.Digraph, i int) (Sequence, error) {
 //	s_1 = min_G cov_i(G)
 //	s_{k+1} = n               if s_k ≥ max_G γ_eq(G)
 //	          min_G cov_{s_k}(G)  otherwise
-func CoveringSequenceSet(gens []graph.Digraph, i int) (Sequence, error) {
+func CoveringSequenceSet(ctx context.Context, gens []graph.Digraph, i int) (Sequence, error) {
 	if len(gens) == 0 {
 		return Sequence{}, fmt.Errorf("combinat: covering sequence of empty graph set")
 	}
@@ -49,7 +50,7 @@ func CoveringSequenceSet(gens []graph.Digraph, i int) (Sequence, error) {
 		return Sequence{}, err
 	}
 	return coveringSequence(i, gens[0].N(), eq, func(j int) (int, error) {
-		return CoveringNumberSet(gens, j)
+		return CoveringNumberSet(ctx, gens, j)
 	})
 }
 

@@ -1,6 +1,7 @@
 package combinat
 
 import (
+	"context"
 	"fmt"
 
 	"ksettop/internal/graph"
@@ -19,7 +20,7 @@ import (
 // differently-permuted graphs. It is exact for the star family used in the
 // paper and is cross-checked against explicit Sym(S) expansion in tests.
 func SymMaxCovering(g graph.Digraph, t int) (int, bool, error) {
-	mc, ok, err := MaxCoveringNumber([]graph.Digraph{g}, t)
+	mc, ok, err := MaxCoveringNumber(context.Background(), []graph.Digraph{g}, t)
 	if err != nil || !ok {
 		return 0, ok, err
 	}
@@ -35,7 +36,7 @@ func SymMaxCovering(g graph.Digraph, t int) (int, bool, error) {
 //	⌊(n−t−1)/(t·(max-cov_t({G})−t))⌋ if max-cov_t({G}) > t
 //	n − t                            if max-cov_t({G}) = t
 func SymMaxCoveringCoefficient(g graph.Digraph, t int) (int, bool, error) {
-	mc, ok, err := MaxCoveringNumber([]graph.Digraph{g}, t)
+	mc, ok, err := MaxCoveringNumber(context.Background(), []graph.Digraph{g}, t)
 	if err != nil || !ok {
 		return 0, ok, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -40,9 +41,15 @@ type BoundPair struct {
 	Tight bool
 }
 
-// Analyze computes the full report. rounds ≥ 1; multi-round entries use the
-// S^r product machinery and may be expensive for large generator sets.
+// Analyze is AnalyzeCtx on context.Background(), kept for perfbench.
 func Analyze(m *model.ClosedAbove, rounds int) (*Analysis, error) {
+	return AnalyzeCtx(context.Background(), m, rounds)
+}
+
+// AnalyzeCtx computes the full report. rounds ≥ 1; multi-round entries use
+// the S^r product machinery, exponential in rounds, so every sweep polls ctx
+// and a cancelled analysis returns the context's cause.
+func AnalyzeCtx(ctx context.Context, m *model.ClosedAbove, rounds int) (*Analysis, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("core: rounds %d must be ≥ 1", rounds)
 	}
@@ -58,13 +65,13 @@ func Analyze(m *model.ClosedAbove, rounds int) (*Analysis, error) {
 		return nil, err
 	}
 	for i := 1; i < a.GammaEq; i++ {
-		cov, err := combinat.CoveringNumberSet(gens, i)
+		cov, err := combinat.CoveringNumberSet(ctx, gens, i)
 		if err != nil {
 			return nil, err
 		}
 		a.Covering = append(a.Covering, cov)
 	}
-	a.GammaDistLiteral, err = combinat.DistributedDominationNumber(gens)
+	a.GammaDistLiteral, err = combinat.DistributedDominationNumber(ctx, gens)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +80,7 @@ func Analyze(m *model.ClosedAbove, rounds int) (*Analysis, error) {
 		return nil, err
 	}
 	for t := 1; t < a.GammaDistEffective; t++ {
-		mc, ok, err := combinat.MaxCoveringNumberEffective(gens, t)
+		mc, ok, err := combinat.MaxCoveringNumberEffective(ctx, gens, t)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +88,7 @@ func Analyze(m *model.ClosedAbove, rounds int) (*Analysis, error) {
 			break
 		}
 		a.MaxCovering = append(a.MaxCovering, mc)
-		coeff, _, err := combinat.MaxCoveringCoefficientEffective(gens, t)
+		coeff, _, err := combinat.MaxCoveringCoefficientEffective(ctx, gens, t)
 		if err != nil {
 			return nil, err
 		}
@@ -89,11 +96,11 @@ func Analyze(m *model.ClosedAbove, rounds int) (*Analysis, error) {
 	}
 
 	for r := 1; r <= rounds; r++ {
-		up, err := UpperBoundsMultiRound(m, r)
+		up, err := UpperBoundsMultiRound(ctx, m, r)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := LowerBoundsMultiRound(m, r)
+		lo, err := LowerBoundsMultiRound(ctx, m, r)
 		if err != nil {
 			return nil, err
 		}

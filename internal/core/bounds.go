@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"ksettop/internal/combinat"
@@ -82,7 +83,7 @@ func UpperBoundsOneRound(m *model.ClosedAbove) ([]UpperBound, error) {
 		covTheorem = "Cor 3.8"
 	}
 	for i := 1; i < gammaEq; i++ {
-		cov, err := combinat.CoveringNumberSet(gens, i)
+		cov, err := combinat.CoveringNumberSet(context.Background(), gens, i)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +143,7 @@ func LowerBoundsOneRound(m *model.ClosedAbove) ([]LowerBound, error) {
 		return out, nil
 	}
 
-	thm54, err := theorem54(gens)
+	thm54, err := theorem54(context.Background(), gens)
 	if err != nil {
 		return nil, err
 	}
@@ -151,8 +152,8 @@ func LowerBoundsOneRound(m *model.ClosedAbove) ([]LowerBound, error) {
 }
 
 // theorem54 evaluates l = min(γ_dist(S)−2, min_t t+M_t(S)−2) and returns the
-// (l+1)-set impossibility.
-func theorem54(gens []graph.Digraph) (LowerBound, error) {
+// (l+1)-set impossibility. Its sweeps poll ctx.
+func theorem54(ctx context.Context, gens []graph.Digraph) (LowerBound, error) {
 	gammaDist, err := combinat.DistributedDominationNumberEffective(gens)
 	if err != nil {
 		return LowerBound{}, err
@@ -160,7 +161,7 @@ func theorem54(gens []graph.Digraph) (LowerBound, error) {
 	l := gammaDist - 2
 	note := fmt.Sprintf("γ_dist(S) = %d", gammaDist)
 	for t := 1; t <= gammaDist-1; t++ {
-		mt, ok, err := combinat.MaxCoveringCoefficientEffective(gens, t)
+		mt, ok, err := combinat.MaxCoveringCoefficientEffective(ctx, gens, t)
 		if err != nil {
 			return LowerBound{}, err
 		}
@@ -199,7 +200,7 @@ func Corollary55(g graph.Digraph) (LowerBound, error) {
 	n := g.N()
 	l := gammaDist - 2
 	for t := 1; t <= gammaDist-1; t++ {
-		mc, ok, err := combinat.MaxCoveringNumber([]graph.Digraph{g}, t)
+		mc, ok, err := combinat.MaxCoveringNumber(context.Background(), []graph.Digraph{g}, t)
 		if err != nil {
 			return LowerBound{}, err
 		}

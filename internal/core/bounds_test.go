@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -179,16 +180,16 @@ func TestMultiRoundSimpleCycle(t *testing.T) {
 	// cycle³ = clique so γ = 1.
 	wantUpper := map[int]int{1: 2, 2: 2, 3: 1}
 	for r, want := range wantUpper {
-		up, err := BestUpperMultiRound(m, r)
+		up, err := BestUpperMultiRound(context.Background(), m, r)
 		if err != nil {
-			t.Fatalf("BestUpperMultiRound(%d): %v", r, err)
+			t.Fatalf("BestUpperMultiRound(context.Background(), %d): %v", r, err)
 		}
 		if up.K != want {
 			t.Errorf("r=%d: upper = %d (%s), want %d", r, up.K, up.Theorem, want)
 		}
-		lo, err := BestLowerMultiRound(m, r)
+		lo, err := BestLowerMultiRound(context.Background(), m, r)
 		if err != nil {
-			t.Fatalf("BestLowerMultiRound(%d): %v", r, err)
+			t.Fatalf("BestLowerMultiRound(context.Background(), %d): %v", r, err)
 		}
 		if lo.K != want-1 {
 			t.Errorf("r=%d: lower = %d, want %d (tight with upper)", r, lo.K, want-1)
@@ -204,7 +205,7 @@ func TestMultiRoundCoveringSequenceBound(t *testing.T) {
 	// solvable in 3 rounds via Thm 6.7 (and γ(cycle³) = 1 via Thm 6.3).
 	cyc, _ := graph.Cycle(4)
 	m, _ := model.Simple(cyc)
-	ups, err := UpperBoundsMultiRound(m, 3)
+	ups, err := UpperBoundsMultiRound(context.Background(), m, 3)
 	if err != nil {
 		t.Fatalf("UpperBoundsMultiRound: %v", err)
 	}
@@ -221,10 +222,10 @@ func TestMultiRoundCoveringSequenceBound(t *testing.T) {
 
 func TestMultiRoundGuards(t *testing.T) {
 	m := kernelModel(t, 3)
-	if _, err := UpperBoundsMultiRound(m, 0); err == nil {
+	if _, err := UpperBoundsMultiRound(context.Background(), m, 0); err == nil {
 		t.Errorf("r=0 should fail")
 	}
-	if _, err := LowerBoundsMultiRound(m, 0); err == nil {
+	if _, err := LowerBoundsMultiRound(context.Background(), m, 0); err == nil {
 		t.Errorf("r=0 should fail")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -85,7 +86,7 @@ func TestQuickRandomSimpleModelSolverAgreesWithGamma(t *testing.T) {
 		gamma := up.K // Thm 3.2: best upper for simple models is γ(G)
 
 		var all []graph.Digraph
-		if err := m.EnumerateGraphs(func(h graph.Digraph) bool {
+		if err := m.EnumerateGraphs(context.Background(), func(h graph.Digraph) bool {
 			all = append(all, h)
 			return true
 		}); err != nil {
@@ -110,7 +111,7 @@ func TestQuickRandomSimpleModelSolverAgreesWithGamma(t *testing.T) {
 }
 
 func solveK(all []graph.Digraph, k int) (bool, error) {
-	res, err := protocol.SolveOneRound(all, k+1, k, 20_000_000)
+	res, err := protocol.SolveOneRoundCtx(context.Background(), all, k+1, k, 20_000_000)
 	if err != nil {
 		return false, err
 	}
@@ -122,14 +123,14 @@ func TestVerifyLowerMultiRoundBySolver(t *testing.T) {
 	// oblivious algorithms (Thm 6.10).
 	cyc, _ := graph.Cycle(4)
 	m, _ := model.Simple(cyc)
-	lo, err := BestLowerMultiRound(m, 2)
+	lo, err := BestLowerMultiRound(context.Background(), m, 2)
 	if err != nil {
 		t.Fatalf("BestLowerMultiRound: %v", err)
 	}
 	if lo.K != 1 {
 		t.Fatalf("lower = %d, want 1", lo.K)
 	}
-	if err := VerifyLowerMultiRoundBySolver(m, lo, 50_000_000); err != nil {
+	if err := VerifyLowerMultiRoundBySolver(context.Background(), m, lo, 50_000_000); err != nil {
 		t.Errorf("multi-round solver verification failed: %v", err)
 	}
 
@@ -137,27 +138,27 @@ func TestVerifyLowerMultiRoundBySolver(t *testing.T) {
 	// 2-set IS solvable); the solver must refute it.
 	wrong := lo
 	wrong.K = 2
-	if err := VerifyLowerMultiRoundBySolver(m, wrong, 50_000_000); err == nil {
+	if err := VerifyLowerMultiRoundBySolver(context.Background(), m, wrong, 50_000_000); err == nil {
 		t.Errorf("overclaimed multi-round bound should fail verification")
 	}
 
 	// Vacuous bound passes.
 	vac := lo
 	vac.K = 0
-	if err := VerifyLowerMultiRoundBySolver(m, vac, 10); err != nil {
+	if err := VerifyLowerMultiRoundBySolver(context.Background(), m, vac, 10); err != nil {
 		t.Errorf("vacuous bound should verify: %v", err)
 	}
 
 	// Star-union model, 2 rounds (Thm 6.13: impossibility persists).
 	sm, _ := model.UnionOfStarsModel(3, 1)
-	slo, err := BestLowerMultiRound(sm, 2)
+	slo, err := BestLowerMultiRound(context.Background(), sm, 2)
 	if err != nil {
 		t.Fatalf("BestLowerMultiRound: %v", err)
 	}
 	if slo.K != 2 {
 		t.Fatalf("star lower = %d, want 2", slo.K)
 	}
-	if err := VerifyLowerMultiRoundBySolver(sm, slo, 50_000_000); err != nil {
+	if err := VerifyLowerMultiRoundBySolver(context.Background(), sm, slo, 50_000_000); err != nil {
 		t.Errorf("star-union 2-round verification failed: %v", err)
 	}
 }

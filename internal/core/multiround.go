@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"ksettop/internal/combinat"
@@ -13,8 +14,8 @@ const maxProductGenerators = 5000
 // UpperBoundsMultiRound returns the paper's r-round upper bounds:
 // Thm 6.3 (simple, γ(G^r)), Thm 6.4 (γ_eq(S^r)), Thm 6.5 (covering numbers
 // of S^r), and Thm 6.7/6.9 (covering-number sequences, which avoid product
-// computations entirely).
-func UpperBoundsMultiRound(m *model.ClosedAbove, r int) ([]UpperBound, error) {
+// computations entirely). Building S^r and every sweep over it poll ctx.
+func UpperBoundsMultiRound(ctx context.Context, m *model.ClosedAbove, r int) ([]UpperBound, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("core: rounds %d must be ≥ 1", r)
 	}
@@ -25,7 +26,7 @@ func UpperBoundsMultiRound(m *model.ClosedAbove, r int) ([]UpperBound, error) {
 	n := m.N()
 	var out []UpperBound
 
-	pm, err := m.ProductModel(r)
+	pm, err := m.ProductModel(ctx, r)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +57,7 @@ func UpperBoundsMultiRound(m *model.ClosedAbove, r int) ([]UpperBound, error) {
 	})
 
 	for i := 1; i < gammaEq; i++ {
-		cov, err := combinat.CoveringNumberSet(prods, i)
+		cov, err := combinat.CoveringNumberSet(ctx, prods, i)
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +72,7 @@ func UpperBoundsMultiRound(m *model.ClosedAbove, r int) ([]UpperBound, error) {
 	// Covering-number sequences (Thm 6.7 single graph / Thm 6.9 sets): the
 	// smallest i whose sequence reaches n within r rounds.
 	for i := 1; i <= n; i++ {
-		seq, err := combinat.CoveringSequenceSet(gens, i)
+		seq, err := combinat.CoveringSequenceSet(ctx, gens, i)
 		if err != nil {
 			return nil, err
 		}
@@ -93,8 +94,8 @@ func UpperBoundsMultiRound(m *model.ClosedAbove, r int) ([]UpperBound, error) {
 }
 
 // BestUpperMultiRound returns the smallest r-round K.
-func BestUpperMultiRound(m *model.ClosedAbove, r int) (UpperBound, error) {
-	all, err := UpperBoundsMultiRound(m, r)
+func BestUpperMultiRound(ctx context.Context, m *model.ClosedAbove, r int) (UpperBound, error) {
+	all, err := UpperBoundsMultiRound(ctx, m, r)
 	if err != nil {
 		return UpperBound{}, err
 	}
@@ -104,15 +105,16 @@ func BestUpperMultiRound(m *model.ClosedAbove, r int) (UpperBound, error) {
 // LowerBoundsMultiRound returns the r-round lower bounds for oblivious
 // algorithms: Thm 6.10 (simple; the statement γ(G^r) − 1, consistent with
 // the paper's appendix rather than its misprinted body) and Thm 6.11
-// (general, Thm 5.4 applied to S^r).
-func LowerBoundsMultiRound(m *model.ClosedAbove, r int) ([]LowerBound, error) {
+// (general, Thm 5.4 applied to S^r). Building S^r and every sweep over it
+// poll ctx.
+func LowerBoundsMultiRound(ctx context.Context, m *model.ClosedAbove, r int) ([]LowerBound, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("core: rounds %d must be ≥ 1", r)
 	}
 	if r == 1 {
 		return LowerBoundsOneRound(m)
 	}
-	pm, err := m.ProductModel(r)
+	pm, err := m.ProductModel(ctx, r)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +139,7 @@ func LowerBoundsMultiRound(m *model.ClosedAbove, r int) ([]LowerBound, error) {
 		return out, nil
 	}
 
-	thm, err := theorem54(prods)
+	thm, err := theorem54(ctx, prods)
 	if err != nil {
 		return nil, err
 	}
@@ -149,8 +151,8 @@ func LowerBoundsMultiRound(m *model.ClosedAbove, r int) ([]LowerBound, error) {
 }
 
 // BestLowerMultiRound returns the strongest r-round impossibility.
-func BestLowerMultiRound(m *model.ClosedAbove, r int) (LowerBound, error) {
-	all, err := LowerBoundsMultiRound(m, r)
+func BestLowerMultiRound(ctx context.Context, m *model.ClosedAbove, r int) (LowerBound, error) {
+	all, err := LowerBoundsMultiRound(ctx, m, r)
 	if err != nil {
 		return LowerBound{}, err
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ksettop/internal/bits"
 	"ksettop/internal/combinat"
@@ -13,12 +15,19 @@ import (
 	"ksettop/internal/topology"
 )
 
-// VerifyUpperBySimulation checks an upper bound empirically: it runs the
+// VerifyUpperBySimulation is VerifyUpperBySimulationCtx on
+// context.Background(), kept for perfbench.
+func VerifyUpperBySimulation(m *model.ClosedAbove, bound UpperBound, limit int) error {
+	return VerifyUpperBySimulationCtx(context.Background(), m, bound, limit)
+}
+
+// VerifyUpperBySimulationCtx checks an upper bound empirically: it runs the
 // paper's algorithm (DominatingSetMin for Thm 3.2 on simple models,
 // MinAlgorithm otherwise) over every initial assignment on k+1 values and
 // every graph of the FULL model closure for the given rounds, and confirms
-// that at most bound.K distinct values are ever decided.
-func VerifyUpperBySimulation(m *model.ClosedAbove, bound UpperBound, limit int) error {
+// that at most bound.K distinct values are ever decided. The enumeration
+// and the sweep poll ctx.
+func VerifyUpperBySimulationCtx(ctx context.Context, m *model.ClosedAbove, bound UpperBound, limit int) error {
 	var algo protocol.Algorithm
 	if bound.Theorem == "Thm 3.2" && m.IsSimple() && bound.Rounds == 1 {
 		set, _ := combinat.MinDominatingSet(m.Generators()[0])
@@ -38,7 +47,7 @@ func VerifyUpperBySimulation(m *model.ClosedAbove, bound UpperBound, limit int) 
 	// generator sequences exhaustively and add a randomized sample of full
 	// closure executions (extra edges can both merge and split min-decision
 	// sets, so generators alone are not provably worst-case).
-	all, err := allModelGraphs(m)
+	all, err := allModelGraphs(ctx, m)
 	if err != nil {
 		return err
 	}
@@ -58,7 +67,7 @@ func VerifyUpperBySimulation(m *model.ClosedAbove, bound UpperBound, limit int) 
 	if cost > limit || cost*assignments > limit {
 		sweep = m.Generators()
 	}
-	res, err := protocol.WorstCase(sweep, numValues, bound.Rounds, algo, limit)
+	res, err := protocol.WorstCase(ctx, sweep, numValues, bound.Rounds, algo, limit)
 	if err != nil {
 		return fmt.Errorf("core: simulation sweep: %w", err)
 	}
@@ -100,22 +109,29 @@ func randomizedUpperCheck(m *model.ClosedAbove, bound UpperBound, algo protocol.
 	return nil
 }
 
-// VerifyLowerBySolver checks a one-round impossibility exhaustively: no
+// VerifyLowerBySolver is VerifyLowerBySolverCtx on context.Background(),
+// kept for perfbench.
+func VerifyLowerBySolver(m *model.ClosedAbove, bound LowerBound, nodeBudget int) error {
+	return VerifyLowerBySolverCtx(context.Background(), m, bound, nodeBudget)
+}
+
+// VerifyLowerBySolverCtx checks a one-round impossibility exhaustively: no
 // oblivious decision map over k+1 values may solve K-set agreement on the
 // full closure. Because one-round full-information protocols are oblivious,
-// this verifies the bound for all algorithms.
-func VerifyLowerBySolver(m *model.ClosedAbove, bound LowerBound, nodeBudget int) error {
+// this verifies the bound for all algorithms. A checkpoint runner carried
+// by ctx makes the search durable (see protocol.SolveOneRoundCtx).
+func VerifyLowerBySolverCtx(ctx context.Context, m *model.ClosedAbove, bound LowerBound, nodeBudget int) error {
 	if bound.K < 1 {
 		return nil // vacuous bound, nothing to check
 	}
 	if bound.Rounds != 1 {
 		return fmt.Errorf("core: solver verification is one-round only (got %d)", bound.Rounds)
 	}
-	all, err := allModelGraphs(m)
+	all, err := allModelGraphs(ctx, m)
 	if err != nil {
 		return err
 	}
-	res, err := protocol.SolveOneRound(all, bound.K+1, bound.K, nodeBudget)
+	res, err := protocol.SolveOneRoundCtx(ctx, all, bound.K+1, bound.K, nodeBudget)
 	if err != nil {
 		return fmt.Errorf("core: solver: %w", err)
 	}
@@ -129,11 +145,9 @@ func VerifyLowerBySolver(m *model.ClosedAbove, bound LowerBound, nodeBudget int)
 // VerifyLowerMultiRoundBySolver checks an r-round oblivious impossibility
 // (Thm 6.10/6.11) exhaustively. After r rounds an oblivious view is exactly
 // the in-neighborhood of the product of the round graphs, so the r-round
-// question is the one-round question over product graphs. Following the
-// §6.1 subcomplex argument, the sweep uses products of r−1 generators with
-// the ENTIRE closure as the last factor — a subset of the true adversary
-// space, so impossibility transfers to the full model a fortiori.
-func VerifyLowerMultiRoundBySolver(m *model.ClosedAbove, bound LowerBound, nodeBudget int) error {
+// question is the one-round question over product graphs: the
+// ProductAdversary sweep.
+func VerifyLowerMultiRoundBySolver(ctx context.Context, m *model.ClosedAbove, bound LowerBound, nodeBudget int) error {
 	if bound.K < 1 {
 		return nil
 	}
@@ -141,37 +155,13 @@ func VerifyLowerMultiRoundBySolver(m *model.ClosedAbove, bound LowerBound, nodeB
 		return fmt.Errorf("core: bound has no round count")
 	}
 	if bound.Rounds == 1 {
-		return VerifyLowerBySolver(m, LowerBound{K: bound.K, Rounds: 1, Theorem: bound.Theorem}, nodeBudget)
+		return VerifyLowerBySolverCtx(ctx, m, LowerBound{K: bound.K, Rounds: 1, Theorem: bound.Theorem}, nodeBudget)
 	}
-	prefixes, err := graph.ProductSet(m.Generators(), bound.Rounds-1)
+	effective, err := ProductAdversary(ctx, m, bound.Rounds)
 	if err != nil {
 		return err
 	}
-
-	closure, err := allModelGraphs(m)
-	if err != nil {
-		return err
-	}
-	seen := make(map[string]graph.Digraph, len(prefixes)*len(closure))
-	for _, p := range prefixes {
-		for _, h := range closure {
-			prod, err := graph.Product(p, h)
-			if err != nil {
-				return err
-			}
-			seen[prod.Key()] = prod
-		}
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic solver input regardless of map order
-	effective := make([]graph.Digraph, 0, len(keys))
-	for _, k := range keys {
-		effective = append(effective, seen[k])
-	}
-	res, err := protocol.SolveOneRound(effective, bound.K+1, bound.K, nodeBudget)
+	res, err := protocol.SolveOneRoundCtx(ctx, effective, bound.K+1, bound.K, nodeBudget)
 	if err != nil {
 		return fmt.Errorf("core: solver: %w", err)
 	}
@@ -182,6 +172,38 @@ func VerifyLowerMultiRoundBySolver(m *model.ClosedAbove, bound LowerBound, nodeB
 	return nil
 }
 
+// ProductAdversary is the r-round oblivious adversary of the §6.1
+// subcomplex argument: products of r−1 generators with the ENTIRE closure
+// as the last factor, deduplicated and sorted by key so the solver input is
+// deterministic. It is a subset of the true adversary space, so an
+// impossibility over it transfers to the full model a fortiori.
+func ProductAdversary(ctx context.Context, m *model.ClosedAbove, rounds int) ([]graph.Digraph, error) {
+	prefixes, err := graph.ProductSet(ctx, m.Generators(), rounds-1)
+	if err != nil {
+		return nil, err
+	}
+	closure, err := allModelGraphs(ctx, m)
+	if err != nil {
+		return nil, err
+	}
+	seen := make(map[string]graph.Digraph, len(prefixes)*len(closure))
+	for _, p := range prefixes {
+		for _, h := range closure {
+			prod, err := graph.Product(p, h)
+			if err != nil {
+				return nil, err
+			}
+			seen[prod.Key()] = prod
+		}
+	}
+	keys := slices.Sorted(maps.Keys(seen))
+	out := make([]graph.Digraph, len(keys))
+	for i, k := range keys {
+		out[i] = seen[k]
+	}
+	return out, nil
+}
+
 // VerifyLowerByTopology checks the connectivity premise behind a one-round
 // impossibility: the paper derives "K-set agreement unsolvable" from the
 // protocol complex being (K−1)-connected ([HKR13] Thm 10.3.1). This builds
@@ -190,14 +212,14 @@ func VerifyLowerMultiRoundBySolver(m *model.ClosedAbove, bound LowerBound, nodeB
 // of the paper's claim: vanishing reduced homology is implied by, but does
 // not imply, (K−1)-connectivity, so a pass corroborates the claim and a
 // failure would refute it.
-func VerifyLowerByTopology(m *model.ClosedAbove, bound LowerBound) error {
+func VerifyLowerByTopology(ctx context.Context, m *model.ClosedAbove, bound LowerBound) error {
 	if bound.K < 1 {
 		return nil
 	}
 	if bound.Rounds != 1 {
 		return fmt.Errorf("core: topology verification is one-round only (got %d)", bound.Rounds)
 	}
-	pc, err := ProtocolComplexOneRound(m, bound.K+1)
+	pc, err := ProtocolComplexOneRoundCtx(ctx, m, bound.K+1)
 	if err != nil {
 		return err
 	}
@@ -205,7 +227,7 @@ func VerifyLowerByTopology(m *model.ClosedAbove, bound LowerBound) error {
 	if err != nil {
 		return err
 	}
-	ok, betti, err := topology.IsHomologicallyKConnected(ac, bound.K-1)
+	ok, betti, err := topology.IsHomologicallyKConnected(ctx, ac, bound.K-1)
 	if err != nil {
 		return err
 	}
@@ -216,15 +238,21 @@ func VerifyLowerByTopology(m *model.ClosedAbove, bound LowerBound) error {
 	return nil
 }
 
-// ProtocolComplexOneRound builds the model's one-round protocol complex over
-// numValues input values (the interpretation of the uninterpreted complex on
-// the input pseudosphere, Def 4.14).
+// ProtocolComplexOneRound is ProtocolComplexOneRoundCtx on
+// context.Background(), kept for perfbench.
 func ProtocolComplexOneRound(m *model.ClosedAbove, numValues int) (*topology.Complex[topology.IView], error) {
+	return ProtocolComplexOneRoundCtx(context.Background(), m, numValues)
+}
+
+// ProtocolComplexOneRoundCtx builds the model's one-round protocol complex
+// over numValues input values (the interpretation of the uninterpreted
+// complex on the input pseudosphere, Def 4.14). The build polls ctx.
+func ProtocolComplexOneRoundCtx(ctx context.Context, m *model.ClosedAbove, numValues int) (*topology.Complex[topology.IView], error) {
 	inputs, err := topology.InputAssignments(m.N(), numValues)
 	if err != nil {
 		return nil, err
 	}
-	return topology.ProtocolComplexOneRound(m.Generators(), inputs)
+	return topology.ProtocolComplexOneRound(ctx, m.Generators(), inputs)
 }
 
 // UninterpretedComplexOf builds C_A (Def 4.4) for the model.
@@ -234,7 +262,7 @@ func UninterpretedComplexOf(m *model.ClosedAbove) (*topology.Complex[bits.Set], 
 
 // VerifyUninterpretedConnectivity checks Thm 4.12 on the model: C_A must be
 // homologically (n−2)-connected.
-func VerifyUninterpretedConnectivity(m *model.ClosedAbove) error {
+func VerifyUninterpretedConnectivity(ctx context.Context, m *model.ClosedAbove) error {
 	c, err := UninterpretedComplexOf(m)
 	if err != nil {
 		return err
@@ -243,7 +271,7 @@ func VerifyUninterpretedConnectivity(m *model.ClosedAbove) error {
 	if err != nil {
 		return err
 	}
-	ok, betti, err := topology.IsHomologicallyKConnected(ac, m.N()-2)
+	ok, betti, err := topology.IsHomologicallyKConnected(ctx, ac, m.N()-2)
 	if err != nil {
 		return err
 	}
@@ -256,8 +284,8 @@ func VerifyUninterpretedConnectivity(m *model.ClosedAbove) error {
 // allModelGraphs materializes the model closure through the sharded
 // streaming enumeration (rank order, so the slice is identical across
 // parallelism settings).
-func allModelGraphs(m *model.ClosedAbove) ([]graph.Digraph, error) {
-	all, err := m.AllGraphs()
+func allModelGraphs(ctx context.Context, m *model.ClosedAbove) ([]graph.Digraph, error) {
+	all, err := m.AllGraphsCtx(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"ksettop/internal/graph"
@@ -37,7 +39,7 @@ func TestVerifyUpperMultiRound(t *testing.T) {
 	// ↑cycle on n=4, 3 rounds: consensus via min (covering sequence).
 	cyc, _ := graph.Cycle(4)
 	m, _ := model.Simple(cyc)
-	up, err := BestUpperMultiRound(m, 3)
+	up, err := BestUpperMultiRound(context.Background(), m, 3)
 	if err != nil {
 		t.Fatalf("BestUpperMultiRound: %v", err)
 	}
@@ -81,7 +83,7 @@ func TestVerifyLowerBySolver(t *testing.T) {
 func TestVerifyLowerByTopology(t *testing.T) {
 	m := kernelModel(t, 3)
 	lo, _ := BestLowerOneRound(m)
-	if err := VerifyLowerByTopology(m, lo); err != nil {
+	if err := VerifyLowerByTopology(context.Background(), m, lo); err != nil {
 		t.Errorf("topology verification failed: %v", err)
 	}
 
@@ -90,14 +92,14 @@ func TestVerifyLowerByTopology(t *testing.T) {
 	clique, _ := graph.Complete(3)
 	cm, _ := model.Simple(clique)
 	bogus := LowerBound{K: 1, Rounds: 1, Theorem: "bogus"}
-	if err := VerifyLowerByTopology(cm, bogus); err == nil {
+	if err := VerifyLowerByTopology(context.Background(), cm, bogus); err == nil {
 		t.Errorf("clique model protocol complex is disconnected; claim should fail")
 	}
 }
 
 func TestVerifyUninterpretedConnectivity(t *testing.T) {
 	for _, m := range []*model.ClosedAbove{kernelModel(t, 3), kernelModel(t, 4), fig1bModel(t)} {
-		if err := VerifyUninterpretedConnectivity(m); err != nil {
+		if err := VerifyUninterpretedConnectivity(context.Background(), m); err != nil {
 			t.Errorf("Thm 4.12 verification failed on %v: %v", m, err)
 		}
 	}
@@ -115,7 +117,43 @@ func TestVerifySimpleCycleLowerAllRoutes(t *testing.T) {
 	if err := VerifyLowerBySolver(m, lo, 10_000_000); err != nil {
 		t.Errorf("solver route failed: %v", err)
 	}
-	if err := VerifyLowerByTopology(m, lo); err != nil {
+	if err := VerifyLowerByTopology(context.Background(), m, lo); err != nil {
 		t.Errorf("topology route failed: %v", err)
+	}
+}
+
+// Every long core entry point returns a cancelled context's cause instead
+// of a result: the multi-round analysis (S^r product and pruning), the
+// product adversary, and the simulation, solver and topology checks.
+func TestCoreEntryPointsReturnCancellation(t *testing.T) {
+	m, err := model.NonSplitModel(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	up, err := BestUpperOneRound(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, err := BestLowerOneRound(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"AnalyzeCtx":            func() error { _, err := AnalyzeCtx(ctx, m, 3); return err },
+		"LowerBoundsMultiRound": func() error { _, err := LowerBoundsMultiRound(ctx, m, 3); return err },
+		"ProductAdversary":      func() error { _, err := ProductAdversary(ctx, m, 2); return err },
+		"VerifyUpperBySimulationCtx": func() error {
+			return VerifyUpperBySimulationCtx(ctx, m, up, 4_000_000)
+		},
+		"VerifyLowerBySolverCtx": func() error {
+			return VerifyLowerBySolverCtx(ctx, m, lo, 1_000_000)
+		},
+		"VerifyLowerByTopology": func() error { return VerifyLowerByTopology(ctx, m, lo) },
+	} {
+		if err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s on a cancelled context = %v, want context.Canceled", name, err)
+		}
 	}
 }

@@ -86,7 +86,7 @@ func TestDistByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := cli.ParseModel("star:n=4")
-	wantN, err := m.GraphCount()
+	wantN, err := m.GraphCountCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDistModelDistributorIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.GraphCount()
+	want, err := m.GraphCountCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

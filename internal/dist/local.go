@@ -43,7 +43,7 @@ func RunLocal(ctx context.Context, job Job, shards int) ([]byte, error) {
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	ctl := &par.Ctl{}
-	if err := par.ForEachShardNCtx(runCtx, total, shards, ctl, func(s int, from, to int64, ctl *par.Ctl) {
+	if err := par.ForEachShardN(runCtx, total, shards, ctl, func(s int, from, to int64, ctl *par.Ctl) {
 		payload, err := op.Run(runCtx, m, from, to, nil)
 		if err != nil {
 			ctl.StopCause(err)

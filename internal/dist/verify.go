@@ -307,7 +307,7 @@ func (c *Coordinator) finishLocal(ctx context.Context, v *verifier, states []*sh
 	defer cancel(nil)
 	var mu sync.Mutex // serializes state/journal/verifier mutation across pool workers
 	ctl := &par.Ctl{}
-	return par.ForEachShardNCtx(runCtx, total, len(states), ctl, func(s int, from, to int64, ctl *par.Ctl) {
+	return par.ForEachShardN(runCtx, total, len(states), ctl, func(s int, from, to int64, ctl *par.Ctl) {
 		st := states[s]
 		if st.committed && (!st.needVerify || st.verified) {
 			return

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ksettop/internal/combinat"
@@ -15,7 +16,7 @@ import (
 // γ(G)-set agreement is solvable in one round and (γ(G)−1)-set is not. On
 // n ≤ 4 the lower bound is re-proved mechanically by exhaustive decision-map
 // search, and the upper bound by exhaustive simulation.
-func E5SimpleBounds() (*Table, error) {
+func E5SimpleBounds(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E5",
 		Title:   "Thm 3.2 + Thm 5.1: simple closed-above models, tight γ(G) characterization",
@@ -63,15 +64,11 @@ func E5SimpleBounds() (*Table, error) {
 
 		simStatus, solverStatus := "skipped", "skipped"
 		if c.g.N() <= 4 {
-			if err := core.VerifyUpperBySimulation(m, up, 4_000_000); err != nil {
-				simStatus = "FAIL: " + err.Error()
-			} else {
-				simStatus = "ok"
+			if simStatus, err = verdict(ctx, core.VerifyUpperBySimulationCtx(ctx, m, up, 4_000_000)); err != nil {
+				return nil, err
 			}
-			if err := core.VerifyLowerBySolver(m, lo, protocol.DefaultNodeBudget()); err != nil {
-				solverStatus = "FAIL: " + err.Error()
-			} else {
-				solverStatus = "ok"
+			if solverStatus, err = verdict(ctx, core.VerifyLowerBySolverCtx(ctx, m, lo, protocol.DefaultNodeBudget())); err != nil {
+				return nil, err
 			}
 		}
 		t.AddRow(c.name, c.g.N(), gamma,
@@ -84,7 +81,7 @@ func E5SimpleBounds() (*Table, error) {
 // E6GeneralUpper reproduces the Thm 3.4/3.7 upper-bound table for general
 // closed-above models: the γ_eq(S) bound next to every covering bound
 // i + (n − cov_i(S)).
-func E6GeneralUpper() (*Table, error) {
+func E6GeneralUpper(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E6",
 		Title:   "Thm 3.4/3.7 (+Cor 3.5/3.8): one-round upper bounds for general models",
@@ -134,10 +131,8 @@ func E6GeneralUpper() (*Table, error) {
 		}
 		simStatus := "skipped"
 		if m.N() <= 4 {
-			if err := core.VerifyUpperBySimulation(m, best, 4_000_000); err != nil {
-				simStatus = "FAIL: " + err.Error()
-			} else {
-				simStatus = "ok"
+			if simStatus, err = verdict(ctx, core.VerifyUpperBySimulationCtx(ctx, m, best, 4_000_000)); err != nil {
+				return nil, err
 			}
 		}
 		t.AddRow(c.name, m.N(), gammaEq, covBounds, fmt.Sprintf("%d-set (%s)", best.K, best.Theorem), simStatus)
@@ -149,7 +144,7 @@ func E6GeneralUpper() (*Table, error) {
 // E7GeneralLower reproduces the Thm 5.4 lower-bound table, cross-checked by
 // exhaustive decision-map search (full model closure) and, on n=3 models,
 // by protocol-complex connectivity.
-func E7GeneralLower() (*Table, error) {
+func E7GeneralLower(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E7",
 		Title:   "Thm 5.4 (+Cor 5.5): one-round lower bounds for general models",
@@ -182,17 +177,23 @@ func E7GeneralLower() (*Table, error) {
 			return nil, err
 		}
 		eff, _ := combinat.DistributedDominationNumberEffective(gens)
-		lit, _ := combinat.DistributedDominationNumber(gens)
+		lit, err := combinat.DistributedDominationNumber(ctx, gens)
+		if err != nil {
+			return nil, err
+		}
 		var mcs, mts string
 		for tt := 1; tt < eff; tt++ {
-			mc, ok, err := combinat.MaxCoveringNumberEffective(gens, tt)
+			mc, ok, err := combinat.MaxCoveringNumberEffective(ctx, gens, tt)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
 				break
 			}
-			mt, _, _ := combinat.MaxCoveringCoefficientEffective(gens, tt)
+			mt, _, err := combinat.MaxCoveringCoefficientEffective(ctx, gens, tt)
+			if err != nil {
+				return nil, err
+			}
 			if mcs != "" {
 				mcs += " "
 				mts += " "
@@ -202,17 +203,13 @@ func E7GeneralLower() (*Table, error) {
 		}
 		solverStatus, topoStatus := "skipped", "skipped"
 		if c.solver {
-			if err := core.VerifyLowerBySolver(m, lo, protocol.DefaultNodeBudget()); err != nil {
-				solverStatus = "FAIL: " + err.Error()
-			} else {
-				solverStatus = "ok"
+			if solverStatus, err = verdict(ctx, core.VerifyLowerBySolverCtx(ctx, m, lo, protocol.DefaultNodeBudget())); err != nil {
+				return nil, err
 			}
 		}
 		if c.topology {
-			if err := core.VerifyLowerByTopology(m, lo); err != nil {
-				topoStatus = "FAIL: " + err.Error()
-			} else {
-				topoStatus = "ok"
+			if topoStatus, err = verdict(ctx, core.VerifyLowerByTopology(ctx, m, lo)); err != nil {
+				return nil, err
 			}
 		}
 		t.AddRow(c.name, m.N(), fmt.Sprintf("%d(%d)", eff, lit), mcs, mts,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ksettop/internal/combinat"
@@ -38,7 +39,7 @@ import (
 // small enough — against the seed packed oracle. The out-star row skips the
 // oracle: its dense-column fallback needs minutes on a complex the hybrid
 // engine reduces in seconds, which is the regime this engine exists for.
-func E17DynamicRotatingStars() (*Table, error) {
+func E17DynamicRotatingStars(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E17",
 		Title:   "FNP-style dynamic rotating-star models: set agreement + Thm 4.12 across homology engines",
@@ -74,7 +75,7 @@ func E17DynamicRotatingStars() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		gamma, err := combinat.DistributedDominationNumber(m.Generators())
+		gamma, err := combinat.DistributedDominationNumber(ctx, m.Generators())
 		if err != nil {
 			return nil, err
 		}
@@ -85,11 +86,11 @@ func E17DynamicRotatingStars() (*Table, error) {
 		// judge on the rows where its one-round sweep is affordable.
 		consensus := "skipped (budget)"
 		if row.solve {
-			all, err := m.AllGraphs()
+			all, err := m.AllGraphsCtx(ctx)
 			if err != nil {
 				return nil, err
 			}
-			res, err := protocol.SolveOneRound(all, row.n, 1, protocol.DefaultNodeBudget())
+			res, err := protocol.SolveOneRoundCtx(ctx, all, row.n, 1, protocol.DefaultNodeBudget())
 			if err != nil {
 				return nil, err
 			}
@@ -102,7 +103,7 @@ func E17DynamicRotatingStars() (*Table, error) {
 		}
 
 		maxDim := row.n - 2
-		betti, connected, enginesAgree, err := crossCheckedBetti(ac, maxDim)
+		betti, connected, enginesAgree, err := crossCheckedBetti(ctx, ac, maxDim)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -83,8 +84,12 @@ func (t *Table) Render() string {
 // Runner is a named experiment.
 type Runner struct {
 	ID  string
-	Run func() (*Table, error)
+	run func(ctx context.Context) (*Table, error)
 }
+
+// Run runs the experiment on context.Background(), kept for perfbench;
+// everything else goes through RunAll.
+func (r Runner) Run() (*Table, error) { return r.run(context.Background()) }
 
 // Outcome is one experiment's result under RunAll.
 type Outcome struct {
@@ -101,8 +106,8 @@ type Outcome struct {
 // includes contention and is comparable across runs only at -parallelism 1).
 // Outcomes come back in input order, so reports are byte-identical to a
 // sequential run; every experiment is a pure computation, which makes the
-// fan-out safe.
-func RunAll(runners []Runner) []Outcome {
+// fan-out safe. A cancelled ctx ends each experiment with its cause as Err.
+func RunAll(ctx context.Context, runners []Runner) []Outcome {
 	outcomes := make([]Outcome, len(runners))
 	workers := par.Parallelism()
 	if workers > len(runners) {
@@ -123,7 +128,7 @@ func RunAll(runners []Runner) []Outcome {
 					return
 				}
 				start := time.Now()
-				table, err := runners[i].Run()
+				table, err := runners[i].run(ctx)
 				outcomes[i] = Outcome{ID: runners[i].ID, Table: table, Elapsed: time.Since(start), Err: err}
 			}
 		}()
@@ -162,17 +167,30 @@ func check(cond bool) string {
 	return "MISMATCH"
 }
 
+// verdict renders one verification cell: "ok", or "FAIL: " and the error of
+// a failed check. A check cut short because ctx is done did not fail: its
+// error is returned, so an interrupted run never prints a FAIL: cell.
+func verdict(ctx context.Context, err error) (string, error) {
+	switch {
+	case err == nil:
+		return "ok", nil
+	case ctx.Err() != nil:
+		return "", err
+	}
+	return "FAIL: " + err.Error(), nil
+}
+
 // crossCheckedBetti computes β̃_0…β̃_maxDim of the complex on the hybrid
 // engine, feeding the pure-sparse cross-check from the same SimplexLevels
 // walk via the levels-accepting entry point. connected reports whether
 // every Betti number vanishes (the Thm 4.12 claim); enginesAgree whether
 // the two reductions returned identical vectors.
-func crossCheckedBetti(ac *topology.AbstractComplex, maxDim int) (betti []int, connected, enginesAgree bool, err error) {
+func crossCheckedBetti(ctx context.Context, ac *topology.AbstractComplex, maxDim int) (betti []int, connected, enginesAgree bool, err error) {
 	cc, err := homology.NewChainComplexFromLevels(ac.SimplexLevels(maxDim + 1))
 	if err != nil {
 		return nil, false, false, err
 	}
-	betti, err = cc.ReducedBetti(maxDim)
+	betti, err = cc.ReducedBettiCtx(ctx, maxDim)
 	if err != nil {
 		return nil, false, false, err
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -64,7 +66,7 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 	}
 	render := func() string {
 		out := ""
-		for _, o := range RunAll(subset) {
+		for _, o := range RunAll(context.Background(), subset) {
 			if o.Err != nil {
 				t.Fatalf("%s: %v", o.ID, o.Err)
 			}
@@ -97,7 +99,7 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 // closed-form bounds, the generic-engine agreement, and the streaming-
 // enumeration closure counts must reproduce exactly.
 func TestE14GoldenTable(t *testing.T) {
-	table, err := E14StarUnions7()
+	table, err := E14StarUnions7(context.Background())
 	if err != nil {
 		t.Fatalf("E14: %v", err)
 	}
@@ -128,7 +130,7 @@ func TestE17GoldenTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E17 reduces a ~213k-simplex complex; skipped in -short mode")
 	}
-	table, err := E17DynamicRotatingStars()
+	table, err := E17DynamicRotatingStars(context.Background())
 	if err != nil {
 		t.Fatalf("E17: %v", err)
 	}
@@ -158,7 +160,7 @@ func TestE15GoldenTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E15 builds eight random models; skipped in -short mode")
 	}
-	table, err := E15RandomClosedAbove()
+	table, err := E15RandomClosedAbove(context.Background())
 	if err != nil {
 		t.Fatalf("E15: %v", err)
 	}
@@ -179,5 +181,29 @@ func TestE15GoldenTable(t *testing.T) {
 		if got := fmt.Sprint(table.Rows[i]); got != fmt.Sprint(want) {
 			t.Errorf("E15 row %d = %v, want %v", i, table.Rows[i], want)
 		}
+	}
+}
+
+// RunAll on a cancelled context reports the cancellation: every experiment
+// that reaches an engine ends with the context's cause as its Err, and no
+// table carries a FAIL: cell for a check that was only cut short.
+func TestRunAllCancelledReportsNoFailCells(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	interrupted := 0
+	for _, o := range RunAll(ctx, All()) {
+		if o.Err != nil {
+			if !errors.Is(o.Err, context.Canceled) {
+				t.Errorf("%s: Err = %v, want context.Canceled", o.ID, o.Err)
+			}
+			interrupted++
+			continue
+		}
+		if text := o.Table.Render(); strings.Contains(text, "FAIL") || strings.Contains(text, "MISMATCH") {
+			t.Errorf("%s rendered a failing row on a cancelled context:\n%s", o.ID, text)
+		}
+	}
+	if interrupted == 0 {
+		t.Fatal("no experiment observed the cancelled context")
 	}
 }

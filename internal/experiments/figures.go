@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ksettop/internal/combinat"
@@ -20,7 +21,7 @@ func fig1b() (graph.Digraph, error) {
 // E1Figure1 reproduces Figure 1 and the §3.2 discussion: on the star model
 // the covering bounds never beat γ_eq; on the second model cov_2 = 3 and
 // γ_eq = 4, so the covering upper bound (3-set) wins.
-func E1Figure1() (*Table, error) {
+func E1Figure1(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E1",
 		Title:   "Figure 1: equal-domination vs covering upper bounds (n=4)",
@@ -55,7 +56,7 @@ func E1Figure1() (*Table, error) {
 		covs := make([]int, 3)
 		bestCov := eq
 		for i := 1; i <= 3 && i < eq; i++ {
-			cov, err := combinat.CoveringNumberSet(gens, i)
+			cov, err := combinat.CoveringNumberSet(ctx, gens, i)
 			if err != nil {
 				return nil, err
 			}
@@ -74,7 +75,7 @@ func E1Figure1() (*Table, error) {
 
 // E2UninterpretedSimplex reproduces Figure 2: a communication graph and its
 // uninterpreted simplex (Def 4.3).
-func E2UninterpretedSimplex() (*Table, error) {
+func E2UninterpretedSimplex(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E2",
 		Title:   "Figure 2: graph → uninterpreted simplex",
@@ -98,7 +99,7 @@ func E2UninterpretedSimplex() (*Table, error) {
 // E3Pseudosphere reproduces Figure 3 and Lemma 4.7: the pseudosphere
 // φ(P1,P2,P3; {v1,v2},{v1,v2},{v}) and the (n−2)-connectivity guarantee,
 // verified homologically on the 2-view pseudosphere (an octahedron).
-func E3Pseudosphere() (*Table, error) {
+func E3Pseudosphere(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E3",
 		Title:   "Figure 3 + Lemma 4.7: pseudospheres and their connectivity",
@@ -109,7 +110,7 @@ func E3Pseudosphere() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ok3, b3, err := topology.IsHomologicallyKConnected(ac3, fig3.ConnectivityBound())
+	ok3, b3, err := topology.IsHomologicallyKConnected(ctx, ac3, fig3.ConnectivityBound())
 	if err != nil {
 		return nil, err
 	}
@@ -121,11 +122,11 @@ func E3Pseudosphere() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	okO, bO, err := topology.IsHomologicallyKConnected(acO, octa.ConnectivityBound())
+	okO, bO, err := topology.IsHomologicallyKConnected(ctx, acO, octa.ConnectivityBound())
 	if err != nil {
 		return nil, err
 	}
-	bettiFull, err := topology.ReducedBettiNumbers(acO, 2)
+	bettiFull, err := topology.ReducedBettiNumbersCtx(ctx, acO, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +138,7 @@ func E3Pseudosphere() (*Table, error) {
 
 // E4Shellability reproduces Figure 4: the left complex is shellable, the
 // right one is not.
-func E4Shellability() (*Table, error) {
+func E4Shellability(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E4",
 		Title:   "Figure 4: shellable vs non-shellable complexes",
@@ -179,7 +180,7 @@ func E4Shellability() (*Table, error) {
 // E11UninterpretedConnectivity verifies Lemma 4.8, Cor 4.9, and Thm 4.12:
 // uninterpreted complexes of closed-above models are (n−2)-connected, and
 // the nerve of the pseudosphere cover is a simplex.
-func E11UninterpretedConnectivity() (*Table, error) {
+func E11UninterpretedConnectivity(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E11",
 		Title:   "Thm 4.12: uninterpreted complexes are (n−2)-connected",
@@ -212,9 +213,12 @@ func E11UninterpretedConnectivity() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		err = core.VerifyUninterpretedConnectivity(m)
+		connectivity, err := verdict(ctx, core.VerifyUninterpretedConnectivity(ctx, m))
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(c.name, m.N(), m.GeneratorCount(), cx.FacetCount(),
-			fmt.Sprintf("%d-connected", m.N()-2), check(err == nil))
+			fmt.Sprintf("%d-connected", m.N()-2), check(connectivity == "ok"))
 	}
 	return t, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -15,7 +16,7 @@ import (
 // E8CycleProduct reproduces the §6.1 example: the product of the 6-cycle
 // with itself, a machine-checked witness that ↑G ⊗ ↑G ⊊ ↑(G ⊗ G) (closure
 // above is not invariant by product), and the Lemma 6.2 inclusion.
-func E8CycleProduct() (*Table, error) {
+func E8CycleProduct(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E8",
 		Title:   "§6.1: closure-above is not invariant by the graph product",
@@ -145,7 +146,7 @@ func productExpressible(h, base graph.Digraph) (bool, int, error) {
 // E9CoveringSequences reproduces Def 6.6/6.8 + Thm 6.7/6.9: the rounds after
 // which the i-th covering sequence reaches n, validated by multi-round
 // simulation of the min algorithm against the generator adversary.
-func E9CoveringSequences() (*Table, error) {
+func E9CoveringSequences(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E9",
 		Title:   "Thm 6.7/6.9: covering-number sequences and multi-round solvability",
@@ -168,7 +169,7 @@ func E9CoveringSequences() (*Table, error) {
 		{"↑star(4)", []graph.Digraph{star4}, 1},
 	}
 	for _, c := range cases {
-		seq, err := combinat.CoveringSequenceSet(c.gens, c.i)
+		seq, err := combinat.CoveringSequenceSet(ctx, c.gens, c.i)
 		if err != nil {
 			return nil, err
 		}
@@ -178,12 +179,11 @@ func E9CoveringSequences() (*Table, error) {
 			reach = fmt.Sprintf("round %d", seq.Round)
 			// Validate: min algorithm over seq.Round rounds against the
 			// generator adversary decides ≤ i values.
-			res, err := protocol.WorstCase(c.gens, c.i+1, seq.Round, protocol.MinAlgorithm{R: seq.Round}, 4_000_000)
-			if err != nil {
-				sim = "FAIL: " + err.Error()
-			} else if res.WorstDistinct <= c.i {
-				sim = "ok"
-			} else {
+			res, err := protocol.WorstCase(ctx, c.gens, c.i+1, seq.Round, protocol.MinAlgorithm{R: seq.Round}, 4_000_000)
+			if sim, err = verdict(ctx, err); err != nil {
+				return nil, err
+			}
+			if sim == "ok" && res.WorstDistinct > c.i {
 				sim = fmt.Sprintf("FAIL: %d distinct", res.WorstDistinct)
 			}
 		} else {
@@ -199,7 +199,7 @@ func E9CoveringSequences() (*Table, error) {
 // symmetric union-of-s-stars model has γ_dist = n−s+1, max-cov_t = t,
 // M_t = n−t; (n−s)-set agreement is impossible while (n−s+1)-set is
 // solvable. On n ≤ 4 the impossibility is re-proved by decision-map search.
-func E10StarUnions() (*Table, error) {
+func E10StarUnions(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E10",
 		Title:   "Thm 6.13: tight bounds for symmetric unions of s stars",
@@ -230,10 +230,9 @@ func E10StarUnions() (*Table, error) {
 			}
 			genericStatus = check(gu.K == up.K && gl.K == lo.K)
 			if c.n <= 4 && lo.K >= 1 {
-				if err := core.VerifyLowerBySolver(m, core.LowerBound{K: lo.K, Rounds: 1, Theorem: lo.Theorem}, protocol.DefaultNodeBudget()); err != nil {
-					solverStatus = "FAIL: " + err.Error()
-				} else {
-					solverStatus = "ok"
+				bound := core.LowerBound{K: lo.K, Rounds: 1, Theorem: lo.Theorem}
+				if solverStatus, err = verdict(ctx, core.VerifyLowerBySolverCtx(ctx, m, bound, protocol.DefaultNodeBudget())); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -247,7 +246,7 @@ func E10StarUnions() (*Table, error) {
 // E12MultiRound reproduces the §6 multi-round bound tables on selected
 // models: γ(G^r) for simple models, γ_eq(S^r) and the product-model lower
 // bounds for general ones.
-func E12MultiRound() (*Table, error) {
+func E12MultiRound(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E12",
 		Title:   "Thm 6.3–6.5 / 6.10–6.11: multi-round bounds via graph products",
@@ -271,20 +270,18 @@ func E12MultiRound() (*Table, error) {
 			return nil, err
 		}
 		for r := 1; r <= c.rounds; r++ {
-			up, err := core.BestUpperMultiRound(m, r)
+			up, err := core.BestUpperMultiRound(ctx, m, r)
 			if err != nil {
 				return nil, err
 			}
-			lo, err := core.BestLowerMultiRound(m, r)
+			lo, err := core.BestLowerMultiRound(ctx, m, r)
 			if err != nil {
 				return nil, err
 			}
 			sim := "skipped"
 			if m.N() <= 4 && r <= 3 {
-				if err := core.VerifyUpperBySimulation(m, up, 2_000_000); err != nil {
-					sim = "FAIL: " + err.Error()
-				} else {
-					sim = "ok"
+				if sim, err = verdict(ctx, core.VerifyUpperBySimulationCtx(ctx, m, up, 2_000_000)); err != nil {
+					return nil, err
 				}
 			}
 			t.AddRow(c.name, r,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -21,7 +22,7 @@ import (
 // push C_A past 2^8 vertices at 6-vertex facets, where only the unbounded
 // engines have a fast path (cap column "sparse-only"). Every row also pins
 // hybrid against the pure-sparse reduction on one shared level table.
-func E15RandomClosedAbove() (*Table, error) {
+func E15RandomClosedAbove(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E15",
 		Title:   "Thm 4.12 on random closed-above models (hybrid homology engine)",
@@ -78,7 +79,7 @@ func E15RandomClosedAbove() (*Table, error) {
 		maxDim := row.n - 2
 		// The hybrid engine and its references are addressed directly, so
 		// the cross-check columns below always compare distinct code.
-		betti, connected, enginesAgree, err := crossCheckedBetti(ac, maxDim)
+		betti, connected, enginesAgree, err := crossCheckedBetti(ctx, ac, maxDim)
 		if err != nil {
 			return nil, err
 		}

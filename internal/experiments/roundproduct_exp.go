@@ -1,15 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"ksettop/internal/core"
 	"ksettop/internal/graph"
 	"ksettop/internal/model"
 	"ksettop/internal/protocol"
-	"ksettop/internal/runctx"
 )
 
 // E16RoundProducts exercises the solver's work-stealing learning engine on
@@ -23,7 +22,7 @@ import (
 // hundred nodes (Nodes and the learned-clause count are identical for
 // every -parallelism setting — the tables below render byte-identically at
 // any worker count).
-func E16RoundProducts() (*Table, error) {
+func E16RoundProducts(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E16",
 		Title:   "Round-product impossibility instances on the parallel solver engine",
@@ -48,9 +47,12 @@ func E16RoundProducts() (*Table, error) {
 			return nil, err
 		}
 		bound := core.LowerBound{K: 1, Rounds: row.rounds, Theorem: "Thm 6.10"}
-		status := "impossible"
-		if err := core.VerifyLowerMultiRoundBySolver(m, bound, protocol.DefaultNodeBudget()); err != nil {
-			status = "FAIL: " + err.Error()
+		status, err := verdict(ctx, core.VerifyLowerMultiRoundBySolver(ctx, m, bound, protocol.DefaultNodeBudget()))
+		if err != nil {
+			return nil, err
+		}
+		if status == "ok" {
+			status = "impossible"
 		}
 		t.AddRow(fmt.Sprintf("↑C%d, %d-round oblivious consensus (product sweep)", row.n, row.rounds),
 			status, "impossible", check(status == "impossible"))
@@ -64,11 +66,11 @@ func E16RoundProducts() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	prods, err := productAdversary(star4, 2)
+	prods, err := core.ProductAdversary(ctx, star4, 2)
 	if err != nil {
 		return nil, err
 	}
-	res, err := protocol.SolveOneRound(prods, 4, 3, protocol.DefaultNodeBudget())
+	res, err := protocol.SolveOneRoundCtx(ctx, prods, 4, 3, protocol.DefaultNodeBudget())
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +82,10 @@ func E16RoundProducts() (*Table, error) {
 	// The same instance on the sequential oracle with a 100k-node budget:
 	// plain backtracking exhausts it — the learning engine is the
 	// difference between milliseconds and (extrapolated) minutes here.
-	_, seqErr := protocol.SolveOneRoundSeq(runctx.Base(), prods, 4, 3, 100_000)
+	_, seqErr := protocol.SolveOneRoundSeq(ctx, prods, 4, 3, 100_000)
+	if _, err := verdict(ctx, seqErr); err != nil {
+		return nil, err
+	}
 	oracleCapped := seqErr != nil && strings.Contains(seqErr.Error(), "node budget")
 	t.AddRow("seq oracle on the same instance, 100k-node budget", fmt.Sprint(seqErr), "budget exhausted", check(oracleCapped))
 
@@ -95,15 +100,15 @@ func E16RoundProducts() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	c5prods, err := productAdversary(c5m, 2)
+	c5prods, err := core.ProductAdversary(ctx, c5m, 2)
 	if err != nil {
 		return nil, err
 	}
-	seqRes, err := protocol.SolveOneRoundSeq(runctx.Base(), c5prods, 2, 1, protocol.DefaultNodeBudget())
+	seqRes, err := protocol.SolveOneRoundSeq(ctx, c5prods, 2, 1, protocol.DefaultNodeBudget())
 	if err != nil {
 		return nil, err
 	}
-	parRes, err := protocol.SolveOneRound(c5prods, 2, 1, protocol.DefaultNodeBudget())
+	parRes, err := protocol.SolveOneRoundCtx(ctx, c5prods, 2, 1, protocol.DefaultNodeBudget())
 	if err != nil {
 		return nil, err
 	}
@@ -113,42 +118,4 @@ func E16RoundProducts() (*Table, error) {
 	t.AddNote("product sweeps follow §6.1: prefixes of r−1 generators × the full closure, a subset of the true")
 	t.AddNote("adversary, so impossibility transfers a fortiori; node counts are pinned across -parallelism.")
 	return t, nil
-}
-
-// productAdversary builds the deduplicated, deterministically-ordered
-// product sweep of r−1 generator prefixes with the model's full closure
-// (the VerifyLowerMultiRoundBySolver adversary, exposed for direct solver
-// runs).
-func productAdversary(m *model.ClosedAbove, rounds int) ([]graph.Digraph, error) {
-	prefixes, err := graph.ProductSet(m.Generators(), rounds-1)
-	if err != nil {
-		return nil, err
-	}
-	var closure []graph.Digraph
-	if err := m.EnumerateGraphs(func(g graph.Digraph) bool {
-		closure = append(closure, g)
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	seen := make(map[string]graph.Digraph, len(prefixes)*len(closure))
-	for _, p := range prefixes {
-		for _, h := range closure {
-			prod, err := graph.Product(p, h)
-			if err != nil {
-				return nil, err
-			}
-			seen[prod.Key()] = prod
-		}
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]graph.Digraph, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, seen[k])
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ksettop/internal/core"
@@ -15,7 +16,7 @@ import (
 // closure size additionally cross-checks the streaming enumeration engine
 // against the inclusion–exclusion closed form — instances the seed
 // enumerator's fixed caps kept out of reach.
-func E14StarUnions7() (*Table, error) {
+func E14StarUnions7(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E14",
 		Title:   "Thm 6.13 at n = 7: star-union family swept by the generic engine",
@@ -41,7 +42,7 @@ func E14StarUnions7() (*Table, error) {
 		}
 		closure := "skipped (budget)"
 		if size, err := m.EnumerationSize(); err == nil && size <= model.DefaultEnumerationBudget {
-			count, err := m.GraphCount()
+			count, err := m.GraphCountCtx(ctx)
 			if err != nil {
 				return nil, err
 			}

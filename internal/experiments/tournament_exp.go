@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ksettop/internal/core"
@@ -19,7 +20,7 @@ import (
 // 1-connected, so the topological route ([HKR13] Thm 10.3.1) does explain
 // the stronger impossibility; it is the combinatorial formula that loses
 // precision here.
-func E13TournamentGap() (*Table, error) {
+func E13TournamentGap(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "E13",
 		Title:   "Beyond the paper: Thm 5.4 is not tight on the tournament model (n=3)",
@@ -42,7 +43,7 @@ func E13TournamentGap() (*Table, error) {
 	t.AddRow("Thm 5.4 lower bound", fmt.Sprintf("%d-set", lo.K), "1-set", check(lo.K == 1))
 
 	var all []graph.Digraph
-	if err := m.EnumerateGraphs(func(g graph.Digraph) bool {
+	if err := m.EnumerateGraphs(ctx, func(g graph.Digraph) bool {
 		all = append(all, g)
 		return true
 	}); err != nil {
@@ -50,13 +51,13 @@ func E13TournamentGap() (*Table, error) {
 	}
 	t.AddRow("model closure size", len(all), "27 (= 3 states per pair)", check(len(all) == 27))
 
-	res2, err := protocol.SolveOneRound(all, 3, 2, protocol.DefaultNodeBudget())
+	res2, err := protocol.SolveOneRoundCtx(ctx, all, 3, 2, protocol.DefaultNodeBudget())
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("2-set solvable by ANY oblivious map (exhaustive)", res2.Solvable, "false", check(!res2.Solvable))
 
-	res3, err := protocol.SolveOneRound(all, 2, 3, protocol.DefaultNodeBudget())
+	res3, err := protocol.SolveOneRoundCtx(ctx, all, 2, 3, protocol.DefaultNodeBudget())
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +69,7 @@ func E13TournamentGap() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc, err := topology.ProtocolComplexOneRound(m.Generators(), inputs)
+	pc, err := topology.ProtocolComplexOneRound(ctx, m.Generators(), inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +77,7 @@ func E13TournamentGap() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ok, betti, err := topology.IsHomologicallyKConnected(ac, 1)
+	ok, betti, err := topology.IsHomologicallyKConnected(ctx, ac, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -292,7 +294,7 @@ func TestProductSet(t *testing.T) {
 	s1, _ := Star(3, 0)
 	s2, _ := Star(3, 1)
 	gens := []Digraph{s1, s2}
-	prods, err := ProductSet(gens, 2)
+	prods, err := ProductSet(context.Background(), gens, 2)
 	if err != nil {
 		t.Fatalf("ProductSet: %v", err)
 	}
@@ -311,10 +313,10 @@ func TestProductSet(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ProductSet(nil, 2); err == nil {
+	if _, err := ProductSet(context.Background(), nil, 2); err == nil {
 		t.Errorf("empty generator list should fail")
 	}
-	if _, err := ProductSet(gens, 0); err == nil {
+	if _, err := ProductSet(context.Background(), gens, 0); err == nil {
 		t.Errorf("r=0 should fail")
 	}
 }
@@ -473,5 +475,62 @@ func TestReachAndStrongConnectivity(t *testing.T) {
 	clique, _ := Complete(4)
 	if !clique.IsStronglyConnected() {
 		t.Errorf("clique is strongly connected")
+	}
+}
+
+// pollCtx counts its Err calls and reports cancellation from call cancelAt
+// on (never when cancelAt is 0): a deterministic stand-in for a cancel
+// arriving mid-sweep.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.cancelAt > 0 && c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// ProductSet polls its context once per 4096 products: over the 64 graphs
+// on 3 processes, S^4 is 3·64·64 products (S^r stays all 64 graphs, as the
+// loops-only graph is a product identity). Uncancelled it polls 3 times
+// and matches the unpolled sweep; cancelled at the second poll it stops
+// there and returns the cause with no partial set.
+func TestProductSetCancellation(t *testing.T) {
+	var gens []Digraph
+	for mask := 0; mask < 64; mask++ {
+		g := MustNew(3)
+		for e, edge := range [][2]int{{0, 1}, {0, 2}, {1, 0}, {1, 2}, {2, 0}, {2, 1}} {
+			if mask&(1<<e) != 0 {
+				if err := g.AddEdge(edge[0], edge[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		gens = append(gens, g)
+	}
+	want, err := ProductSet(context.Background(), gens, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncancelled := &pollCtx{Context: context.Background()}
+	got, err := ProductSet(uncancelled, gens, 4)
+	if err != nil || len(got) != len(want) || uncancelled.polls != 3 {
+		t.Fatalf("uncancelled: %d products, %d polls, err %v; want %d products, 3 polls", len(got), uncancelled.polls, err, len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("uncancelled product %d differs: %v vs %v", i, got[i], want[i])
+		}
+	}
+	cancelled := &pollCtx{Context: context.Background(), cancelAt: 2}
+	got, err = ProductSet(cancelled, gens, 4)
+	if !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("cancelled at poll 2: %d products, err %v; want none and context.Canceled", len(got), err)
+	}
+	if cancelled.polls > 3 { // the stopping poll plus context.Cause's read
+		t.Fatalf("cancelled sweep kept polling: %d polls", cancelled.polls)
 	}
 }

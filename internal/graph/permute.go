@@ -2,6 +2,7 @@ package graph
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	mathbits "math/bits"
 	"slices"
@@ -286,7 +287,7 @@ func symClosure(n int, gens []Digraph) ([]Digraph, error) {
 	// concurrently.
 	shards := par.NumShards(total)
 	locals := make([]*digraphSet, shards)
-	par.ForEachShardN(total, shards, &par.Ctl{}, func(shard int, from, to int64, _ *par.Ctl) {
+	if err := par.ForEachShardN(context.Background(), total, shards, &par.Ctl{}, func(shard int, from, to int64, _ *par.Ctl) {
 		local := newDigraphSet()
 		rows := make([]bits.Set, n)
 		// In-range by the guard above.
@@ -299,11 +300,10 @@ func symClosure(n int, gens []Digraph) ([]Digraph, error) {
 			return true
 		})
 		locals[shard] = local
-	})
+	}); err != nil {
+		return nil, fmt.Errorf("graph: symmetric closure: %w", err)
+	}
 	for _, local := range locals {
-		if local == nil {
-			continue
-		}
 		for _, bucket := range local.buckets {
 			for _, g := range bucket {
 				global.add(g)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"strings"
@@ -139,7 +140,7 @@ func TestSortByKeyMatchesKeyStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	products, err := ProductSet(closure, 2)
+	products, err := ProductSet(context.Background(), closure, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

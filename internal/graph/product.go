@@ -1,6 +1,11 @@
 package graph
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+
+	"ksettop/internal/par"
+)
 
 // Product returns the graph path product g ⊗ h (Def 6.1): edge u→v iff there
 // is w with u→w in g and w→v in h. Because both operands carry self-loops,
@@ -34,8 +39,10 @@ func Power(g Digraph, r int) (Digraph, error) {
 }
 
 // ProductSet returns all products g1 ⊗ … ⊗ gr with each gi drawn from gens
-// (the set S^r used by the §6 multi-round bounds), deduplicated.
-func ProductSet(gens []Digraph, r int) ([]Digraph, error) {
+// (the set S^r used by the §6 multi-round bounds), deduplicated. |S^r| grows
+// exponentially in r, so the sweep polls ctx and a cancelled one returns the
+// context's cause.
+func ProductSet(ctx context.Context, gens []Digraph, r int) ([]Digraph, error) {
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("graph: product set of empty generator list")
 	}
@@ -43,10 +50,14 @@ func ProductSet(gens []Digraph, r int) ([]Digraph, error) {
 		return nil, fmt.Errorf("graph: product length %d must be ≥ 1", r)
 	}
 	current := dedup(gens)
+	products := 0
 	for round := 1; round < r; round++ {
 		seen := newDigraphSet()
 		for _, g := range current {
 			for _, h := range gens {
+				if products++; products&par.PollMask == 0 && ctx.Err() != nil {
+					return nil, context.Cause(ctx)
+				}
 				p, err := Product(g, h)
 				if err != nil {
 					return nil, err

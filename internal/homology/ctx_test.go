@@ -20,7 +20,7 @@ func TestReducedBettiCtxDeterminism(t *testing.T) {
 	defer par.SetParallelism(0)
 
 	par.SetParallelism(1)
-	want, err := ReducedBetti(facets, maxDim)
+	want, err := ReducedBettiCtx(context.Background(), facets, maxDim)
 	if err != nil {
 		t.Fatal(err)
 	}

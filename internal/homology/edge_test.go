@@ -1,10 +1,13 @@
 package homology
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestEdgeCases(t *testing.T) {
 	// Single vertex, maxDim far above dimension.
-	b, err := ReducedBetti(facetComplex{{5}}, 4)
+	b, err := ReducedBettiCtx(context.Background(), facetComplex{{5}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -14,17 +17,17 @@ func TestEdgeCases(t *testing.T) {
 		}
 	}
 	// Disconnected points with sparse ids.
-	b, err = ReducedBetti(facetComplex{{0}, {2000000}}, 1)
+	b, err = ReducedBettiCtx(context.Background(), facetComplex{{0}, {2000000}}, 1)
 	if err != nil || b[0] != 1 || b[1] != 0 {
 		t.Errorf("two far points (comparison-sort fallback): %v err %v", b, err)
 	}
 	// Duplicate facets.
-	b, err = ReducedBetti(facetComplex{{0, 1}, {0, 1}}, 1)
+	b, err = ReducedBettiCtx(context.Background(), facetComplex{{0, 1}, {0, 1}}, 1)
 	if err != nil || b[0] != 0 || b[1] != 0 {
 		t.Errorf("dup segment: %v err %v", b, err)
 	}
 	// maxDim 0 on a circle: only β̃_0.
-	b, err = ReducedBetti(facetComplex{{0, 1}, {1, 2}, {0, 2}}, 0)
+	b, err = ReducedBettiCtx(context.Background(), facetComplex{{0, 1}, {1, 2}, {0, 2}}, 0)
 	if err != nil || len(b) != 1 || b[0] != 0 {
 		t.Errorf("circle maxDim 0: %v err %v", b, err)
 	}

@@ -49,7 +49,6 @@ import (
 	"ksettop/internal/checkpoint"
 	"ksettop/internal/obs"
 	"ksettop/internal/par"
-	"ksettop/internal/runctx"
 )
 
 var obsReductions = obs.DefaultRegistry().Counter("kset_homology_reductions_total",
@@ -62,18 +61,13 @@ type Complex interface {
 	Facets() [][]int
 }
 
-// ReducedBetti computes the reduced GF(2) Betti numbers β̃_0 … β̃_maxDim of
-// the complex on the hybrid engine: β̃_q = dim ker ∂_q − dim im ∂_{q+1}
+// ReducedBettiCtx computes the reduced GF(2) Betti numbers β̃_0 … β̃_maxDim
+// of the complex on the hybrid engine: β̃_q = dim ker ∂_q − dim im ∂_{q+1}
 // with the augmented chain complex, so β̃_0 is (components − 1). The empty
-// complex is rejected, as in the seed implementation.
-func ReducedBetti(c Complex, maxDim int) ([]int, error) {
-	return ReducedBettiCtx(runctx.Base(), c, maxDim)
-}
-
-// ReducedBettiCtx is ReducedBetti bound to a context: ctx expiry cancels the
-// reduction across all workers at shard/poll granularity and returns the
-// context's cause wrapped as "homology: reduction aborted". A completed call
-// is identical to ReducedBetti at every parallelism setting.
+// complex is rejected, as in the seed implementation. ctx expiry cancels
+// the reduction across all workers at shard/poll granularity and returns
+// the context's cause wrapped as "homology: reduction aborted"; a completed
+// call is identical at every parallelism setting.
 func ReducedBettiCtx(ctx context.Context, c Complex, maxDim int) ([]int, error) {
 	if maxDim < 0 {
 		return nil, fmt.Errorf("homology: negative homology dimension %d", maxDim)
@@ -85,17 +79,11 @@ func ReducedBettiCtx(ctx context.Context, c Complex, maxDim int) ([]int, error) 
 	return cc.ReducedBettiCtx(ctx, maxDim)
 }
 
-// ReducedBetti computes β̃_0 … β̃_maxDim from the level table on the hybrid
-// engine. The table must extend to dimension maxDim+1. Boundary matrices
-// are built top dimension first so each reduction's pivot rows clear
-// columns of the next one, and each matrix is dropped before the next is
-// built.
-func (cc *ChainComplex) ReducedBetti(maxDim int) ([]int, error) {
-	return cc.ReducedBettiCtx(runctx.Base(), maxDim)
-}
-
-// ReducedBettiCtx is ReducedBetti bound to a context (see the package-level
-// ReducedBettiCtx).
+// ReducedBettiCtx computes β̃_0 … β̃_maxDim from the level table on the
+// hybrid engine (see the package-level ReducedBettiCtx). The table must
+// extend to dimension maxDim+1. Boundary matrices are built top dimension
+// first so each reduction's pivot rows clear columns of the next one, and
+// each matrix is dropped before the next is built.
 func (cc *ChainComplex) ReducedBettiCtx(ctx context.Context, maxDim int) ([]int, error) {
 	if err := cc.checkBettiDim(maxDim); err != nil {
 		return nil, err
@@ -104,7 +92,7 @@ func (cc *ChainComplex) ReducedBettiCtx(ctx context.Context, maxDim int) ([]int,
 	// already-expired context is rejected synchronously (the async Bind
 	// watcher could lose the race against a small first reduction).
 	ctl := &par.Ctl{}
-	if ctx != nil && ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return nil, abortErr(ctl, ctx)
 	}
 	release := ctl.Bind(ctx)
@@ -150,7 +138,7 @@ func (cc *ChainComplex) ReducedBettiCtx(ctx context.Context, maxDim int) ([]int,
 		span.SetInt("dim", int64(q))
 		span.SetInt("columns", int64(cc.levels[q].Count()))
 		var err error
-		rank[q], cleared, err = cc.Boundary(q).reduceHybrid(ctl, cleared)
+		rank[q], cleared, err = cc.Boundary(q).reduceHybrid(ctx, ctl, cleared)
 		if err != nil {
 			span.End()
 			return nil, abortErr(ctl, ctx)
@@ -163,7 +151,7 @@ func (cc *ChainComplex) ReducedBettiCtx(ctx context.Context, maxDim int) ([]int,
 	return cc.bettiFromRanks(rank, maxDim), nil
 }
 
-// ReducedBettiSparse is ReducedBetti on the original pure-sparse reduction —
+// ReducedBettiSparse is ReducedBettiCtx on the original pure-sparse reduction —
 // merge-based column XOR, no apparent pass, no dense blocks. It is the
 // independent reference the hybrid engine is cross-checked against, so it
 // runs without cancellation, checkpoints or spans.
@@ -181,8 +169,8 @@ func (cc *ChainComplex) ReducedBettiSparse(maxDim int) ([]int, error) {
 			continue
 		}
 		var err error
-		if rank[q], cleared, err = cc.Boundary(q).reduceSparse(ctl, cleared); err != nil {
-			return nil, abortErr(ctl, nil)
+		if rank[q], cleared, err = cc.Boundary(q).reduceSparse(context.Background(), ctl, cleared); err != nil {
+			return nil, abortErr(ctl, context.Background())
 		}
 	}
 	return cc.bettiFromRanks(rank, maxDim), nil
@@ -215,7 +203,7 @@ func (cc *ChainComplex) bettiFromRanks(rank []int, maxDim int) []int {
 // fault) if any, else the context's, else plain cancellation.
 func abortErr(ctl *par.Ctl, ctx context.Context) error {
 	cause := ctl.Cause()
-	if cause == nil && ctx != nil {
+	if cause == nil {
 		cause = context.Cause(ctx)
 	}
 	if cause == nil {

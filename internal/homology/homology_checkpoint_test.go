@@ -27,7 +27,7 @@ func TestHomologyCheckpointKillResumeMatrix(t *testing.T) {
 	defer par.SetParallelism(0)
 
 	par.SetParallelism(1)
-	want, err := ReducedBetti(facets, maxDim)
+	want, err := ReducedBettiCtx(context.Background(), facets, maxDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestHomologyCheckpointKillResume512k(t *testing.T) {
 	}
 	defer par.SetParallelism(0)
 	par.SetParallelism(4)
-	want, err := ReducedBetti(facets, maxDim)
+	want, err := ReducedBettiCtx(context.Background(), facets, maxDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestHomologyCheckpointForeignAndCorruptColdStart(t *testing.T) {
 	const maxDim = 3
 	defer par.SetParallelism(0)
 	par.SetParallelism(2)
-	want, err := ReducedBetti(facets, maxDim)
+	want, err := ReducedBettiCtx(context.Background(), facets, maxDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestHomologyCheckpointForeignAndCorruptColdStart(t *testing.T) {
 func TestHomologyCheckpointVersion1ColdStart(t *testing.T) {
 	facets := facetComplex(pseudosphereFacets([]int{3, 3, 3, 2, 2}))
 	const maxDim = 3
-	want, err := ReducedBetti(facets, maxDim)
+	want, err := ReducedBettiCtx(context.Background(), facets, maxDim)
 	if err != nil {
 		t.Fatal(err)
 	}

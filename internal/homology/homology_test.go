@@ -1,6 +1,7 @@
 package homology
 
 import (
+	"context"
 	"testing"
 
 	"ksettop/internal/par"
@@ -13,7 +14,7 @@ func (c facetComplex) Facets() [][]int { return c }
 
 func betti(t *testing.T, facets [][]int, maxDim int) []int {
 	t.Helper()
-	b, err := ReducedBetti(facetComplex(facets), maxDim)
+	b, err := ReducedBettiCtx(context.Background(), facetComplex(facets), maxDim)
 	if err != nil {
 		t.Fatalf("ReducedBetti: %v", err)
 	}
@@ -57,10 +58,10 @@ func TestReducedBettiClassicSpaces(t *testing.T) {
 }
 
 func TestReducedBettiErrors(t *testing.T) {
-	if _, err := ReducedBetti(facetComplex(nil), 0); err == nil {
+	if _, err := ReducedBettiCtx(context.Background(), facetComplex(nil), 0); err == nil {
 		t.Error("empty complex should be rejected")
 	}
-	if _, err := ReducedBetti(facetComplex{{0}}, -1); err == nil {
+	if _, err := ReducedBettiCtx(context.Background(), facetComplex{{0}}, -1); err == nil {
 		t.Error("negative dimension should be rejected")
 	}
 }
@@ -191,7 +192,7 @@ func TestPseudospherePastPackedCap(t *testing.T) {
 	if total := cc.TotalSimplexes(); total <= 1<<16 {
 		t.Fatalf("instance has %d simplexes, want > 64k", total)
 	}
-	b, err := cc.ReducedBetti(7)
+	b, err := cc.ReducedBettiCtx(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestLevelIndexArenaForm(t *testing.T) {
 	if got := edges.index([]uint32{0, 1}); got != -1 {
 		t.Errorf("index of absent edge = %d, want -1", got)
 	}
-	b, err := cc.ReducedBetti(1)
+	b, err := cc.ReducedBettiCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

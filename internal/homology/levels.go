@@ -1,6 +1,7 @@
 package homology
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -126,7 +127,11 @@ func NewChainComplex(c Complex, maxDim int) (*ChainComplex, error) {
 		maxSize = maxFacet
 	}
 	if width := packedWidth(maxVert, maxSize); width > 0 {
-		cc.levels = buildPackedLevels(facets, maxDim, width)
+		levels, err := buildPackedLevels(facets, maxDim, width)
+		if err != nil {
+			return nil, err
+		}
+		cc.levels = levels
 		return cc, nil
 	}
 	// The facet walk shards across the worker pool: each shard streams its
@@ -136,9 +141,11 @@ func NewChainComplex(c Complex, maxDim int) (*ChainComplex, error) {
 	// deterministic across parallelism.
 	shards := par.NumShards(int64(len(facets)))
 	perShard := make([][][]uint32, shards) // perShard[shard][size] = sorted arena
-	par.ForEachShardN(int64(len(facets)), shards, &par.Ctl{}, func(shard int, from, to int64, _ *par.Ctl) {
+	if err := par.ForEachShardN(context.Background(), int64(len(facets)), shards, &par.Ctl{}, func(shard int, from, to int64, _ *par.Ctl) {
 		perShard[shard] = buildLevels(facets[from:to], maxDim)
-	})
+	}); err != nil {
+		return nil, fmt.Errorf("homology: level build: %w", err)
+	}
 	for d := 0; d <= maxDim; d++ {
 		size := d + 1
 		sorted := perShard[0][size]

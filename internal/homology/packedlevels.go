@@ -1,6 +1,8 @@
 package homology
 
 import (
+	"context"
+	"fmt"
 	mathbits "math/bits"
 	"sort"
 	"sync"
@@ -84,12 +86,14 @@ func faceKey(key uint64, width, omit int) uint64 {
 // buildPackedLevels is the packed twin of NewChainComplex's facet walk:
 // per-shard streaming builders over uint64 keys, folded into sorted level
 // unions afterwards.
-func buildPackedLevels(facets [][]int, maxDim, width int) []*Level {
+func buildPackedLevels(facets [][]int, maxDim, width int) ([]*Level, error) {
 	shards := par.NumShards(int64(len(facets)))
 	perShard := make([][][]uint64, shards)
-	par.ForEachShardN(int64(len(facets)), shards, &par.Ctl{}, func(shard int, from, to int64, _ *par.Ctl) {
+	if err := par.ForEachShardN(context.Background(), int64(len(facets)), shards, &par.Ctl{}, func(shard int, from, to int64, _ *par.Ctl) {
 		perShard[shard] = buildKeyLevels(facets[from:to], maxDim, width)
-	})
+	}); err != nil {
+		return nil, fmt.Errorf("homology: level build: %w", err)
+	}
 	levels := make([]*Level, maxDim+1)
 	for d := 0; d <= maxDim; d++ {
 		size := d + 1
@@ -109,7 +113,7 @@ func buildPackedLevels(facets [][]int, maxDim, width int) []*Level {
 		}
 		levels[d] = &Level{size: size, width: width, keys: sorted}
 	}
-	return levels
+	return levels, nil
 }
 
 // keyBuilderPool recycles per-shard builder sets — the pending batches,

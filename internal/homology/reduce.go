@@ -1,6 +1,7 @@
 package homology
 
 import (
+	"context"
 	"errors"
 
 	"ksettop/internal/obs"
@@ -55,7 +56,7 @@ func (m *Boundary) NumCols() int { return m.numCols }
 
 // Rank computes the GF(2) rank on the hybrid engine.
 func (m *Boundary) Rank() int {
-	rank, _, err := m.reduceHybrid(&par.Ctl{}, nil)
+	rank, _, err := m.reduceHybrid(context.Background(), &par.Ctl{}, nil)
 	repanicReduce(err)
 	return rank
 }
@@ -166,12 +167,12 @@ func sortColumn(a []uint32) {
 // scheduling, and column representation — the same determinism contract as
 // the sparse path.
 //
-// ctl carries the sweep's cancellation state (typically bound to a context
-// by the caller): the parallel passes observe it at shard boundaries and
+// ctl carries the sweep's cancellation state (bound to ctx by the caller,
+// and again by each parallel pass): the parallel passes observe it at shard boundaries and
 // every pollStride columns, the sequential scans poll it at the same stride,
 // and a stopped sweep returns the recorded cause — or errReduceCancelled
 // when the stop carried none — with all pooled reducers returned.
-func (m *Boundary) reduceHybrid(ctl *par.Ctl, cleared []bool) (int, []bool, error) {
+func (m *Boundary) reduceHybrid(ctx context.Context, ctl *par.Ctl, cleared []bool) (int, []bool, error) {
 	if m.numCols == 0 || m.numRows == 0 {
 		return 0, nil, nil
 	}
@@ -179,7 +180,7 @@ func (m *Boundary) reduceHybrid(ctl *par.Ctl, cleared []bool) (int, []bool, erro
 
 	lows := make([]uint32, m.numCols)
 	shards := par.NumShards(int64(m.numCols))
-	if err := par.ForEachShardNCtx(nil, int64(m.numCols), shards, ctl, func(_ int, from, to int64, c *par.Ctl) {
+	if err := par.ForEachShardN(ctx, int64(m.numCols), shards, ctl, func(_ int, from, to int64, c *par.Ctl) {
 		face := make([]uint32, m.stride-1)
 		for j := from; j < to; j++ {
 			if j&(pollStride-1) == 0 && c.Stopped() {
@@ -225,7 +226,7 @@ func (m *Boundary) reduceHybrid(ctl *par.Ctl, cleared []bool) (int, []bool, erro
 	if len(queue) > 0 {
 		blocks := par.NumShards(int64(len(queue)))
 		reducers = make([]*hybridReducer, blocks)
-		err := par.ForEachShardNCtx(nil, int64(len(queue)), blocks, ctl, func(shard int, from, to int64, c *par.Ctl) {
+		err := par.ForEachShardN(ctx, int64(len(queue)), blocks, ctl, func(shard int, from, to int64, c *par.Ctl) {
 			r := getReducer(m, appar, promote)
 			reducers[shard] = r
 			// One backing arena per block, carved from the reducer's own
@@ -300,13 +301,13 @@ func (m *Boundary) reduceHybrid(ctl *par.Ctl, cleared []bool) (int, []bool, erro
 // blocks locally in parallel; phase 2 folds the survivors sequentially in
 // block order into the global pivot table. Rank over a field is unique, so
 // the result matches reduceHybrid on every input.
-func (m *Boundary) reduceSparse(ctl *par.Ctl, cleared []bool) (int, []bool, error) {
+func (m *Boundary) reduceSparse(ctx context.Context, ctl *par.Ctl, cleared []bool) (int, []bool, error) {
 	if m.numCols == 0 || m.numRows == 0 {
 		return 0, nil, nil
 	}
 	shards := par.NumShards(int64(m.numCols))
 	locals := make([][][]uint32, shards)
-	if err := par.ForEachShardNCtx(nil, int64(m.numCols), shards, ctl, func(shard int, from, to int64, c *par.Ctl) {
+	if err := par.ForEachShardN(ctx, int64(m.numCols), shards, ctl, func(shard int, from, to int64, c *par.Ctl) {
 		r := newSparseReducer(m.numRows)
 		// One backing arena for the block's unreduced columns; columns that
 		// survive untouched keep pointing into it.

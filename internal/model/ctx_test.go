@@ -3,6 +3,7 @@ package model
 import (
 	"context"
 	"errors"
+	mathbits "math/bits"
 	"testing"
 	"time"
 
@@ -52,7 +53,7 @@ func TestEnumerateCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCount, err := m.GraphCount()
+	wantCount, err := m.GraphCountCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +66,8 @@ func TestEnumerateCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.EnumerateRangeCtx(expired, 0, size, func(graph.Digraph) bool { return true }); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("EnumerateRangeCtx(expired) = %v, want DeadlineExceeded chain", err)
+	if err := m.EnumerateRange(expired, 0, size, func(graph.Digraph) bool { return true }); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("EnumerateRange(expired) = %v, want DeadlineExceeded chain", err)
 	}
 
 	for _, workers := range []int{1, 2, 8} {
@@ -90,5 +91,59 @@ func TestEnumerateCtxCancellation(t *testing.T) {
 		if err != nil || count != wantCount {
 			t.Fatalf("workers=%d: GraphCountCtx = %d, %v; want %d", workers, count, err, wantCount)
 		}
+	}
+}
+
+// pollCtx counts its Err calls and reports cancellation from call cancelAt
+// on (never when cancelAt is 0): a deterministic stand-in for a cancel
+// arriving mid-sweep.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.cancelAt > 0 && c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// The generator pruning polls its context once per 4096 subgraph
+// comparisons. The 924 graphs on 4 processes with exactly 6 of the 12
+// edges form an antichain, so pruning compares all 924² pairs (208 polls)
+// and keeps every graph; cancelled at the second poll it returns the cause.
+func TestMinimalGeneratorsCancellation(t *testing.T) {
+	var gens []graph.Digraph
+	for mask := 0; mask < 1<<12; mask++ {
+		if mathbits.OnesCount(uint(mask)) != 6 {
+			continue
+		}
+		g := graph.MustNew(4)
+		e := 0
+		for u := 0; u < 4; u++ {
+			for v := 0; v < 4; v++ {
+				if u == v {
+					continue
+				}
+				if mask&(1<<e) != 0 {
+					if err := g.AddEdge(u, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				e++
+			}
+		}
+		gens = append(gens, g)
+	}
+	uncancelled := &pollCtx{Context: context.Background()}
+	minimal, err := minimalGenerators(uncancelled, gens)
+	if err != nil || len(minimal) != len(gens) || uncancelled.polls != len(gens)*len(gens)/4096 {
+		t.Fatalf("uncancelled: %d of %d kept, %d polls, err %v; want all kept, %d polls",
+			len(minimal), len(gens), uncancelled.polls, err, len(gens)*len(gens)/4096)
+	}
+	cancelled := &pollCtx{Context: context.Background(), cancelAt: 2}
+	if minimal, err := minimalGenerators(cancelled, gens); !errors.Is(err, context.Canceled) || minimal != nil {
+		t.Fatalf("cancelled at poll 2: %d kept, err %v; want none and context.Canceled", len(minimal), err)
 	}
 }

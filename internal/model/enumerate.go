@@ -3,13 +3,13 @@ package model
 import (
 	"context"
 	"fmt"
+	"math"
 	mathbits "math/bits"
 	"sync/atomic"
 
 	"ksettop/internal/bits"
 	"ksettop/internal/graph"
 	"ksettop/internal/par"
-	"ksettop/internal/runctx"
 )
 
 // DefaultEnumerationBudget bounds the closure rank space swept by
@@ -208,27 +208,10 @@ func freeEdgePositions(n int, base bits.Words) []int32 {
 // EnumerateGraphs calls yield on every graph of the model exactly once (the
 // union of the upward closures of the generators), in ascending enumeration
 // rank, stopping early if yield returns false. Models whose rank space
-// exceeds the enumeration budget are rejected.
-func (m *ClosedAbove) EnumerateGraphs(yield func(graph.Digraph) bool) error {
-	e, err := m.Enumeration()
-	if err != nil {
-		return err
-	}
-	_, err = e.RangeGraphs(0, e.Size(), yield)
-	return err
-}
-
-// EnumerateRange calls yield on the closure elements with enumeration ranks
-// in [lo, hi) — the shard API: the union of EnumerateRange over any
-// partition of [0, EnumerationSize()) equals EnumerateGraphs, with each
-// graph yielded exactly once by exactly one shard.
-func (m *ClosedAbove) EnumerateRange(lo, hi int64, yield func(graph.Digraph) bool) error {
-	e, err := m.Enumeration()
-	if err != nil {
-		return err
-	}
-	_, err = e.RangeGraphs(lo, hi, yield)
-	return err
+// exceeds the enumeration budget are rejected; a cancelled enumeration
+// returns the context's cause (see EnumerateRange).
+func (m *ClosedAbove) EnumerateGraphs(ctx context.Context, yield func(graph.Digraph) bool) error {
+	return m.EnumerateRange(ctx, 0, math.MaxInt64, yield)
 }
 
 // enumPollMask: ctx-aware enumeration loops poll cancellation every
@@ -237,16 +220,15 @@ func (m *ClosedAbove) EnumerateRange(lo, hi int64, yield func(graph.Digraph) boo
 // profiles.
 const enumPollMask = 1023
 
-// EnumerateRangeCtx is EnumerateRange bound to a context: cancellation or
-// deadline expiry stops the scan within ~1k ranks and returns the context's
-// cause. A completed scan is identical to EnumerateRange.
-func (m *ClosedAbove) EnumerateRangeCtx(ctx context.Context, lo, hi int64, yield func(graph.Digraph) bool) error {
+// EnumerateRange calls yield on the closure elements with enumeration ranks
+// in [lo, hi) — the shard API: the union of EnumerateRange over any
+// partition of [0, EnumerationSize()) equals EnumerateGraphs, with each
+// graph yielded exactly once by exactly one shard. Cancellation or deadline
+// expiry of ctx stops the scan within ~1k ranks and returns the context's
+// cause.
+func (m *ClosedAbove) EnumerateRange(ctx context.Context, lo, hi int64, yield func(graph.Digraph) bool) error {
 	e, err := m.Enumeration()
 	if err != nil {
-		return err
-	}
-	if ctx == nil || ctx.Done() == nil {
-		_, err = e.RangeGraphs(lo, hi, yield)
 		return err
 	}
 	if ctx.Err() != nil {
@@ -285,19 +267,18 @@ func (m *ClosedAbove) EnumerationSize() (int64, error) {
 	return e.Size(), nil
 }
 
-// AllGraphs materializes the full closure, fanning the enumeration out
-// across the par worker pool. Shard results are concatenated in shard order,
-// so the slice is in ascending enumeration rank — identical to a sequential
-// EnumerateGraphs collect, regardless of parallelism.
+// AllGraphs is AllGraphsCtx on context.Background(), kept for perfbench.
 func (m *ClosedAbove) AllGraphs() ([]graph.Digraph, error) {
-	return m.AllGraphsCtx(runctx.Base())
+	return m.AllGraphsCtx(context.Background())
 }
 
-// AllGraphsCtx is AllGraphs bound to a context: cancellation stops every
-// shard scanner within ~1k ranks (in-flight shards) or at the next shard
-// boundary (queued shards) and returns the cause instead of a partial
-// closure. Completed runs are byte-identical to AllGraphs at every
-// parallelism.
+// AllGraphsCtx materializes the full closure, fanning the enumeration out
+// across the par worker pool. Shard results are concatenated in shard order,
+// so the slice is in ascending enumeration rank — identical to a sequential
+// EnumerateGraphs collect, regardless of parallelism. Cancellation stops
+// every shard scanner within ~1k ranks (in-flight shards) or at the next
+// shard boundary (queued shards) and returns the cause instead of a partial
+// closure.
 func (m *ClosedAbove) AllGraphsCtx(ctx context.Context) ([]graph.Digraph, error) {
 	e, err := m.Enumeration()
 	if err != nil {
@@ -307,7 +288,7 @@ func (m *ClosedAbove) AllGraphsCtx(ctx context.Context) ([]graph.Digraph, error)
 	shards := par.NumShards(total)
 	if shards <= 1 {
 		var all []graph.Digraph
-		if err := m.EnumerateRangeCtx(ctx, 0, total, func(g graph.Digraph) bool {
+		if err := m.EnumerateRange(ctx, 0, total, func(g graph.Digraph) bool {
 			all = append(all, g)
 			return true
 		}); err != nil {
@@ -318,7 +299,7 @@ func (m *ClosedAbove) AllGraphsCtx(ctx context.Context) ([]graph.Digraph, error)
 	locals := make([][]graph.Digraph, shards)
 	errs := make([]error, shards)
 	ctl := &par.Ctl{}
-	if err := par.ForEachShardNCtx(ctx, total, shards, ctl, func(shard int, from, to int64, c *par.Ctl) {
+	if err := par.ForEachShardN(ctx, total, shards, ctl, func(shard int, from, to int64, c *par.Ctl) {
 		var out []graph.Digraph
 		seen := int64(0)
 		_, errs[shard] = e.RangeGraphs(from, to, func(g graph.Digraph) bool {
@@ -350,15 +331,11 @@ func (m *ClosedAbove) AllGraphsCtx(ctx context.Context) ([]graph.Digraph, error)
 	return all, nil
 }
 
-// GraphCount returns the number of graphs in the model (size of the union
+// GraphCountCtx returns the number of graphs in the model (size of the union
 // of the closures). The count runs on the mask-level fast path, sharded
-// across the worker pool, and is memoized per generator set.
-func (m *ClosedAbove) GraphCount() (int, error) {
-	return m.GraphCountCtx(runctx.Base())
-}
-
-// GraphCountCtx is GraphCount bound to a context; a cancelled count returns
-// the cause (and is not cached — a later uncancelled call recomputes).
+// across the worker pool, and is memoized per generator set. A cancelled
+// count returns the cause (and is not cached — a later uncancelled call
+// recomputes).
 // When a Distributor is installed (see SetDistributor) the count is offered
 // to it first; a declined sweep falls back to the in-process pool, and the
 // distributor's determinism contract keeps the cached value identical
@@ -381,7 +358,7 @@ func (m *ClosedAbove) GraphCountCtx(ctx context.Context) (int, error) {
 		if shards < 1 {
 			shards = 1
 		}
-		if err := par.ForEachShardNCtx(ctx, total, shards, ctl, func(_ int, from, to int64, c *par.Ctl) {
+		if err := par.ForEachShardN(ctx, total, shards, ctl, func(_ int, from, to int64, c *par.Ctl) {
 			local := 0
 			seen := int64(0)
 			e.RangeMasks(from, to, func(bits.Words) bool {

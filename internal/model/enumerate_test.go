@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"testing"
 
 	"ksettop/internal/graph"
@@ -58,7 +59,7 @@ func corpusModels(t *testing.T) map[string]*ClosedAbove {
 func collectKeys(t *testing.T, m *ClosedAbove) []string {
 	t.Helper()
 	var keys []string
-	if err := m.EnumerateGraphs(func(g graph.Digraph) bool {
+	if err := m.EnumerateGraphs(context.Background(), func(g graph.Digraph) bool {
 		keys = append(keys, g.Key())
 		return true
 	}); err != nil {
@@ -90,7 +91,7 @@ func TestEnumerateRangeShardUnion(t *testing.T) {
 				if p%2 == 1 && hi < size {
 					hi++
 				}
-				if err := m.EnumerateRange(lo, hi, func(g graph.Digraph) bool {
+				if err := m.EnumerateRange(context.Background(), lo, hi, func(g graph.Digraph) bool {
 					got = append(got, g.Key())
 					return true
 				}); err != nil {
@@ -116,7 +117,7 @@ func TestEnumerateRangeShardUnion(t *testing.T) {
 func TestEnumerateNoDuplicatesAndMembership(t *testing.T) {
 	for name, m := range corpusModels(t) {
 		seen := map[string]bool{}
-		if err := m.EnumerateGraphs(func(g graph.Digraph) bool {
+		if err := m.EnumerateGraphs(context.Background(), func(g graph.Digraph) bool {
 			if !m.Contains(g) {
 				t.Fatalf("%s: enumerated graph %v outside model", name, g)
 			}
@@ -140,7 +141,7 @@ func TestGraphCountClosedFormCrossCheck(t *testing.T) {
 		if len(m.Generators()) > 22 {
 			continue // closed form is exponential in |S|
 		}
-		count, err := m.GraphCount()
+		count, err := m.GraphCountCtx(context.Background())
 		if err != nil {
 			t.Fatalf("%s: GraphCount: %v", name, err)
 		}
@@ -205,7 +206,7 @@ func TestEnumerateBeyondEightProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := m.GraphCount()
+	count, err := m.GraphCountCtx(context.Background())
 	if err != nil {
 		t.Fatalf("GraphCount: %v", err)
 	}
@@ -222,7 +223,7 @@ func TestEnumerateBeyondEightProcesses(t *testing.T) {
 		t.Errorf("n=9 closure = %d, want 112", count)
 	}
 	seen := map[string]bool{}
-	if err := m.EnumerateGraphs(func(g graph.Digraph) bool {
+	if err := m.EnumerateGraphs(context.Background(), func(g graph.Digraph) bool {
 		if g.N() != 9 || !m.Contains(g) {
 			t.Fatalf("bad enumerated graph %v", g)
 		}

@@ -5,12 +5,14 @@
 package model
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 
 	"ksettop/internal/graph"
 	"ksettop/internal/memo"
+	"ksettop/internal/par"
 )
 
 // ClosedAbove is the oblivious communication model (⋃_{G∈S} ↑G)^ω of
@@ -51,6 +53,12 @@ func setKey(kind string, gens []graph.Digraph) string {
 // pruned; duplicates are removed. Results are memoized per canonical
 // generator-set key (disable with memo.SetEnabled(false)).
 func New(gens []graph.Digraph) (*ClosedAbove, error) {
+	return newModel(context.Background(), gens)
+}
+
+// newModel is New with the pruning bound to ctx: ProductModel's S^r can
+// hold thousands of generators, and the pairwise pruning is quadratic.
+func newModel(ctx context.Context, gens []graph.Digraph) (*ClosedAbove, error) {
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("model: closed-above model needs at least one generator")
 	}
@@ -61,7 +69,10 @@ func New(gens []graph.Digraph) (*ClosedAbove, error) {
 		}
 	}
 	return modelCache.Do(setKey("model", gens), func() (*ClosedAbove, error) {
-		minimal := minimalGenerators(gens)
+		minimal, err := minimalGenerators(ctx, gens)
+		if err != nil {
+			return nil, err
+		}
 		sym, err := graph.IsSymmetric(minimal)
 		if err != nil {
 			return nil, err
@@ -93,15 +104,19 @@ func Simple(g graph.Digraph) (*ClosedAbove, error) {
 
 // minimalGenerators deduplicates gens and drops generators strictly
 // containing another, in canonical key order (graph.CompareKeys) for
-// reproducible reports.
-func minimalGenerators(gens []graph.Digraph) []graph.Digraph {
+// reproducible reports. It polls ctx once per 4096 comparisons.
+func minimalGenerators(ctx context.Context, gens []graph.Digraph) ([]graph.Digraph, error) {
 	uniq := slices.Clone(gens)
 	slices.SortFunc(uniq, graph.CompareKeys)
 	uniq = slices.CompactFunc(uniq, graph.Digraph.Equal)
 	out := make([]graph.Digraph, 0, len(uniq))
+	comparisons := 0
 	for i, g := range uniq {
 		redundant := false
 		for j, h := range uniq {
+			if comparisons++; comparisons&par.PollMask == 0 && ctx.Err() != nil {
+				return nil, context.Cause(ctx)
+			}
 			if i == j {
 				continue
 			}
@@ -114,7 +129,7 @@ func minimalGenerators(gens []graph.Digraph) []graph.Digraph {
 			out = append(out, g)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // N returns the number of processes.
@@ -196,12 +211,13 @@ func maskGraph(n int, mask uint64) graph.Digraph {
 // ProductModel returns the closed-above model generated by S^r — the
 // over-approximation of r rounds of m used by the §6 multi-round bounds
 // (Lemma 6.2 guarantees the true r-round behavior is contained in it).
-func (m *ClosedAbove) ProductModel(r int) (*ClosedAbove, error) {
-	prods, err := graph.ProductSet(m.gens, r)
+// Building S^r and pruning it both poll ctx.
+func (m *ClosedAbove) ProductModel(ctx context.Context, r int) (*ClosedAbove, error) {
+	prods, err := graph.ProductSet(ctx, m.gens, r)
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
-	return New(prods)
+	return newModel(ctx, prods)
 }
 
 // String summarizes the model.

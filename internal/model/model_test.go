@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestSampleGraphStaysInModel(t *testing.T) {
 func TestEnumerateGraphsCounts(t *testing.T) {
 	star, _ := graph.Star(3, 0)
 	simple, _ := Simple(star)
-	count, err := simple.GraphCount()
+	count, err := simple.GraphCountCtx(context.Background())
 	if err != nil {
 		t.Fatalf("GraphCount: %v", err)
 	}
@@ -93,7 +94,7 @@ func TestEnumerateGraphsCounts(t *testing.T) {
 	}
 
 	sym, _ := NewSymmetric([]graph.Digraph{star})
-	count, err = sym.GraphCount()
+	count, err = sym.GraphCountCtx(context.Background())
 	if err != nil {
 		t.Fatalf("GraphCount: %v", err)
 	}
@@ -104,7 +105,7 @@ func TestEnumerateGraphsCounts(t *testing.T) {
 
 	// Every enumerated graph is in the model, no duplicates.
 	seen := make(map[string]bool)
-	err = sym.EnumerateGraphs(func(g graph.Digraph) bool {
+	err = sym.EnumerateGraphs(context.Background(), func(g graph.Digraph) bool {
 		if !sym.Contains(g) {
 			t.Fatalf("enumerated graph %v outside model", g)
 		}
@@ -120,7 +121,7 @@ func TestEnumerateGraphsCounts(t *testing.T) {
 
 	// Early stop.
 	visits := 0
-	sym.EnumerateGraphs(func(graph.Digraph) bool {
+	sym.EnumerateGraphs(context.Background(), func(graph.Digraph) bool {
 		visits++
 		return visits < 5
 	})
@@ -134,14 +135,14 @@ func TestEnumerateGraphsGuards(t *testing.T) {
 	// exceed the default budget.
 	loops := graph.MustNew(6)
 	m, _ := Simple(loops)
-	if err := m.EnumerateGraphs(func(graph.Digraph) bool { return true }); err == nil {
+	if err := m.EnumerateGraphs(context.Background(), func(graph.Digraph) bool { return true }); err == nil {
 		t.Errorf("30 missing edges should exceed the default budget")
 	}
 	// Loops-only on 9 processes has 72 missing edges: past the 2^62
 	// per-generator rank cap, unenumerable at any budget.
 	big := graph.MustNew(9)
 	m, _ = Simple(big)
-	if err := m.EnumerateGraphs(func(graph.Digraph) bool { return true }); err == nil {
+	if err := m.EnumerateGraphs(context.Background(), func(graph.Digraph) bool { return true }); err == nil {
 		t.Errorf("72 missing edges should be rejected (segment ranks exceed int64)")
 	}
 }
@@ -153,7 +154,7 @@ func TestProductModelKernelIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NonEmptyKernelModel: %v", err)
 	}
-	p, err := m.ProductModel(2)
+	p, err := m.ProductModel(context.Background(), 2)
 	if err != nil {
 		t.Fatalf("ProductModel: %v", err)
 	}

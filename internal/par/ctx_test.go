@@ -63,7 +63,7 @@ func TestForEachShardCtxCancellation(t *testing.T) {
 		withParallelism(t, workers, func() {
 			ctx, cancel := context.WithCancel(context.Background())
 			var visited atomic.Int64
-			err := ForEachShardCtx(ctx, 1_000_000, nil, func(_ int, from, to int64, c *Ctl) {
+			err := ForEachShard(ctx, 1_000_000, nil, func(_ int, from, to int64, c *Ctl) {
 				for r := from; r < to; r++ {
 					if r == from+10 {
 						cancel()
@@ -99,7 +99,7 @@ func TestForEachShardCtxDeadline(t *testing.T) {
 	defer cancel()
 	<-ctx.Done() // already expired before the sweep starts
 	var visited atomic.Int64
-	err := ForEachShardCtx(ctx, seqThreshold*10, nil, func(_ int, from, to int64, c *Ctl) {
+	err := ForEachShard(ctx, seqThreshold*10, nil, func(_ int, from, to int64, c *Ctl) {
 		visited.Add(to - from)
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -110,7 +110,7 @@ func TestForEachShardCtxDeadline(t *testing.T) {
 func TestForEachShardCtxPanicContained(t *testing.T) {
 	checkNoGoroutineLeak(t)
 	withParallelism(t, 4, func() {
-		err := ForEachShardCtx(context.Background(), 1_000_000, nil, func(shard int, from, to int64, c *Ctl) {
+		err := ForEachShard(context.Background(), 1_000_000, nil, func(shard int, from, to int64, c *Ctl) {
 			if shard == 2 {
 				panic("scan exploded")
 			}
@@ -125,28 +125,6 @@ func TestForEachShardCtxPanicContained(t *testing.T) {
 		if len(pe.Stack) == 0 {
 			t.Fatal("PanicError carries no stack")
 		}
-	})
-}
-
-func TestForEachShardNRepanicsOnCaller(t *testing.T) {
-	checkNoGoroutineLeak(t)
-	withParallelism(t, 4, func() {
-		defer func() {
-			r := recover()
-			pe, ok := r.(*PanicError)
-			if !ok {
-				t.Fatalf("recovered %v (%T), want *PanicError", r, r)
-			}
-			if fmt.Sprint(pe.Value) != "legacy boom" {
-				t.Fatalf("bad PanicError value %v", pe.Value)
-			}
-		}()
-		ForEachShardN(1_000_000, 8, &Ctl{}, func(shard int, from, to int64, c *Ctl) {
-			if shard == 1 {
-				panic("legacy boom")
-			}
-		})
-		t.Fatal("ForEachShardN swallowed the panic")
 	})
 }
 
@@ -170,7 +148,7 @@ func TestRunDequeCtxCancellation(t *testing.T) {
 					}
 				}
 			}
-			err := RunDequeCtx(ctx, tasks, nil)
+			err := RunDeque(ctx, tasks, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 			}
@@ -197,7 +175,7 @@ func TestRunDequePanicDoesNotDeadlock(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			done <- RunDequeCtx(context.Background(), tasks, nil)
+			done <- RunDeque(context.Background(), tasks, nil)
 		}()
 		select {
 		case err := <-done:
@@ -209,21 +187,8 @@ func TestRunDequePanicDoesNotDeadlock(t *testing.T) {
 				t.Fatalf("bad site %q", pe.Site)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("RunDequeCtx deadlocked after task panic (workers left on cond.Wait)")
+			t.Fatal("RunDeque deadlocked after task panic (workers left on cond.Wait)")
 		}
-	})
-}
-
-func TestRunDequeLegacyRepanics(t *testing.T) {
-	checkNoGoroutineLeak(t)
-	withParallelism(t, 2, func() {
-		defer func() {
-			if _, ok := recover().(*PanicError); !ok {
-				t.Fatal("RunDeque did not re-panic a *PanicError")
-			}
-		}()
-		RunDeque([]Task{func(d *Deque) { panic("boom") }, func(d *Deque) {}}, nil)
-		t.Fatal("RunDeque swallowed the panic")
 	})
 }
 
@@ -237,7 +202,7 @@ func TestFaultInjectParTask(t *testing.T) {
 		for i := range tasks {
 			tasks[i] = func(d *Deque) { ran.Add(1) }
 		}
-		err := RunDequeCtx(context.Background(), tasks, nil)
+		err := RunDeque(context.Background(), tasks, nil)
 		if !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("err = %v, want injected", err)
 		}
@@ -249,7 +214,7 @@ func TestFirstAndExistsStillDeterministicWithCause(t *testing.T) {
 	// reducers' determinism contract.
 	for _, workers := range []int{1, 3, 8} {
 		withParallelism(t, workers, func() {
-			got := First(1_000_000, func(from, to int64, c *Ctl) int64 {
+			got, err := First(context.Background(), 1_000_000, func(from, to int64, c *Ctl) int64 {
 				for r := from; r < to; r++ {
 					if c.SkipAfter(r) {
 						return -1
@@ -260,8 +225,56 @@ func TestFirstAndExistsStillDeterministicWithCause(t *testing.T) {
 				}
 				return -1
 			})
-			if got != 997 {
-				t.Fatalf("workers=%d: First = %d, want 997", workers, got)
+			if got != 997 || err != nil {
+				t.Fatalf("workers=%d: First = %d, %v, want 997", workers, got, err)
+			}
+		})
+	}
+}
+
+// The reducers report a cancelled sweep as its cause instead of a partial
+// result: a shard cancels the context mid-sweep and every reducer must
+// return context.Canceled, at every worker count.
+func TestReducersReturnCancellation(t *testing.T) {
+	checkNoGoroutineLeak(t)
+	// scanUntilCancelled cancels on its first rank and then polls ctl until
+	// the stop is visible, as the combinat scanners do.
+	scanUntilCancelled := func(cancel context.CancelFunc) func(from, to int64, c *Ctl) bool {
+		return func(from, to int64, c *Ctl) bool {
+			cancel()
+			deadline := time.Now().Add(time.Second)
+			for !c.Stopped() && time.Now().Before(deadline) {
+				time.Sleep(time.Microsecond)
+			}
+			return false
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		withParallelism(t, workers, func() {
+			for name, sweep := range map[string]func(ctx context.Context, scan func(from, to int64, c *Ctl) bool) error{
+				"First": func(ctx context.Context, scan func(from, to int64, c *Ctl) bool) error {
+					_, err := First(ctx, 1_000_000, func(from, to int64, c *Ctl) int64 { scan(from, to, c); return -1 })
+					return err
+				},
+				"Exists": func(ctx context.Context, scan func(from, to int64, c *Ctl) bool) error {
+					_, err := Exists(ctx, 1_000_000, scan)
+					return err
+				},
+				"Min": func(ctx context.Context, scan func(from, to int64, c *Ctl) bool) error {
+					_, err := Min(ctx, 1_000_000, 0, func(from, to int64, c *Ctl) int64 { scan(from, to, c); return 1 })
+					return err
+				},
+				"Max": func(ctx context.Context, scan func(from, to int64, c *Ctl) bool) error {
+					_, err := Max(ctx, 1_000_000, 1, func(from, to int64, c *Ctl) int64 { scan(from, to, c); return 0 })
+					return err
+				},
+			} {
+				ctx, cancel := context.WithCancel(context.Background())
+				err := sweep(ctx, scanUntilCancelled(cancel))
+				cancel()
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("workers=%d: %s = %v, want context.Canceled", workers, name, err)
+				}
 			}
 		})
 	}

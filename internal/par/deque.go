@@ -2,7 +2,6 @@ package par
 
 import (
 	"context"
-	"errors"
 	"runtime/debug"
 	"sync"
 
@@ -65,31 +64,20 @@ func (d *Deque) Ctl() *Ctl { return d.ctl }
 
 // RunDeque drains tasks (and everything they spawn) over a pool of up to
 // Parallelism() workers sharing one deque, returning when every task has
-// finished or the sweep was cancelled via ctl (queued tasks are then
-// dropped; running tasks are expected to poll ctl and wind down). A nil
-// ctl runs uncancellable. A task panic is re-raised on the calling
-// goroutine as *PanicError once the pool has wound down.
-func RunDeque(tasks []Task, ctl *Ctl) {
-	err := RunDequeCtx(context.Background(), tasks, ctl)
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		panic(pe)
-	}
-}
-
-// RunDequeCtx is RunDeque bound to a context: ctx expiry cancels the sweep,
-// task panics are contained into *PanicError causes instead of crashing,
-// and the sweep's failure cause (if any) is returned after every worker has
+// finished or the sweep was cancelled through ctx or ctl (a nil ctl gets a
+// private one). Running tasks are expected to poll ctl and wind down; task
+// panics are contained into *PanicError causes instead of crashing, and
+// the sweep's failure cause (if any) is returned after every worker has
 // exited. Queued tasks left at cancellation are dropped, never leaked: the
 // pool always drains pending to zero before returning.
-func RunDequeCtx(ctx context.Context, tasks []Task, ctl *Ctl) error {
+func RunDeque(ctx context.Context, tasks []Task, ctl *Ctl) error {
 	if len(tasks) == 0 {
 		return nil
 	}
 	if ctl == nil {
 		ctl = &Ctl{}
 	}
-	if ctx != nil && ctx.Err() != nil {
+	if ctx.Err() != nil {
 		ctl.StopCause(context.Cause(ctx))
 		return ctl.Cause()
 	}

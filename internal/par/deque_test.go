@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,7 @@ func TestRunDequeDrainsAllTasks(t *testing.T) {
 			v := int64(i)
 			tasks[i] = func(*Deque) { sum.Add(v) }
 		}
-		RunDeque(tasks, nil)
+		RunDeque(context.Background(), tasks, nil)
 		if got := sum.Load(); got != 4950 {
 			t.Errorf("workers=%d: sum %d, want 4950", workers, got)
 		}
@@ -40,7 +41,7 @@ func TestRunDequeSpawnedTasksRun(t *testing.T) {
 			}
 		}
 		tasks := []Task{chain(5), chain(5), chain(5)}
-		RunDeque(tasks, nil)
+		RunDeque(context.Background(), tasks, nil)
 		if got := count.Load(); got != 18 {
 			t.Errorf("workers=%d: ran %d tasks, want 18", workers, got)
 		}
@@ -60,7 +61,7 @@ func TestRunDequeFrontOrderSingleWorker(t *testing.T) {
 		},
 		func(*Deque) { order = append(order, "b") },
 	}
-	RunDeque(tasks, nil)
+	RunDeque(context.Background(), tasks, nil)
 	want := []string{"a", "a.child", "b"}
 	if len(order) != len(want) {
 		t.Fatalf("order %v, want %v", order, want)
@@ -85,14 +86,14 @@ func TestRunDequeCancellationDropsQueuedTasks(t *testing.T) {
 			}
 		}
 	}
-	RunDeque(tasks, ctl)
+	RunDeque(context.Background(), tasks, ctl)
 	if got := ran.Load(); got != 3 {
 		t.Errorf("ran %d tasks after Stop at 3, want 3", got)
 	}
 	// Spawning after cancellation is a silent no-op and must not wedge a
 	// later sweep on the same ctl... a fresh RunDeque with a fresh ctl runs.
 	var again atomic.Int64
-	RunDeque([]Task{func(*Deque) { again.Add(1) }}, nil)
+	RunDeque(context.Background(), []Task{func(*Deque) { again.Add(1) }}, nil)
 	if again.Load() != 1 {
 		t.Errorf("fresh sweep did not run")
 	}
@@ -117,7 +118,7 @@ func TestRunDequeConcurrentSpawn(t *testing.T) {
 			}
 		}
 	}
-	RunDeque(tasks, nil)
+	RunDeque(context.Background(), tasks, nil)
 	if count.Load() != 16*8 {
 		t.Errorf("spawned tasks ran %d times, want %d", count.Load(), 16*8)
 	}

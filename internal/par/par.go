@@ -17,7 +17,6 @@ package par
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -56,6 +55,11 @@ const EnvParallelism = "KSETTOP_PARALLELISM"
 // dominate; smaller sweeps run inline on the calling goroutine.
 const seqThreshold = 4096
 
+// PollMask sets the cancellation-poll stride of the sequential engine
+// loops (product sets, generator pruning, protocol complexes, worst-case
+// sweeps): they check their context when i&PollMask == 0, once per 4096.
+const PollMask = seqThreshold - 1
+
 // shardsPerWorker oversubscribes shards so that uneven shard costs are
 // rebalanced by the pool and cancellation is observed at shard granularity.
 const shardsPerWorker = 8
@@ -88,10 +92,8 @@ func SetParallelism(n int) {
 
 // PanicError is a worker panic recovered at a shard or task boundary,
 // carrying enough context (site, shard, stack) to report the failure as a
-// structured error instead of crashing the process. The context-aware entry
-// points (ForEachShardCtx, RunDequeCtx) return it; the legacy void entry
-// points re-panic it on the CALLER's goroutine, preserving crash-on-panic
-// for code that has not opted into containment.
+// structured error instead of crashing the process. ForEachShardN and
+// RunDeque return it as the sweep's cause.
 type PanicError struct {
 	Site  string // injection/recovery site, e.g. "par.shard" or "par.task"
 	Shard int    // shard index, or -1 when not meaningful (deque tasks)
@@ -144,7 +146,7 @@ func (c *Ctl) Cause() error {
 // detaches the watcher and must be called when the sweep ends (typically
 // deferred). A ctx that can never be cancelled binds for free.
 func (c *Ctl) Bind(ctx context.Context) (release func()) {
-	if ctx == nil || ctx.Done() == nil {
+	if ctx.Done() == nil {
 		return func() {}
 	}
 	stop := context.AfterFunc(ctx, func() {
@@ -195,32 +197,12 @@ func NumShards(total int64) int {
 
 // ForEachShard splits [0, total) into NumShards(total) contiguous shards and
 // runs scan(shard, from, to, ctl) for each on a pool of Parallelism()
-// workers, ascending shard order first. It returns after every shard has run
-// or observed cancellation. With a single shard, scan runs inline.
+// workers, ascending shard order first, the way ForEachShardN does.
 //
 // Callers that presize per-shard result storage must use ForEachShardN with
 // their own NumShards value — Parallelism can change between the two calls.
-func ForEachShard(total int64, ctl *Ctl, scan func(shard int, from, to int64, ctl *Ctl)) {
-	ForEachShardN(total, NumShards(total), ctl, scan)
-}
-
-// ForEachShardCtx is ForEachShard bound to a context: ctx expiry cancels the
-// sweep across all workers, and the sweep's failure cause (context error,
-// recovered worker panic, or a cause the scanner recorded via StopCause) is
-// returned instead of crashing. A nil ctl gets a private one.
-func ForEachShardCtx(ctx context.Context, total int64, ctl *Ctl, scan func(shard int, from, to int64, ctl *Ctl)) error {
-	return ForEachShardNCtx(ctx, total, NumShards(total), ctl, scan)
-}
-
-// ForEachShardN is ForEachShard with an explicit shard count (≥ 1 when
-// total > 0; values from NumShards are always valid). A worker panic is
-// re-raised on the calling goroutine as *PanicError.
-func ForEachShardN(total int64, shards int, ctl *Ctl, scan func(shard int, from, to int64, ctl *Ctl)) {
-	err := ForEachShardNCtx(context.Background(), total, shards, ctl, scan)
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		panic(pe)
-	}
+func ForEachShard(ctx context.Context, total int64, ctl *Ctl, scan func(shard int, from, to int64, ctl *Ctl)) error {
+	return ForEachShardN(ctx, total, NumShards(total), ctl, scan)
 }
 
 // recoverShard converts a panic inside a shard scan into a structured cause
@@ -268,17 +250,22 @@ func ShardBounds(total int64, shards int, s int) (from, to int64) {
 	return from, to
 }
 
-// ForEachShardNCtx is the context-aware core of the shard fan-out: it binds
-// ctx cancellation to ctl, contains worker panics, and returns the sweep's
-// failure cause (nil on clean completion or cause-less early exit).
-func ForEachShardNCtx(ctx context.Context, total int64, shards int, ctl *Ctl, scan func(shard int, from, to int64, ctl *Ctl)) error {
+// ForEachShardN splits [0, total) into shards contiguous shards (≥ 1 when
+// total > 0; values from NumShards are always valid) and runs scan on each.
+// It binds ctx cancellation to ctl (a nil ctl gets a private one), contains
+// worker panics, and returns after every shard has run or observed
+// cancellation. The result is the sweep's failure cause: the context's
+// cause, a recovered *PanicError, or a cause the scanner recorded via
+// StopCause; nil on clean completion or cause-less early exit. With a
+// single shard, scan runs inline.
+func ForEachShardN(ctx context.Context, total int64, shards int, ctl *Ctl, scan func(shard int, from, to int64, ctl *Ctl)) error {
 	if total <= 0 || shards <= 0 {
 		return nil
 	}
 	if ctl == nil {
 		ctl = &Ctl{}
 	}
-	if ctx != nil && ctx.Err() != nil {
+	if ctx.Err() != nil {
 		// Already expired: AfterFunc would fire asynchronously and could
 		// lose the race against a fast sweep, so stop synchronously.
 		ctl.StopCause(context.Cause(ctx))
@@ -335,37 +322,42 @@ func ForEachShardNCtx(ctx context.Context, total int64, shards int, ctl *Ctl, sc
 // return the first accepted rank (or -1); it should poll ctl.SkipAfter(rank)
 // and abort once it reports true — any witness at or beyond that rank cannot
 // be the global first. The result is the lexicographically-first witness in
-// rank order, independent of scheduling.
-func First(total int64, scan func(from, to int64, ctl *Ctl) int64) int64 {
+// rank order, independent of scheduling. A cancelled sweep returns -1 and
+// the cause; so do Exists, Min and Max, whose scanners see ctx's
+// cancellation through ctl.
+func First(ctx context.Context, total int64, scan func(from, to int64, ctl *Ctl) int64) (int64, error) {
 	ctl := &Ctl{}
 	ctl.bound.Store(math.MaxInt64)
-	ForEachShard(total, ctl, func(_ int, from, to int64, c *Ctl) {
+	if err := ForEachShard(ctx, total, ctl, func(_ int, from, to int64, c *Ctl) {
 		if c.SkipAfter(from) {
 			return // a lower-ranked witness already covers this whole shard
 		}
 		if r := scan(from, to, c); r >= 0 {
 			c.publishWitness(r)
 		}
-	})
-	if best := ctl.bound.Load(); best != math.MaxInt64 {
-		return best
+	}); err != nil {
+		return -1, err
 	}
-	return -1
+	if best := ctl.bound.Load(); best != math.MaxInt64 {
+		return best, nil
+	}
+	return -1, nil
 }
 
 // Exists reports whether some rank in [0, total) is accepted. scan reports
 // whether its shard contains an accepted rank; it should poll ctl.Stopped()
 // and abort early. The first acceptance cancels all other shards.
-func Exists(total int64, scan func(from, to int64, ctl *Ctl) bool) bool {
-	ctl := &Ctl{}
+func Exists(ctx context.Context, total int64, scan func(from, to int64, ctl *Ctl) bool) (bool, error) {
 	var found atomic.Bool
-	ForEachShard(total, ctl, func(_ int, from, to int64, c *Ctl) {
+	if err := ForEachShard(ctx, total, &Ctl{}, func(_ int, from, to int64, c *Ctl) {
 		if scan(from, to, c) {
 			found.Store(true)
 			c.Stop()
 		}
-	})
-	return found.Load()
+	}); err != nil {
+		return false, err
+	}
+	return found.Load(), nil
 }
 
 // Min returns the minimum of the shard-local minima. floor is a proven lower
@@ -373,11 +365,10 @@ func Exists(total int64, scan func(from, to int64, ctl *Ctl) bool) bool {
 // cancelled globally (scanners observe it via ctl.Stopped()). scan returns
 // the minimum over its shard, or a value ≥ any candidate (e.g. the domain
 // maximum) when the shard is empty or aborted early.
-func Min(total, floor int64, scan func(from, to int64, ctl *Ctl) int64) int64 {
-	ctl := &Ctl{}
+func Min(ctx context.Context, total, floor int64, scan func(from, to int64, ctl *Ctl) int64) (int64, error) {
 	best := atomic.Int64{}
 	best.Store(math.MaxInt64)
-	ForEachShard(total, ctl, func(_ int, from, to int64, c *Ctl) {
+	err := ForEachShard(ctx, total, &Ctl{}, func(_ int, from, to int64, c *Ctl) {
 		local := scan(from, to, c)
 		for {
 			b := best.Load()
@@ -392,18 +383,17 @@ func Min(total, floor int64, scan func(from, to int64, ctl *Ctl) int64) int64 {
 			}
 		}
 	})
-	return best.Load()
+	return best.Load(), err
 }
 
 // Max returns the maximum of the shard-local maxima. ceil is a proven upper
 // bound on the result: once the running maximum reaches ceil the sweep is
 // cancelled globally. scan returns the maximum over its shard, or a value ≤
 // any candidate (e.g. -1) when the shard is empty or aborted early.
-func Max(total, ceil int64, scan func(from, to int64, ctl *Ctl) int64) int64 {
-	ctl := &Ctl{}
+func Max(ctx context.Context, total, ceil int64, scan func(from, to int64, ctl *Ctl) int64) (int64, error) {
 	best := atomic.Int64{}
 	best.Store(math.MinInt64)
-	ForEachShard(total, ctl, func(_ int, from, to int64, c *Ctl) {
+	err := ForEachShard(ctx, total, &Ctl{}, func(_ int, from, to int64, c *Ctl) {
 		local := scan(from, to, c)
 		for {
 			b := best.Load()
@@ -418,5 +408,5 @@ func Max(total, ceil int64, scan func(from, to int64, ctl *Ctl) int64) int64 {
 			}
 		}
 	})
-	return best.Load()
+	return best.Load(), err
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -37,20 +38,24 @@ func TestForEachShardCoversRange(t *testing.T) {
 		withParallelism(t, workers, func() {
 			const total = 100_000
 			var visited atomic.Int64
-			ForEachShard(total, &Ctl{}, func(_ int, from, to int64, _ *Ctl) {
+			if err := ForEachShard(context.Background(), total, &Ctl{}, func(_ int, from, to int64, _ *Ctl) {
 				if from < 0 || to > total || from > to {
 					t.Errorf("bad shard [%d,%d)", from, to)
 				}
 				visited.Add(to - from)
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			if visited.Load() != total {
 				t.Errorf("workers=%d: shards covered %d ranks, want %d", workers, visited.Load(), total)
 			}
 		})
 	}
-	ForEachShard(0, &Ctl{}, func(_ int, _, _ int64, _ *Ctl) {
+	if err := ForEachShard(context.Background(), 0, &Ctl{}, func(_ int, _, _ int64, _ *Ctl) {
 		t.Error("empty range should not run any shard")
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestFirstDeterministic: the first accepted rank must come back regardless
@@ -60,7 +65,7 @@ func TestFirstDeterministic(t *testing.T) {
 	accepted := func(r int64) bool { return r == 31_337 || r > 40_000 }
 	for _, workers := range []int{1, 2, 4, 8} {
 		withParallelism(t, workers, func() {
-			got := First(total, func(from, to int64, ctl *Ctl) int64 {
+			got, _ := First(context.Background(), total, func(from, to int64, ctl *Ctl) int64 {
 				for r := from; r < to; r++ {
 					if ctl.SkipAfter(r) {
 						return -1
@@ -79,7 +84,7 @@ func TestFirstDeterministic(t *testing.T) {
 }
 
 func TestFirstNoWitness(t *testing.T) {
-	got := First(10_000, func(from, to int64, _ *Ctl) int64 { return -1 })
+	got, _ := First(context.Background(), 10_000, func(from, to int64, _ *Ctl) int64 { return -1 })
 	if got != -1 {
 		t.Errorf("First with no witness = %d, want -1", got)
 	}
@@ -88,7 +93,7 @@ func TestFirstNoWitness(t *testing.T) {
 func TestExists(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		withParallelism(t, workers, func() {
-			hit := Exists(20_000, func(from, to int64, ctl *Ctl) bool {
+			hit, _ := Exists(context.Background(), 20_000, func(from, to int64, ctl *Ctl) bool {
 				for r := from; r < to; r++ {
 					if ctl.Stopped() {
 						return false
@@ -102,7 +107,7 @@ func TestExists(t *testing.T) {
 			if !hit {
 				t.Errorf("workers=%d: Exists missed the witness", workers)
 			}
-			miss := Exists(20_000, func(from, to int64, _ *Ctl) bool { return false })
+			miss, _ := Exists(context.Background(), 20_000, func(from, to int64, _ *Ctl) bool { return false })
 			if miss {
 				t.Errorf("workers=%d: Exists reported a phantom witness", workers)
 			}
@@ -126,7 +131,7 @@ func TestMinMaxReduce(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 8} {
 		withParallelism(t, workers, func() {
-			gotMin := Min(total, 0, func(from, to int64, ctl *Ctl) int64 {
+			gotMin, _ := Min(context.Background(), total, 0, func(from, to int64, ctl *Ctl) int64 {
 				local := int64(1 << 62)
 				for r := from; r < to; r++ {
 					if ctl.Stopped() {
@@ -141,7 +146,7 @@ func TestMinMaxReduce(t *testing.T) {
 			if gotMin != wantMin {
 				t.Errorf("workers=%d: Min = %d, want %d", workers, gotMin, wantMin)
 			}
-			gotMax := Max(total, 1<<62, func(from, to int64, ctl *Ctl) int64 {
+			gotMax, _ := Max(context.Background(), total, 1<<62, func(from, to int64, ctl *Ctl) int64 {
 				local := int64(-1)
 				for r := from; r < to; r++ {
 					if ctl.Stopped() {
@@ -164,7 +169,7 @@ func TestMinMaxReduce(t *testing.T) {
 func TestMinFloorCancels(t *testing.T) {
 	withParallelism(t, 4, func() {
 		var scanned atomic.Int64
-		got := Min(1_000_000, 1, func(from, to int64, ctl *Ctl) int64 {
+		got, _ := Min(context.Background(), 1_000_000, 1, func(from, to int64, ctl *Ctl) int64 {
 			local := int64(1 << 62)
 			for r := from; r < to; r++ {
 				if ctl.Stopped() {
@@ -197,9 +202,11 @@ func TestForEachShardNHugeTotalNoOverflow(t *testing.T) {
 	froms := make([]int64, shards)
 	tos := make([]int64, shards)
 	withParallelism(t, 8, func() {
-		ForEachShardN(total, shards, &Ctl{}, func(shard int, from, to int64, _ *Ctl) {
+		if err := ForEachShardN(context.Background(), total, shards, &Ctl{}, func(shard int, from, to int64, _ *Ctl) {
 			froms[shard], tos[shard] = from, to
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if froms[0] != 0 || tos[shards-1] != total {
 		t.Fatalf("range not covered: [%d, %d)", froms[0], tos[shards-1])

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"ksettop/internal/graph"
-	"ksettop/internal/runctx"
+	"ksettop/internal/par"
 )
 
 // CheckResult summarizes an exhaustive worst-case sweep of an algorithm over
@@ -30,8 +30,9 @@ type CheckResult struct {
 //
 // Passing the model's generators as roundGraphs checks the worst
 // adversary-of-generators; passing the full closure (model.EnumerateGraphs)
-// makes the sweep exhaustive over the model.
-func WorstCase(roundGraphs []graph.Digraph, numValues, rounds int, algo Algorithm, limit int) (CheckResult, error) {
+// makes the sweep exhaustive over the model. The sweep polls ctx every 4096
+// executions; a cancelled one returns the context's cause.
+func WorstCase(ctx context.Context, roundGraphs []graph.Digraph, numValues, rounds int, algo Algorithm, limit int) (CheckResult, error) {
 	if len(roundGraphs) == 0 {
 		return CheckResult{}, fmt.Errorf("protocol: no graphs to sweep")
 	}
@@ -80,10 +81,8 @@ func WorstCase(roundGraphs []graph.Digraph, numValues, rounds int, algo Algorith
 				return CheckResult{}, err
 			}
 			res.Executions++
-			if res.Executions&0xfff == 0 {
-				if ctx := runctx.Base(); ctx.Err() != nil {
-					return CheckResult{}, fmt.Errorf("protocol: worst-case sweep aborted: %w", context.Cause(ctx))
-				}
+			if res.Executions&par.PollMask == 0 && ctx.Err() != nil {
+				return CheckResult{}, fmt.Errorf("protocol: worst-case sweep aborted: %w", context.Cause(ctx))
 			}
 			if d := r.DistinctCount(); d > res.WorstDistinct {
 				res.WorstDistinct = d

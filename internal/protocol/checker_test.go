@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"ksettop/internal/graph"
@@ -25,7 +27,7 @@ func TestWorstCaseMinOnSymStar(t *testing.T) {
 	// min algorithm achieves n-set agreement and no better against the
 	// generator adversary: worst case = 3 distinct on n = 3.
 	gens := symStars(t, 3)
-	res, err := WorstCase(gens, 3, 1, MinAlgorithm{R: 1}, 1_000_000)
+	res, err := WorstCase(context.Background(), gens, 3, 1, MinAlgorithm{R: 1}, 1_000_000)
 	if err != nil {
 		t.Fatalf("WorstCase: %v", err)
 	}
@@ -53,19 +55,19 @@ func TestWorstCaseFullModelEnumeration(t *testing.T) {
 		t.Fatalf("NonEmptyKernelModel: %v", err)
 	}
 	var all []graph.Digraph
-	if err := m.EnumerateGraphs(func(g graph.Digraph) bool {
+	if err := m.EnumerateGraphs(context.Background(), func(g graph.Digraph) bool {
 		all = append(all, g)
 		return true
 	}); err != nil {
 		t.Fatalf("EnumerateGraphs: %v", err)
 	}
-	res, err := WorstCase(all, 2, 1, MinAlgorithm{R: 1}, 1_000_000)
+	res, err := WorstCase(context.Background(), all, 2, 1, MinAlgorithm{R: 1}, 1_000_000)
 	if err != nil {
 		t.Fatalf("WorstCase: %v", err)
 	}
-	gensOnly, err := WorstCase(m.Generators(), 2, 1, MinAlgorithm{R: 1}, 1_000_000)
+	gensOnly, err := WorstCase(context.Background(), m.Generators(), 2, 1, MinAlgorithm{R: 1}, 1_000_000)
 	if err != nil {
-		t.Fatalf("WorstCase(gens): %v", err)
+		t.Fatalf("WorstCase(context.Background(), gens): %v", err)
 	}
 	if res.WorstDistinct != gensOnly.WorstDistinct {
 		t.Errorf("full sweep %d vs generator sweep %d", res.WorstDistinct, gensOnly.WorstDistinct)
@@ -85,7 +87,7 @@ func TestWorstCaseMultiRoundCycle(t *testing.T) {
 	}{
 		{1, 3}, {3, 1},
 	} {
-		res, err := WorstCase([]graph.Digraph{cyc}, 4, tc.rounds, MinAlgorithm{R: tc.rounds}, 2_000_000)
+		res, err := WorstCase(context.Background(), []graph.Digraph{cyc}, 4, tc.rounds, MinAlgorithm{R: tc.rounds}, 2_000_000)
 		if err != nil {
 			t.Fatalf("WorstCase r=%d: %v", tc.rounds, err)
 		}
@@ -97,16 +99,16 @@ func TestWorstCaseMultiRoundCycle(t *testing.T) {
 
 func TestWorstCaseGuards(t *testing.T) {
 	star, _ := graph.Star(3, 0)
-	if _, err := WorstCase(nil, 2, 1, MinAlgorithm{R: 1}, 1000); err == nil {
+	if _, err := WorstCase(context.Background(), nil, 2, 1, MinAlgorithm{R: 1}, 1000); err == nil {
 		t.Errorf("no graphs should fail")
 	}
-	if _, err := WorstCase([]graph.Digraph{star}, 0, 1, MinAlgorithm{R: 1}, 1000); err == nil {
+	if _, err := WorstCase(context.Background(), []graph.Digraph{star}, 0, 1, MinAlgorithm{R: 1}, 1000); err == nil {
 		t.Errorf("numValues=0 should fail")
 	}
-	if _, err := WorstCase([]graph.Digraph{star}, 2, 2, MinAlgorithm{R: 1}, 1000); err == nil {
+	if _, err := WorstCase(context.Background(), []graph.Digraph{star}, 2, 2, MinAlgorithm{R: 1}, 1000); err == nil {
 		t.Errorf("round mismatch should fail")
 	}
-	if _, err := WorstCase([]graph.Digraph{star}, 10, 1, MinAlgorithm{R: 1}, 10); err == nil {
+	if _, err := WorstCase(context.Background(), []graph.Digraph{star}, 10, 1, MinAlgorithm{R: 1}, 10); err == nil {
 		t.Errorf("limit should trip")
 	}
 }
@@ -119,7 +121,7 @@ func TestWorstCaseDetectsValidityViolation(t *testing.T) {
 		table[views] = 1 // always decide 1, even when all inputs are 0
 	}
 	dm := DecisionMap{R: 1, Table: table}
-	if _, err := WorstCase([]graph.Digraph{star}, 2, 1, dm, 1000); err == nil {
+	if _, err := WorstCase(context.Background(), []graph.Digraph{star}, 2, 1, dm, 1000); err == nil {
 		t.Errorf("validity violation should be reported")
 	}
 }
@@ -147,4 +149,37 @@ func allOneRoundViews(gs []graph.Digraph, numValues int) []string {
 		}
 	}
 	return out
+}
+
+// pollCtx counts its Err calls and reports cancellation from call cancelAt
+// on (never when cancelAt is 0): a deterministic stand-in for a cancel
+// arriving mid-sweep.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.cancelAt > 0 && c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// The worst-case sweep polls its context once per 4096 executions: 3^3
+// assignments × 3^6 sequences of the three stars is 19683 executions (4
+// polls).
+// Cancelled at the second poll the sweep stops there with the cause.
+func TestWorstCaseCancellation(t *testing.T) {
+	gens := symStars(t, 3)
+	algo := MinAlgorithm{R: 6}
+	uncancelled := &pollCtx{Context: context.Background()}
+	res, err := WorstCase(uncancelled, gens, 3, 6, algo, 1_000_000)
+	if err != nil || res.Executions != 19683 || uncancelled.polls != 4 {
+		t.Fatalf("uncancelled: %d executions, %d polls, err %v; want 19683 and 4", res.Executions, uncancelled.polls, err)
+	}
+	cancelled := &pollCtx{Context: context.Background(), cancelAt: 2}
+	if _, err := WorstCase(cancelled, gens, 3, 6, algo, 1_000_000); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled at poll 2: err %v, want context.Canceled", err)
+	}
 }

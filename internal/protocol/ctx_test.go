@@ -70,7 +70,7 @@ func TestBudgetOvershootBounded(t *testing.T) {
 	// Reference: the full refutation is far larger than the budget, so an
 	// unbounded sweep would burn orders of magnitude more than budget nodes.
 	par.SetParallelism(1)
-	full, err := SolveOneRound(all, 4, 3, 50_000_000)
+	full, err := SolveOneRoundCtx(context.Background(), all, 4, 3, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBudgetOvershootBounded(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		par.SetParallelism(workers)
 		debugSweepNodes.Store(0)
-		res, err := SolveOneRound(all, 4, 3, budget)
+		res, err := SolveOneRoundCtx(context.Background(), all, 4, 3, budget)
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("workers=%d: want budget error, got %v (res %+v)", workers, err, res)
 		}
@@ -119,7 +119,7 @@ func TestSolveCancellationDeterminism(t *testing.T) {
 	defer par.SetParallelism(0)
 
 	par.SetParallelism(1)
-	want, err := SolveOneRound(all, 4, 3, 50_000_000)
+	want, err := SolveOneRoundCtx(context.Background(), all, 4, 3, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSolveChaosInjectedFaults(t *testing.T) {
 	defer par.SetParallelism(0)
 	par.SetParallelism(4)
 
-	want, err := SolveOneRound(all, 4, 3, 50_000_000)
+	want, err := SolveOneRoundCtx(context.Background(), all, 4, 3, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestSolveChaosInjectedFaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		faultinject.Enable(42, tc.rule)
-		_, err := SolveOneRound(all, 4, 3, 50_000_000)
+		_, err := SolveOneRoundCtx(context.Background(), all, 4, 3, 50_000_000)
 		faultinject.Disable()
 		if err == nil {
 			// A panic rule may fire inside a task that was already
@@ -219,7 +219,7 @@ func TestSolveChaosInjectedFaults(t *testing.T) {
 	}
 
 	// Fault-free rerun: byte-identical to the clean run.
-	got, err := SolveOneRound(all, 4, 3, 50_000_000)
+	got, err := SolveOneRoundCtx(context.Background(), all, 4, 3, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestObsOnOffDeterminism(t *testing.T) {
 	}
 	var on []run
 	for _, inst := range corpusInstances(t) {
-		res, err := SolveOneRound(inst.graphs, inst.vals, inst.k, DefaultNodeBudget())
+		res, err := SolveOneRoundCtx(context.Background(), inst.graphs, inst.vals, inst.k, DefaultNodeBudget())
 		if err != nil {
 			t.Fatalf("%s (obs on): %v", inst.name, err)
 		}
@@ -38,7 +39,7 @@ func TestObsOnOffDeterminism(t *testing.T) {
 	obs.SetTracingEnabled(false)
 	obs.SetEnabled(false)
 	for i, inst := range corpusInstances(t) {
-		res, err := SolveOneRound(inst.graphs, inst.vals, inst.k, DefaultNodeBudget())
+		res, err := SolveOneRoundCtx(context.Background(), inst.graphs, inst.vals, inst.k, DefaultNodeBudget())
 		if err != nil {
 			t.Fatalf("%s (obs off): %v", inst.name, err)
 		}

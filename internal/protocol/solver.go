@@ -8,7 +8,6 @@ import (
 	"ksettop/internal/graph"
 	"ksettop/internal/obs"
 	"ksettop/internal/par"
-	"ksettop/internal/runctx"
 )
 
 var (
@@ -49,7 +48,7 @@ type SolveResult struct {
 	Stats SearchStats
 }
 
-// SolveOneRound decides, by exhaustive search over all oblivious decision
+// SolveOneRoundCtx decides, by exhaustive search over all oblivious decision
 // maps, whether k-set agreement is solvable in one round when the adversary
 // plays graphs from roundGraphs and initial values range over
 // [0, numValues).
@@ -81,16 +80,10 @@ type SolveResult struct {
 // reference.
 //
 // The search is exponential; nodeBudget bounds explored nodes (error when
-// exhausted).
-func SolveOneRound(roundGraphs []graph.Digraph, numValues, k, nodeBudget int) (SolveResult, error) {
-	return SolveOneRoundCtx(runctx.Base(), roundGraphs, numValues, k, nodeBudget)
-}
-
-// SolveOneRoundCtx is SolveOneRound bound to a context: cancellation or
-// deadline expiry aborts the search cooperatively (the table build within
-// 4096 ranks, the probe and task sweep within ~128 nodes) and
-// returns a wrapped context error. Runs that complete are byte-identical to
-// uncancelled SolveOneRound calls.
+// exhausted). Cancellation or deadline expiry of ctx aborts the search
+// cooperatively (the table build within 4096 ranks, the probe and task
+// sweep within ~128 nodes) and returns a wrapped context error. Runs that
+// complete are byte-identical to uncancelled runs.
 func SolveOneRoundCtx(ctx context.Context, roundGraphs []graph.Digraph, numValues, k, nodeBudget int) (SolveResult, error) {
 	return solveOneRound(ctx, roundGraphs, numValues, k, nodeBudget, searchLearning)
 }
@@ -198,7 +191,7 @@ func solveOneRound(ctx context.Context, roundGraphs []graph.Digraph, numValues, 
 	tableCtx, tableSpan := obs.StartSpan(ctx, "solver.tables")
 	defer tableSpan.End() // idempotent: records at the explicit End below
 	tableCtl := &par.Ctl{}
-	if err := par.ForEachShardNCtx(tableCtx, total, 1, tableCtl, func(_ int, _, to int64, ctl *par.Ctl) {
+	if err := par.ForEachShardN(tableCtx, total, 1, tableCtl, func(_ int, _, to int64, ctl *par.Ctl) {
 		views, constraints = buildSolveTables(in, to, ctl.Stopped)
 	}); err != nil || views == nil {
 		return SolveResult{}, cancelCause(tableCtl, ctx)

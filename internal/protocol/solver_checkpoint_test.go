@@ -33,7 +33,7 @@ func TestSolverCheckpointKillResumeMatrix(t *testing.T) {
 
 	const budget = 50_000_000
 	par.SetParallelism(1)
-	want, err := SolveOneRound(all, 4, 3, budget)
+	want, err := SolveOneRoundCtx(context.Background(), all, 4, 3, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSolverCheckpointResumeTwice(t *testing.T) {
 
 	const budget = 50_000_000
 	par.SetParallelism(2)
-	want, err := SolveOneRound(all, 4, 3, budget)
+	want, err := SolveOneRoundCtx(context.Background(), all, 4, 3, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSolverCheckpointFingerprintMismatchColdStarts(t *testing.T) {
 	// Resume under a DIFFERENT node budget: the fingerprint differs, so the
 	// section must not be consumed.
 	const otherBudget = 40_000_000
-	want, err := SolveOneRound(all, 4, 3, otherBudget)
+	want, err := SolveOneRoundCtx(context.Background(), all, 4, 3, otherBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSolverCheckpointCorruptSectionRecomputes(t *testing.T) {
 	par.SetParallelism(2)
 
 	const budget = 50_000_000
-	want, err := SolveOneRound(all, 4, 3, budget)
+	want, err := SolveOneRoundCtx(context.Background(), all, 4, 3, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

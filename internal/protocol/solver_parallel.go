@@ -720,7 +720,7 @@ func solveParallel(ctx context.Context, t *solveTables, budget int) (parallelRes
 	}
 	sweepCtx, sweepSpan := obs.StartSpan(ctx, "solver.sweep")
 	sweepSpan.SetInt("tasks", int64(len(deqTasks)))
-	err := par.RunDequeCtx(sweepCtx, deqTasks, ctl)
+	err := par.RunDeque(sweepCtx, deqTasks, ctl)
 	sweepSpan.End()
 	if err != nil {
 		return res, cancelCause(ctl, ctx)

@@ -128,7 +128,7 @@ func TestEnginesAgreeOnCorpus(t *testing.T) {
 			SetSearchProbeLimit(probeLim)
 			for _, workers := range []int{1, 2, 8} {
 				par.SetParallelism(workers)
-				got, err := SolveOneRound(inst.graphs, inst.vals, inst.k, 50_000_000)
+				got, err := SolveOneRoundCtx(context.Background(), inst.graphs, inst.vals, inst.k, 50_000_000)
 				if err != nil {
 					t.Fatalf("%s probe=%d workers=%d: %v", inst.name, probeLim, workers, err)
 				}
@@ -163,7 +163,7 @@ func TestParallelPhaseDeterministicAcrossParallelism(t *testing.T) {
 	defer SetSearchProbeLimit(0)
 	defer par.SetParallelism(0)
 	par.SetParallelism(1)
-	want, err := SolveOneRound(all, 4, 3, 50_000_000)
+	want, err := SolveOneRoundCtx(context.Background(), all, 4, 3, 50_000_000)
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestParallelPhaseDeterministicAcrossParallelism(t *testing.T) {
 	}
 	for _, workers := range []int{2, 5, 8} {
 		par.SetParallelism(workers)
-		got, err := SolveOneRound(all, 4, 3, 50_000_000)
+		got, err := SolveOneRoundCtx(context.Background(), all, 4, 3, 50_000_000)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -225,7 +225,7 @@ func TestBudgetErrorsAgreeAcrossEnginesAndParallelism(t *testing.T) {
 	var firstNodes int
 	for _, workers := range []int{1, 2, 8} {
 		par.SetParallelism(workers)
-		res, err := SolveOneRound(all4, 4, 3, 60)
+		res, err := SolveOneRoundCtx(context.Background(), all4, 4, 3, 60)
 		if err == nil {
 			t.Fatalf("workers=%d: want a mid-sweep budget error, got %+v", workers, res)
 		}
@@ -246,14 +246,14 @@ func TestBudgetErrorsAgreeAcrossEnginesAndParallelism(t *testing.T) {
 // analysis).
 func TestLearningEngineWitnessSolvesInstance(t *testing.T) {
 	for _, inst := range corpusInstances(t) {
-		res, err := SolveOneRound(inst.graphs, inst.vals, inst.k, 50_000_000)
+		res, err := SolveOneRoundCtx(context.Background(), inst.graphs, inst.vals, inst.k, 50_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", inst.name, err)
 		}
 		if !res.Solvable {
 			continue
 		}
-		check, err := WorstCase(inst.graphs, inst.vals, 1, *res.Map, 2_000_000)
+		check, err := WorstCase(context.Background(), inst.graphs, inst.vals, 1, *res.Map, 2_000_000)
 		if err != nil {
 			t.Fatalf("%s: WorstCase: %v", inst.name, err)
 		}

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"context"
 	"testing"
 
 	"ksettop/internal/graph"
@@ -12,7 +13,7 @@ const solverBudget = 5_000_000
 
 func TestSolverCliqueConsensusSolvable(t *testing.T) {
 	clique, _ := graph.Complete(3)
-	res, err := SolveOneRound([]graph.Digraph{clique}, 2, 1, solverBudget)
+	res, err := SolveOneRoundCtx(context.Background(), []graph.Digraph{clique}, 2, 1, solverBudget)
 	if err != nil {
 		t.Fatalf("SolveOneRound: %v", err)
 	}
@@ -20,7 +21,7 @@ func TestSolverCliqueConsensusSolvable(t *testing.T) {
 		t.Fatalf("consensus on the clique model must be solvable in one round")
 	}
 	// The synthesized map must actually pass the exhaustive checker.
-	check, err := WorstCase([]graph.Digraph{clique}, 2, 1, *res.Map, 1_000_000)
+	check, err := WorstCase(context.Background(), []graph.Digraph{clique}, 2, 1, *res.Map, 1_000_000)
 	if err != nil {
 		t.Fatalf("WorstCase on synthesized map: %v", err)
 	}
@@ -39,13 +40,13 @@ func TestSolverSymStarImpossibility(t *testing.T) {
 		t.Fatalf("NonEmptyKernelModel: %v", err)
 	}
 	var all []graph.Digraph
-	if err := m.EnumerateGraphs(func(g graph.Digraph) bool {
+	if err := m.EnumerateGraphs(context.Background(), func(g graph.Digraph) bool {
 		all = append(all, g)
 		return true
 	}); err != nil {
 		t.Fatalf("EnumerateGraphs: %v", err)
 	}
-	res, err := SolveOneRound(all, 3, 2, solverBudget)
+	res, err := SolveOneRoundCtx(context.Background(), all, 3, 2, solverBudget)
 	if err != nil {
 		t.Fatalf("SolveOneRound: %v", err)
 	}
@@ -62,14 +63,14 @@ func TestSolverGeneratorOnlyAdversaryIsWeaker(t *testing.T) {
 	// 2-set map DOES exist on n=3 — demonstrating why impossibility
 	// verification must sweep the whole closure.
 	gens := symStars(t, 3)
-	res, err := SolveOneRound(gens, 3, 2, solverBudget)
+	res, err := SolveOneRoundCtx(context.Background(), gens, 3, 2, solverBudget)
 	if err != nil {
 		t.Fatalf("SolveOneRound: %v", err)
 	}
 	if !res.Solvable {
 		t.Fatalf("restricted-adversary instance should be satisfiable")
 	}
-	check, err := WorstCase(gens, 3, 1, *res.Map, 1_000_000)
+	check, err := WorstCase(context.Background(), gens, 3, 1, *res.Map, 1_000_000)
 	if err != nil {
 		t.Fatalf("WorstCase: %v", err)
 	}
@@ -87,20 +88,20 @@ func TestSolverSymStarTrivialKSolvable(t *testing.T) {
 		t.Fatalf("NonEmptyKernelModel: %v", err)
 	}
 	var all []graph.Digraph
-	if err := m.EnumerateGraphs(func(g graph.Digraph) bool {
+	if err := m.EnumerateGraphs(context.Background(), func(g graph.Digraph) bool {
 		all = append(all, g)
 		return true
 	}); err != nil {
 		t.Fatalf("EnumerateGraphs: %v", err)
 	}
-	res, err := SolveOneRound(all, 2, 3, solverBudget)
+	res, err := SolveOneRoundCtx(context.Background(), all, 2, 3, solverBudget)
 	if err != nil {
 		t.Fatalf("SolveOneRound: %v", err)
 	}
 	if !res.Solvable {
 		t.Fatalf("3-set agreement with n=3 must be solvable")
 	}
-	check, err := WorstCase(all, 2, 1, *res.Map, 2_000_000)
+	check, err := WorstCase(context.Background(), all, 2, 1, *res.Map, 2_000_000)
 	if err != nil {
 		t.Fatalf("WorstCase: %v", err)
 	}
@@ -115,14 +116,14 @@ func TestSolverCycleSimpleModel(t *testing.T) {
 	cyc, _ := graph.Cycle(3)
 	m, _ := model.Simple(cyc)
 	var all []graph.Digraph
-	if err := m.EnumerateGraphs(func(g graph.Digraph) bool {
+	if err := m.EnumerateGraphs(context.Background(), func(g graph.Digraph) bool {
 		all = append(all, g)
 		return true
 	}); err != nil {
 		t.Fatalf("EnumerateGraphs: %v", err)
 	}
 
-	imp, err := SolveOneRound(all, 2, 1, solverBudget)
+	imp, err := SolveOneRoundCtx(context.Background(), all, 2, 1, solverBudget)
 	if err != nil {
 		t.Fatalf("SolveOneRound k=1: %v", err)
 	}
@@ -130,14 +131,14 @@ func TestSolverCycleSimpleModel(t *testing.T) {
 		t.Errorf("consensus on ↑cycle must be impossible in one round (γ = 2)")
 	}
 
-	sol, err := SolveOneRound(all, 3, 2, solverBudget)
+	sol, err := SolveOneRoundCtx(context.Background(), all, 3, 2, solverBudget)
 	if err != nil {
 		t.Fatalf("SolveOneRound k=2: %v", err)
 	}
 	if !sol.Solvable {
 		t.Errorf("2-set agreement on ↑cycle must be solvable in one round")
 	}
-	check, err := WorstCase(all, 3, 1, *sol.Map, 5_000_000)
+	check, err := WorstCase(context.Background(), all, 3, 1, *sol.Map, 5_000_000)
 	if err != nil {
 		t.Fatalf("WorstCase: %v", err)
 	}
@@ -155,7 +156,7 @@ func TestSolverMultiRoundViaProducts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Power: %v", err)
 	}
-	res, err := SolveOneRound([]graph.Digraph{sq}, 2, 1, solverBudget)
+	res, err := SolveOneRoundCtx(context.Background(), []graph.Digraph{sq}, 2, 1, solverBudget)
 	if err != nil {
 		t.Fatalf("SolveOneRound: %v", err)
 	}
@@ -177,7 +178,7 @@ func TestSolverDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("AllGraphs: %v", err)
 	}
 	par.SetParallelism(1)
-	want, err := SolveOneRound(all, 4, 3, 50_000_000)
+	want, err := SolveOneRoundCtx(context.Background(), all, 4, 3, 50_000_000)
 	par.SetParallelism(0)
 	if err != nil {
 		t.Fatalf("sequential SolveOneRound: %v", err)
@@ -188,7 +189,7 @@ func TestSolverDeterministicAcrossParallelism(t *testing.T) {
 	defer par.SetParallelism(0)
 	for _, workers := range []int{2, 5, 8} {
 		par.SetParallelism(workers)
-		got, err := SolveOneRound(all, 4, 3, 50_000_000)
+		got, err := SolveOneRoundCtx(context.Background(), all, 4, 3, 50_000_000)
 		par.SetParallelism(0)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -201,17 +202,17 @@ func TestSolverDeterministicAcrossParallelism(t *testing.T) {
 
 func TestSolverGuards(t *testing.T) {
 	star, _ := graph.Star(3, 0)
-	if _, err := SolveOneRound(nil, 2, 1, 1000); err == nil {
+	if _, err := SolveOneRoundCtx(context.Background(), nil, 2, 1, 1000); err == nil {
 		t.Errorf("no graphs should fail")
 	}
-	if _, err := SolveOneRound([]graph.Digraph{star}, 1, 1, 1000); err == nil {
+	if _, err := SolveOneRoundCtx(context.Background(), []graph.Digraph{star}, 1, 1, 1000); err == nil {
 		t.Errorf("numValues=1 should fail")
 	}
-	if _, err := SolveOneRound([]graph.Digraph{star}, 2, 0, 1000); err == nil {
+	if _, err := SolveOneRoundCtx(context.Background(), []graph.Digraph{star}, 2, 0, 1000); err == nil {
 		t.Errorf("k=0 should fail")
 	}
 	gens := symStars(t, 3)
-	if _, err := SolveOneRound(gens, 3, 2, 1); err == nil {
+	if _, err := SolveOneRoundCtx(context.Background(), gens, 3, 2, 1); err == nil {
 		t.Errorf("tiny node budget should trip on an unsatisfiable instance")
 	}
 }

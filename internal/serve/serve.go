@@ -494,7 +494,7 @@ func (s *Server) handleBetti(w http.ResponseWriter, r *http.Request) {
 	}
 	key := modelKey("serve.betti", m, req.Values, req.MaxDim)
 	s.compute(w, r, req.TimeoutMs, key, func(ctx context.Context) (any, error) {
-		pc, err := core.ProtocolComplexOneRound(m, req.Values)
+		pc, err := core.ProtocolComplexOneRoundCtx(ctx, m, req.Values)
 		if err != nil {
 			return nil, err
 		}
@@ -550,13 +550,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	}
 	key := modelKey("serve.bounds", m, req.Rounds)
 	s.compute(w, r, req.TimeoutMs, key, func(ctx context.Context) (any, error) {
-		// Analyze has no ctx-threaded variant (its sweeps are the bounded
-		// combinatorial numbers, not the exponential engines), so honor an
-		// already-dead context here and let MaxTimeout bound the rest.
-		if ctx.Err() != nil {
-			return nil, context.Cause(ctx)
-		}
-		a, err := core.Analyze(m, req.Rounds)
+		a, err := core.AnalyzeCtx(ctx, m, req.Rounds)
 		if err != nil {
 			return nil, err
 		}

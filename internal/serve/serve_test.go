@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -543,5 +544,64 @@ func TestServeChaosNoLeaks(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after chaos", before, now)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// errNotInFlight marks a singleflight join that found no computation to
+// join.
+var errNotInFlight = errors.New("computation no longer in flight")
+
+// A request whose deadline expires gets its 504, and the computation it
+// leaves behind on the detached context must stop at MaxTimeout: the betti
+// complex build and the multi-round product sweep poll that context, so
+// the computation returns a context error within one poll interval
+// (milliseconds) of MaxTimeout instead of running on unbounded. The test
+// joins the abandoned computation through the server's singleflight and
+// asserts on that return; the bound allows a second of scheduling slack.
+func TestServeDeadlineStopsDetachedComputation(t *testing.T) {
+	const maxTimeout = time.Second
+	for _, c := range []struct {
+		path, body, kind string
+		params           []int
+	}{
+		{"/v1/betti", `{"model":"star:n=5","values":4,"max_dim":3,"timeout_ms":200}`, "serve.betti", []int{4, 3}},
+		{"/v1/bounds", `{"model":"nonsplit:n=5","rounds":3,"timeout_ms":200}`, "serve.bounds", []int{3}},
+	} {
+		s, ts := newTestServer(t, Config{MaxTimeout: maxTimeout})
+		var req struct{ Model string }
+		if err := json.Unmarshal([]byte(c.body), &req); err != nil {
+			t.Fatal(err)
+		}
+		m, err := parseModel(req.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, body := post(t, ts, c.path, c.body)
+		if st != http.StatusGatewayTimeout || errKind(t, body) != "deadline" {
+			t.Fatalf("%s: status %d (%s), want a 504 deadline envelope", c.path, st, body)
+		}
+		answered := time.Now()
+		type joined struct {
+			err    error
+			shared bool
+		}
+		done := make(chan joined, 1)
+		go func() {
+			_, err, shared := s.fly.Do(modelKey(c.kind, m, c.params...), func() (any, error) { return nil, errNotInFlight })
+			done <- joined{err, shared}
+		}()
+		select {
+		case j := <-done:
+			if !j.shared {
+				t.Fatalf("%s: the computation ended before the test could join it (%v)", c.path, j.err)
+			}
+			if !errors.Is(j.err, context.DeadlineExceeded) {
+				t.Fatalf("%s: detached computation returned %v, want the MaxTimeout deadline", c.path, j.err)
+			}
+			t.Logf("%s: detached computation returned %v after the 504", c.path, time.Since(answered).Round(time.Millisecond))
+		case <-time.After(maxTimeout + time.Second):
+			t.Fatalf("%s: detached computation still running %v after the 504 (MaxTimeout %v)",
+				c.path, time.Since(answered).Round(time.Millisecond), maxTimeout)
+		}
 	}
 }

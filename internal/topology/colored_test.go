@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"testing"
 
 	"ksettop/internal/bits"
@@ -139,7 +140,7 @@ func TestToAbstract(t *testing.T) {
 		t.Errorf("abstract complex wrong: %v", ac)
 	}
 	// Two triangles sharing an edge: contractible.
-	betti, err := ReducedBettiNumbers(ac, 1)
+	betti, err := ReducedBettiNumbersCtx(context.Background(), ac, 1)
 	if err != nil {
 		t.Fatalf("ReducedBettiNumbers: %v", err)
 	}

@@ -8,10 +8,9 @@ import (
 	"sort"
 
 	"ksettop/internal/homology"
-	"ksettop/internal/runctx"
 )
 
-// ReducedBettiNumbers computes the reduced Betti numbers β̃_0 … β̃_maxDim of
+// ReducedBettiNumbersCtx computes the reduced Betti numbers β̃_0 … β̃_maxDim of
 // the complex over the field GF(2).
 //
 // β̃_q = dim ker ∂_q − dim im ∂_{q+1}, with the augmented chain complex
@@ -27,15 +26,9 @@ import (
 //
 // The reduction runs on the hybrid-column engine (internal/homology). Its
 // independent references are homology's (*ChainComplex).ReducedBettiSparse
-// and the seed ReducedBettiNumbersOracle below.
-func ReducedBettiNumbers(c *AbstractComplex, maxDim int) ([]int, error) {
-	return ReducedBettiNumbersCtx(runctx.Base(), c, maxDim)
-}
-
-// ReducedBettiNumbersCtx is ReducedBettiNumbers bound to a context: ctx
-// expiry cancels the reduction across all workers and returns the
-// context's cause. A completed call is identical to ReducedBettiNumbers at
-// every parallelism setting.
+// and the seed ReducedBettiNumbersOracle below. ctx expiry cancels the
+// reduction across all workers and returns the context's cause; a completed
+// call is identical at every parallelism setting.
 func ReducedBettiNumbersCtx(ctx context.Context, c *AbstractComplex, maxDim int) ([]int, error) {
 	if maxDim < 0 {
 		return nil, fmt.Errorf("topology: negative homology dimension %d", maxDim)
@@ -46,11 +39,11 @@ func ReducedBettiNumbersCtx(ctx context.Context, c *AbstractComplex, maxDim int)
 	return homology.ReducedBettiCtx(ctx, c, maxDim)
 }
 
-// ReducedBettiNumbersFromLevels is ReducedBettiNumbers for callers that
+// ReducedBettiNumbersFromLevels is ReducedBettiNumbersCtx for callers that
 // already hold the complex's SimplexLevels output (which must extend to
 // maxDim+1): the level table feeds the engine directly, skipping the
 // duplicate facet walk the facet-based entry would re-run.
-func ReducedBettiNumbersFromLevels(c *AbstractComplex, levels [][][]int, maxDim int) ([]int, error) {
+func ReducedBettiNumbersFromLevels(ctx context.Context, c *AbstractComplex, levels [][][]int, maxDim int) ([]int, error) {
 	if maxDim < 0 {
 		return nil, fmt.Errorf("topology: negative homology dimension %d", maxDim)
 	}
@@ -64,13 +57,13 @@ func ReducedBettiNumbersFromLevels(c *AbstractComplex, levels [][][]int, maxDim 
 	if err != nil {
 		return nil, err
 	}
-	return cc.ReducedBetti(maxDim)
+	return cc.ReducedBettiCtx(ctx, maxDim)
 }
 
 // ReducedBettiNumbersOracle is the seed GF(2) reduction — the bit-packed
 // fast path with a dense-column generic fallback. It is retained as an
 // independent oracle for cross-checking the hybrid engine; new callers
-// should use ReducedBettiNumbers.
+// should use ReducedBettiNumbersCtx.
 func ReducedBettiNumbersOracle(c *AbstractComplex, maxDim int) ([]int, error) {
 	if maxDim < 0 {
 		return nil, fmt.Errorf("topology: negative homology dimension %d", maxDim)
@@ -128,7 +121,7 @@ func packWidth(numVertices, maxSize int) int {
 	return 0
 }
 
-// reducedBettiPacked is ReducedBettiNumbers for complexes whose simplexes
+// reducedBettiPacked is ReducedBettiNumbersOracle for complexes whose simplexes
 // fit in one uint64: levels are sorted []uint64, faces are field surgery,
 // and row lookup is a binary search over machine words.
 func reducedBettiPacked(c *AbstractComplex, maxDim int) ([]int, bool) {
@@ -297,7 +290,7 @@ func lowestBit(v []uint64) int {
 // IsHomologicallyKConnected reports whether all reduced Betti numbers up to
 // dimension k vanish. k = -1 means "nonempty", which always holds for
 // nonempty complexes and fails otherwise.
-func IsHomologicallyKConnected(c *AbstractComplex, k int) (bool, []int, error) {
+func IsHomologicallyKConnected(ctx context.Context, c *AbstractComplex, k int) (bool, []int, error) {
 	if k < -1 {
 		return true, nil, nil // trivially (-2)-connected, even when empty
 	}
@@ -307,7 +300,7 @@ func IsHomologicallyKConnected(c *AbstractComplex, k int) (bool, []int, error) {
 	if c.IsEmpty() {
 		return false, nil, nil
 	}
-	betti, err := ReducedBettiNumbers(c, k)
+	betti, err := ReducedBettiNumbersCtx(ctx, c, k)
 	if err != nil {
 		return false, nil, err
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,7 +13,7 @@ import (
 func bettisOf(t *testing.T, n int, gens [][]int, maxDim int) []int {
 	t.Helper()
 	c := mustAbstract(t, n, gens)
-	b, err := ReducedBettiNumbers(c, maxDim)
+	b, err := ReducedBettiNumbersCtx(context.Background(), c, maxDim)
 	if err != nil {
 		t.Fatalf("ReducedBettiNumbers: %v", err)
 	}
@@ -97,38 +98,38 @@ func TestBettiProjectivePlaneGF2(t *testing.T) {
 
 func TestIsHomologicallyKConnected(t *testing.T) {
 	circle := mustAbstract(t, 3, [][]int{{0, 1}, {1, 2}, {0, 2}})
-	ok, _, err := IsHomologicallyKConnected(circle, 0)
+	ok, _, err := IsHomologicallyKConnected(context.Background(), circle, 0)
 	if err != nil || !ok {
 		t.Errorf("circle is 0-connected (path connected): ok=%v err=%v", ok, err)
 	}
-	ok, betti, _ := IsHomologicallyKConnected(circle, 1)
+	ok, betti, _ := IsHomologicallyKConnected(context.Background(), circle, 1)
 	if ok {
 		t.Errorf("circle is not 1-connected; betti=%v", betti)
 	}
 
 	empty := mustAbstract(t, 3, nil)
-	if ok, _, _ := IsHomologicallyKConnected(empty, -1); ok {
+	if ok, _, _ := IsHomologicallyKConnected(context.Background(), empty, -1); ok {
 		t.Errorf("empty complex is not (-1)-connected")
 	}
-	if ok, _, _ := IsHomologicallyKConnected(empty, -2); !ok {
+	if ok, _, _ := IsHomologicallyKConnected(context.Background(), empty, -2); !ok {
 		t.Errorf("every complex is (-2)-connected by convention")
 	}
-	if ok, _, _ := IsHomologicallyKConnected(empty, 0); ok {
+	if ok, _, _ := IsHomologicallyKConnected(context.Background(), empty, 0); ok {
 		t.Errorf("empty complex is not 0-connected")
 	}
 	point := mustAbstract(t, 1, [][]int{{0}})
-	if ok, _, _ := IsHomologicallyKConnected(point, -1); !ok {
+	if ok, _, _ := IsHomologicallyKConnected(context.Background(), point, -1); !ok {
 		t.Errorf("nonempty complex is (-1)-connected")
 	}
 }
 
 func TestReducedBettiErrors(t *testing.T) {
 	empty := mustAbstract(t, 2, nil)
-	if _, err := ReducedBettiNumbers(empty, 0); err == nil {
+	if _, err := ReducedBettiNumbersCtx(context.Background(), empty, 0); err == nil {
 		t.Errorf("empty complex should be rejected")
 	}
 	pt := mustAbstract(t, 1, [][]int{{0}})
-	if _, err := ReducedBettiNumbers(pt, -1); err == nil {
+	if _, err := ReducedBettiNumbersCtx(context.Background(), pt, -1); err == nil {
 		t.Errorf("negative dimension should be rejected")
 	}
 }
@@ -153,7 +154,7 @@ func TestQuickEulerPoincare(t *testing.T) {
 			return true
 		}
 		d := c.Dimension()
-		betti, err := ReducedBettiNumbers(c, d)
+		betti, err := ReducedBettiNumbersCtx(context.Background(), c, d)
 		if err != nil {
 			return false
 		}
@@ -196,7 +197,7 @@ func TestQuickConeIsAcyclic(t *testing.T) {
 		if err != nil || c.IsEmpty() {
 			return true
 		}
-		betti, err := ReducedBettiNumbers(c, c.Dimension())
+		betti, err := ReducedBettiNumbersCtx(context.Background(), c, c.Dimension())
 		if err != nil {
 			return false
 		}
@@ -260,7 +261,7 @@ func TestHybridSparsePackedGenericCrossCheck(t *testing.T) {
 				continue
 			}
 			maxDim := c.Dimension()
-			hybrid, err := homology.ReducedBetti(c, maxDim)
+			hybrid, err := homology.ReducedBettiCtx(context.Background(), c, maxDim)
 			if err != nil {
 				t.Fatalf("promote=%d trial %d: hybrid: %v", promote, trial, err)
 			}
@@ -315,8 +316,10 @@ func TestReducedBettiNumbersFromLevels(t *testing.T) {
 			name string
 			run  func() ([]int, error)
 		}{
-			{"facets", func() ([]int, error) { return ReducedBettiNumbers(c, tc.maxDim) }},
-			{"levels", func() ([]int, error) { return ReducedBettiNumbersFromLevels(c, levels, tc.maxDim) }},
+			{"facets", func() ([]int, error) { return ReducedBettiNumbersCtx(context.Background(), c, tc.maxDim) }},
+			{"levels", func() ([]int, error) {
+				return ReducedBettiNumbersFromLevels(context.Background(), c, levels, tc.maxDim)
+			}},
 		} {
 			got, err := entry.run()
 			if err != nil {
@@ -328,7 +331,7 @@ func TestReducedBettiNumbersFromLevels(t *testing.T) {
 		}
 		// A level table that stops short of maxDim+1 must be rejected, not
 		// silently treated as a smaller complex.
-		if _, err := ReducedBettiNumbersFromLevels(c, c.SimplexLevels(tc.maxDim), tc.maxDim); err == nil {
+		if _, err := ReducedBettiNumbersFromLevels(context.Background(), c, c.SimplexLevels(tc.maxDim), tc.maxDim); err == nil {
 			t.Errorf("%s: undersized level table should be rejected", tc.name)
 		}
 	}
@@ -411,7 +414,7 @@ func TestPackedAndGenericRanksAgree(t *testing.T) {
 	if w := packWidth(c.NumVertices(), 10); w != 0 {
 		t.Fatalf("packWidth(10,10) = %d, want 0 (test must hit the generic path)", w)
 	}
-	betti, err := ReducedBettiNumbers(c, 8)
+	betti, err := ReducedBettiNumbersCtx(context.Background(), c, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

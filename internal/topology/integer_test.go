@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -78,7 +79,7 @@ func TestIntegerHomologyProjectivePlaneTorsion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IsIntegrallyKConnected: %v", err)
 	}
-	okGF2, _, err := IsHomologicallyKConnected(c, 1)
+	okGF2, _, err := IsHomologicallyKConnected(context.Background(), c, 1)
 	if err != nil {
 		t.Fatalf("IsHomologicallyKConnected: %v", err)
 	}
@@ -136,7 +137,7 @@ func TestQuickIntegerMatchesGF2RanksModTorsion(t *testing.T) {
 			return true
 		}
 		d := c.Dimension()
-		gf2, err := ReducedBettiNumbers(c, d)
+		gf2, err := ReducedBettiNumbersCtx(context.Background(), c, d)
 		if err != nil {
 			return false
 		}

@@ -1,10 +1,12 @@
 package topology
 
 import (
+	"context"
 	"fmt"
 
 	"ksettop/internal/bits"
 	"ksettop/internal/graph"
+	"ksettop/internal/par"
 )
 
 // Assignment maps each process to its initial value. Assignments are the
@@ -99,12 +101,14 @@ func InterpretComplex(a *Complex[bits.Set], inputs []Assignment) (*Complex[IView
 // union over generators G and inputs τ of the interpreted pseudospheres
 // C_G(τ). This is the complex whose connectivity the Thm 5.4 lower bound
 // is about; it grows exponentially and is intended for small verification
-// instances (the caller should keep n ≤ 5 and few values).
-func ProtocolComplexOneRound(gens []graph.Digraph, inputs []Assignment) (*Complex[IView], error) {
+// instances (the caller should keep n ≤ 5 and few values). The build polls
+// ctx once per 4096 facets; a cancelled build returns the context's cause.
+func ProtocolComplexOneRound(ctx context.Context, gens []graph.Digraph, inputs []Assignment) (*Complex[IView], error) {
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("topology: protocol complex of empty generator set")
 	}
 	out := NewComplex[IView]()
+	facets, cancelled := 0, false
 	for _, g := range gens {
 		ps := UninterpretedPseudosphere(g)
 		for _, tau := range inputs {
@@ -113,9 +117,16 @@ func ProtocolComplexOneRound(gens []graph.Digraph, inputs []Assignment) (*Comple
 				return nil, err
 			}
 			ips.Facets(func(s Simplex[IView]) bool {
+				if facets++; facets&par.PollMask == 0 && ctx.Err() != nil {
+					cancelled = true
+					return false
+				}
 				out.AddFacet(s)
 				return true
 			})
+			if cancelled {
+				return nil, context.Cause(ctx)
+			}
 		}
 	}
 	return out, nil

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"ksettop/internal/bits"
@@ -92,7 +94,7 @@ func TestInterpretComplexMatchesPerFacetInterpretation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("InterpretComplex: %v", err)
 	}
-	viaPseudospheres, err := ProtocolComplexOneRound(gens, inputs)
+	viaPseudospheres, err := ProtocolComplexOneRound(context.Background(), gens, inputs)
 	if err != nil {
 		t.Fatalf("ProtocolComplexOneRound: %v", err)
 	}
@@ -112,7 +114,7 @@ func TestProtocolComplexCliqueModel(t *testing.T) {
 	// facet yields exactly one protocol facet.
 	clique, _ := graph.Complete(3)
 	inputs, _ := InputAssignments(3, 2)
-	pc, err := ProtocolComplexOneRound([]graph.Digraph{clique}, inputs)
+	pc, err := ProtocolComplexOneRound(context.Background(), []graph.Digraph{clique}, inputs)
 	if err != nil {
 		t.Fatalf("ProtocolComplexOneRound: %v", err)
 	}
@@ -125,7 +127,7 @@ func TestProtocolComplexCliqueModel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ToAbstract: %v", err)
 	}
-	ok, betti, err := IsHomologicallyKConnected(ac, 0)
+	ok, betti, err := IsHomologicallyKConnected(context.Background(), ac, 0)
 	if err != nil {
 		t.Fatalf("IsHomologicallyKConnected: %v", err)
 	}
@@ -144,7 +146,7 @@ func TestProtocolComplexStarModelConnectivity(t *testing.T) {
 	star, _ := graph.Star(3, 0)
 	sym, _ := graph.SymClosure([]graph.Digraph{star})
 	inputs, _ := InputAssignments(3, 3)
-	pc, err := ProtocolComplexOneRound(sym, inputs)
+	pc, err := ProtocolComplexOneRound(context.Background(), sym, inputs)
 	if err != nil {
 		t.Fatalf("ProtocolComplexOneRound: %v", err)
 	}
@@ -152,7 +154,7 @@ func TestProtocolComplexStarModelConnectivity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ToAbstract: %v", err)
 	}
-	ok, betti, err := IsHomologicallyKConnected(ac, 1)
+	ok, betti, err := IsHomologicallyKConnected(context.Background(), ac, 1)
 	if err != nil {
 		t.Fatalf("IsHomologicallyKConnected: %v", err)
 	}
@@ -162,12 +164,53 @@ func TestProtocolComplexStarModelConnectivity(t *testing.T) {
 }
 
 func TestProtocolComplexErrors(t *testing.T) {
-	if _, err := ProtocolComplexOneRound(nil, nil); err == nil {
+	if _, err := ProtocolComplexOneRound(context.Background(), nil, nil); err == nil {
 		t.Errorf("empty generator set should fail")
 	}
 	g := graph.MustNew(3)
 	badInputs := []Assignment{{0, 1}} // too short
-	if _, err := ProtocolComplexOneRound([]graph.Digraph{g}, badInputs); err == nil {
+	if _, err := ProtocolComplexOneRound(context.Background(), []graph.Digraph{g}, badInputs); err == nil {
 		t.Errorf("short assignment should fail")
+	}
+}
+
+// pollCtx counts its Err calls and reports cancellation from call cancelAt
+// on (never when cancelAt is 0): a deterministic stand-in for a cancel
+// arriving mid-sweep.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.cancelAt > 0 && c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// The protocol-complex build polls its context once per 4096 facets. On the
+// loops-only graph over 4 processes every process may hear any of the 8
+// supersets of itself, so each of the 2⁴ binary inputs contributes 8⁴
+// facets: 65536 in all, 16 polls. Cancelled at the second poll the build
+// stops there and returns the cause with no complex.
+func TestProtocolComplexCancellation(t *testing.T) {
+	gens := []graph.Digraph{graph.MustNew(4)}
+	inputs, err := InputAssignments(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncancelled := &pollCtx{Context: context.Background()}
+	pc, err := ProtocolComplexOneRound(uncancelled, gens, inputs)
+	if err != nil || pc.FacetCount() != 65536 || uncancelled.polls != 16 {
+		t.Fatalf("uncancelled: err %v, %d polls; want 65536 facets, 16 polls", err, uncancelled.polls)
+	}
+	cancelled := &pollCtx{Context: context.Background(), cancelAt: 2}
+	pc, err = ProtocolComplexOneRound(cancelled, gens, inputs)
+	if !errors.Is(err, context.Canceled) || pc != nil {
+		t.Fatalf("cancelled at poll 2: complex %v, err %v; want none and context.Canceled", pc != nil, err)
+	}
+	if cancelled.polls > 3 { // the stopping poll plus context.Cause's read
+		t.Fatalf("cancelled build kept polling: %d polls", cancelled.polls)
 	}
 }

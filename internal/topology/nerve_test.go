@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestNerveSharedVertex(t *testing.T) {
 	// Two triangles sharing vertex 2: nerve = one edge.
@@ -50,8 +53,8 @@ func TestNerveCycleCover(t *testing.T) {
 	}
 	// Nerve lemma sanity: both the hexagon and its nerve are circles.
 	hexagon := mustAbstract(t, 6, [][]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
-	bHex, _ := ReducedBettiNumbers(hexagon, 1)
-	bNerve, _ := ReducedBettiNumbers(nerve, 1)
+	bHex, _ := ReducedBettiNumbersCtx(context.Background(), hexagon, 1)
+	bNerve, _ := ReducedBettiNumbersCtx(context.Background(), nerve, 1)
 	if bHex[0] != bNerve[0] || bHex[1] != bNerve[1] {
 		t.Errorf("nerve lemma sanity failed: hexagon %v vs nerve %v", bHex, bNerve)
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -113,7 +114,7 @@ func TestComplexOrdersMatchFmtKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := ProtocolComplexOneRound(m.Generators(), inputs)
+		pc, err := ProtocolComplexOneRound(context.Background(), m.Generators(), inputs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"testing"
 
 	"ksettop/internal/bits"
@@ -107,14 +108,14 @@ func TestPseudosphereConnectivityViaHomology(t *testing.T) {
 	if ac.FacetCount() != 8 {
 		t.Fatalf("octahedron should have 8 facets, got %d", ac.FacetCount())
 	}
-	betti, err := ReducedBettiNumbers(ac, 2)
+	betti, err := ReducedBettiNumbersCtx(context.Background(), ac, 2)
 	if err != nil {
 		t.Fatalf("ReducedBettiNumbers: %v", err)
 	}
 	if betti[0] != 0 || betti[1] != 0 || betti[2] != 1 {
 		t.Errorf("octahedron betti = %v, want [0 0 1]", betti)
 	}
-	ok, _, _ := IsHomologicallyKConnected(ac, ps.ConnectivityBound())
+	ok, _, _ := IsHomologicallyKConnected(context.Background(), ac, ps.ConnectivityBound())
 	if !ok {
 		t.Errorf("pseudosphere should be homologically %d-connected", ps.ConnectivityBound())
 	}

@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestFigure4aShellable(t *testing.T) {
 	// Figure 4(a): two triangles glued along an edge.
@@ -111,7 +114,7 @@ func TestShellableImpliesHomologyOfWedgeOfSpheres(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("∂Δ³ must be shellable: %v %v", ok, err)
 	}
-	betti, err := ReducedBettiNumbers(c, 2)
+	betti, err := ReducedBettiNumbersCtx(context.Background(), c, 2)
 	if err != nil {
 		t.Fatalf("ReducedBettiNumbers: %v", err)
 	}

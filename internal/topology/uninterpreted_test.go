@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"testing"
 
 	"ksettop/internal/bits"
@@ -99,7 +100,7 @@ func TestCorollary49SimpleModelConnectivity(t *testing.T) {
 			t.Fatalf("ToAbstract: %v", err)
 		}
 		k := g.N() - 2
-		ok, betti, err := IsHomologicallyKConnected(ac, k)
+		ok, betti, err := IsHomologicallyKConnected(context.Background(), ac, k)
 		if err != nil {
 			t.Fatalf("IsHomologicallyKConnected: %v", err)
 		}
@@ -130,7 +131,7 @@ func TestTheorem412GeneralModelConnectivity(t *testing.T) {
 			t.Fatalf("ToAbstract: %v", err)
 		}
 		k := gens[0].N() - 2
-		ok, betti, err := IsHomologicallyKConnected(ac, k)
+		ok, betti, err := IsHomologicallyKConnected(context.Background(), ac, k)
 		if err != nil {
 			t.Fatalf("IsHomologicallyKConnected: %v", err)
 		}

@@ -22,8 +22,12 @@
 // # Quick start
 //
 //	m, _ := ksettop.UnionOfStarsModel(5, 2)
-//	a, _ := ksettop.Analyze(m, 3)
+//	a, _ := ksettop.Analyze(context.Background(), m, 3)
 //	fmt.Print(a.Render())
+//
+// Every engine entry point takes a context first: cancelling it stops the
+// exponential sweeps (multi-round products, closure enumeration, solver,
+// protocol complexes, homology) and returns the context's cause.
 //
 // See examples/ for runnable programs and internal/experiments (All) for
 // the E1–E17 experiment index.
@@ -151,15 +155,15 @@ var (
 	// StarUnionBounds returns the tight Thm 6.13 pair.
 	StarUnionBounds = core.StarUnionBounds
 	// Analyze computes the full bound report for a model.
-	Analyze = core.Analyze
+	Analyze = core.AnalyzeCtx
 )
 
 // Verification (the paper's claims, machine-checked on instances).
 var (
 	// VerifyUpperBySimulation sweeps executions and checks ≤ K decisions.
-	VerifyUpperBySimulation = core.VerifyUpperBySimulation
+	VerifyUpperBySimulation = core.VerifyUpperBySimulationCtx
 	// VerifyLowerBySolver proves no oblivious decision map exists.
-	VerifyLowerBySolver = core.VerifyLowerBySolver
+	VerifyLowerBySolver = core.VerifyLowerBySolverCtx
 	// VerifyLowerByTopology checks protocol-complex connectivity.
 	VerifyLowerByTopology = core.VerifyLowerByTopology
 	// VerifyUninterpretedConnectivity checks Thm 4.12 on the model.
@@ -173,7 +177,7 @@ var (
 	// WorstCase sweeps assignments × graph sequences exhaustively.
 	WorstCase = protocol.WorstCase
 	// SolveOneRound searches all oblivious one-round decision maps.
-	SolveOneRound = protocol.SolveOneRound
+	SolveOneRound = protocol.SolveOneRoundCtx
 )
 
 // Solver engine configuration.

@@ -1,6 +1,7 @@
 package ksettop
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("UnionOfStarsModel: %v", err)
 	}
-	a, err := Analyze(m, 2)
+	a, err := Analyze(context.Background(), m, 2)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -79,7 +80,7 @@ func TestFacadeSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NonEmptyKernelModel: %v", err)
 	}
-	wc, err := WorstCase(m.Generators(), 3, 1, MinAlgorithm(1), 1_000_000)
+	wc, err := WorstCase(context.Background(), m.Generators(), 3, 1, MinAlgorithm(1), 1_000_000)
 	if err != nil {
 		t.Fatalf("WorstCase: %v", err)
 	}
@@ -100,10 +101,10 @@ func TestFacadeSequencesAndVerification(t *testing.T) {
 
 	m, _ := SimpleModel(cyc)
 	up, _ := BestUpperOneRound(m)
-	if err := VerifyUpperBySimulation(m, up, 2_000_000); err != nil {
+	if err := VerifyUpperBySimulation(context.Background(), m, up, 2_000_000); err != nil {
 		t.Errorf("verification failed: %v", err)
 	}
-	if err := VerifyUninterpretedConnectivity(m); err != nil {
+	if err := VerifyUninterpretedConnectivity(context.Background(), m); err != nil {
 		t.Errorf("Thm 4.12 verification failed: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package ksettop
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestConcurrentSweepsRaceFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	gens := m.Generators()
-	wantGamma, err := combinat.DistributedDominationNumber(gens)
+	wantGamma, err := combinat.DistributedDominationNumber(context.Background(), gens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestConcurrentSweepsRaceFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var all []graph.Digraph
-	if err := solver.EnumerateGraphs(func(g graph.Digraph) bool {
+	if err := solver.EnumerateGraphs(context.Background(), func(g graph.Digraph) bool {
 		all = append(all, g)
 		return true
 	}); err != nil {
@@ -62,7 +63,7 @@ func TestConcurrentSweepsRaceFree(t *testing.T) {
 	}
 	protocol.SetSearchProbeLimit(16)
 	defer protocol.SetSearchProbeLimit(0)
-	wantPar, err := protocol.SolveOneRound(all4, 4, 3, 50_000_000)
+	wantPar, err := protocol.SolveOneRoundCtx(context.Background(), all4, 4, 3, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestConcurrentSweepsRaceFree(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2; i++ {
-				res, err := protocol.SolveOneRound(all4, 4, 3, 50_000_000)
+				res, err := protocol.SolveOneRoundCtx(context.Background(), all4, 4, 3, 50_000_000)
 				if err != nil {
 					errs <- err
 					return
@@ -104,7 +105,7 @@ func TestConcurrentSweepsRaceFree(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				got, err := combinat.DistributedDominationNumber(gens)
+				got, err := combinat.DistributedDominationNumber(context.Background(), gens)
 				if err != nil {
 					errs <- err
 					return
@@ -117,7 +118,7 @@ func TestConcurrentSweepsRaceFree(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				res, err := protocol.SolveOneRound(all, 3, 2, 50_000_000)
+				res, err := protocol.SolveOneRoundCtx(context.Background(), all, 3, 2, 50_000_000)
 				if err != nil {
 					errs <- err
 					return
@@ -144,7 +145,7 @@ func TestConcurrentSweepsRaceFree(t *testing.T) {
 				// The default hybrid engine: apparent pass + block-sharded
 				// hybrid reduction, drawing pooled reducers concurrently
 				// with the goroutine below.
-				betti, err := topology.ReducedBettiNumbers(psComplex, 4)
+				betti, err := topology.ReducedBettiNumbersCtx(context.Background(), psComplex, 4)
 				if err != nil {
 					errs <- err
 					return
