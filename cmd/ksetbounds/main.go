@@ -91,29 +91,22 @@ func run(parent context.Context, args []string, stdout io.Writer) (err error) {
 	fmt.Fprint(stdout, a.Render())
 
 	if *verify {
-		if err := verifyOneRound(ctx, stdout, m); err != nil {
+		if err := verifyOneRound(ctx, stdout, m, a.Best[0]); err != nil {
 			return err
 		}
 	}
 	return cli.SaveMemoSnapshot(*memoSnapshot)
 }
 
-// verifyOneRound re-checks the best one-round bounds and prints one cell per
-// check. A check that fails prints FAIL: and the remaining checks still run;
-// an interrupted check ends the run with its error, so the tool exits 3 and
-// keeps its checkpoint. Every check runs on ctx, which carries the
-// checkpoint runner to the solver.
-func verifyOneRound(ctx context.Context, w io.Writer, m *model.ClosedAbove) error {
-	up, err := core.BestUpperOneRound(m)
-	if err != nil {
-		return err
-	}
+// verifyOneRound re-checks the analysis's best one-round bounds and prints
+// one cell per check. A check that fails prints FAIL: and the remaining
+// checks still run; an interrupted check ends the run with its error, so the
+// tool exits 3 and keeps its checkpoint. Every check runs on ctx, which
+// carries the checkpoint runner to the solver.
+func verifyOneRound(ctx context.Context, w io.Writer, m *model.ClosedAbove, best core.BoundPair) error {
+	up, lo := best.Upper, best.Lower
 	fmt.Fprintf(w, "verify upper %d-set by simulation: ", up.K)
 	if err := verifyCell(w, core.VerifyUpperBySimulationCtx(ctx, m, up, 4_000_000)); err != nil {
-		return err
-	}
-	lo, err := core.BestLowerOneRound(m)
-	if err != nil {
 		return err
 	}
 	if lo.K < 1 {

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,17 +38,14 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s — %v\n", tc.name, m)
-		ups, err := ksettop.UpperBoundsOneRound(m)
+		b, err := ksettop.Bounds(context.Background(), m, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, u := range ups {
+		for _, u := range b.Upper {
 			fmt.Printf("  %-8s %d-set agreement solvable (%s)\n", u.Theorem, u.K, u.Note)
 		}
-		lo, err := ksettop.BestLowerOneRound(m)
-		if err != nil {
-			log.Fatal(err)
-		}
+		lo := b.Lower
 		fmt.Printf("  %-8s %d-set agreement impossible (%s)\n\n", lo.Theorem, lo.K, lo.Note)
 	}
 	fmt.Println("conclusion: on 1b the covering bound (3-set) beats γ_eq (4-set), as in §3.2;")

@@ -57,18 +57,12 @@ func main() {
 		if maxR > 4 {
 			maxR = 4
 		}
-		for r := 1; r <= maxR; r++ {
-			up, err := ksettop.UpperBoundsMultiRound(ctx, m, r)
-			if err != nil {
-				log.Fatal(err)
-			}
-			best := up[0]
-			for _, b := range up[1:] {
-				if b.K < best.K {
-					best = b
-				}
-			}
-			fmt.Printf("  r=%d: %d-set solvable (%s: %s)\n", r, best.K, best.Theorem, best.Note)
+		a, err := ksettop.Analyze(ctx, m, maxR)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, p := range a.Best {
+			fmt.Printf("  r=%d: %d-set solvable (%s: %s)\n", p.Rounds, p.Upper.K, p.Upper.Theorem, p.Upper.Note)
 		}
 		fmt.Println()
 	}

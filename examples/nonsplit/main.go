@@ -42,14 +42,7 @@ func main() {
 		// The non-split predicate is famous for making *approximate*
 		// consensus solvable; exact consensus stays out of reach, and the
 		// engine shows how close k-set agreement gets in one round.
-		up, err := ksettop.BestUpperOneRound(m)
-		if err != nil {
-			log.Fatal(err)
-		}
-		lo, err := ksettop.BestLowerOneRound(m)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("one-round verdict: solvable at %d-set, impossible at %d-set\n\n", up.K, lo.K)
+		best := a.Best[0]
+		fmt.Printf("one-round verdict: solvable at %d-set, impossible at %d-set\n\n", best.Upper.K, best.Lower.K)
 	}
 }

@@ -40,10 +40,7 @@ func main() {
 	fmt.Printf("worst-case inputs: %v\n", res.Witness.Initial)
 
 	// Machine-check the upper bound claim on the full model closure.
-	up, err := ksettop.BestUpperOneRound(m)
-	if err != nil {
-		log.Fatal(err)
-	}
+	up := analysis.Best[0].Upper
 	if err := ksettop.VerifyUpperBySimulation(ctx, m, up, 4_000_000); err != nil {
 		log.Fatalf("upper bound verification failed: %v", err)
 	}

@@ -20,6 +20,7 @@ import (
 
 	"ksettop/internal/bits"
 	"ksettop/internal/checkpoint"
+	"ksettop/internal/cli"
 	"ksettop/internal/combinat"
 	"ksettop/internal/core"
 	"ksettop/internal/dist"
@@ -90,6 +91,7 @@ func All() []Row {
 		{"E16RoundProducts", experiment("E16")},
 		{"E17DynamicRotatingStars", experiment("E17")},
 		{"BettiCold", bettiCold},
+		{"BoundsAnalyze", boundsAnalyze},
 	}
 }
 
@@ -281,6 +283,38 @@ func bettiCold(b *testing.B) {
 		must(b, err)
 		if !slices.Equal(betti, []int{3, 36, 0, 0}) {
 			b.Fatalf("betti %v, want [3 36 0 0]", betti)
+		}
+	}
+}
+
+// boundsAnalyze times the bound derivation behind /v1/bounds: AnalyzeCtx on
+// nonsplit n=4 at three rounds (S^2 and S^3 are built once each) and on the
+// 17 named model families of perfbench's query-hot set at one round.
+func boundsAnalyze(b *testing.B) {
+	type analysis struct {
+		m      *model.ClosedAbove
+		rounds int
+	}
+	m, err := cli.ParseModel("nonsplit:n=4")
+	must(b, err)
+	cases := []analysis{{m, 3}}
+	for _, spec := range []string{
+		"star:n=3", "star:n=4", "stars:n=4,s=2", "stars:n=5,s=2",
+		"cycle:n=3", "cycle:n=4", "cycle:n=5",
+		"simple-star:n=3", "simple-star:n=4", "simple-star:n=5",
+		"simple-cycle:n=3", "simple-cycle:n=4", "simple-cycle:n=5",
+		"nonsplit:n=3", "nonsplit:n=4", "clique:n=4", "clique:n=5",
+	} {
+		m, err := cli.ParseModel(spec)
+		must(b, err)
+		cases = append(cases, analysis{m, 1})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cases {
+			_, err := core.AnalyzeCtx(context.Background(), c.m, c.rounds)
+			must(b, err)
 		}
 	}
 }

@@ -344,34 +344,16 @@ func MaxCoveringNumberEffective(ctx context.Context, gens []graph.Digraph, i int
 	return int(best), true, nil
 }
 
-// MaxCoveringCoefficientEffective returns M_i(S) computed from
-// MaxCoveringNumberEffective, with the Def 5.3 formula.
-func MaxCoveringCoefficientEffective(ctx context.Context, gens []graph.Digraph, i int) (int, bool, error) {
-	mc, ok, err := MaxCoveringNumberEffective(ctx, gens, i)
-	if err != nil || !ok {
-		return 0, ok, err
-	}
-	n := gens[0].N()
-	if mc == i {
-		return n - i, true, nil
-	}
-	return (n - i - 1) / (mc - i), true, nil
-}
-
-// MaxCoveringCoefficient returns M_i(S) (Def 5.3):
+// MaxCoveringCoefficient returns M_t (Def 5.3) from an already computed
+// max-cov_t, literal or effective:
 //
-//	⌊(n-i-1)/(max-cov_i(S)-i)⌋  if max-cov_i(S) > i
-//	n - i                        if max-cov_i(S) = i
+//	⌊(n−t−1)/(max-cov_t − t)⌋  if max-cov_t > t
+//	n − t                        if max-cov_t = t
 //
-// It is only defined for i < γ_dist(S); the second return is false otherwise.
-func MaxCoveringCoefficient(ctx context.Context, gens []graph.Digraph, i int) (int, bool, error) {
-	mc, ok, err := MaxCoveringNumber(ctx, gens, i)
-	if err != nil || !ok {
-		return 0, ok, err
+// It is only defined where max-cov_t is, for t < γ_dist.
+func MaxCoveringCoefficient(n, t, maxCov int) int {
+	if maxCov == t {
+		return n - t
 	}
-	n := gens[0].N()
-	if mc == i {
-		return n - i, true, nil
-	}
-	return (n - i - 1) / (mc - i), true, nil
+	return (n - t - 1) / (maxCov - t)
 }

@@ -273,9 +273,8 @@ func TestMaxCoveringStarUnions(t *testing.T) {
 		if mc != tIdx {
 			t.Errorf("literal max-cov_%d = %d, want %d", tIdx, mc, tIdx)
 		}
-		m, ok, _ := MaxCoveringCoefficient(context.Background(), sym, tIdx)
-		if !ok || m != 5-tIdx {
-			t.Errorf("literal M_%d = %d (ok=%v), want %d", tIdx, m, ok, 5-tIdx)
+		if m := MaxCoveringCoefficient(5, tIdx, mc); m != 5-tIdx {
+			t.Errorf("literal M_%d = %d, want %d", tIdx, m, 5-tIdx)
 		}
 	}
 	if _, ok, _ := MaxCoveringNumber(context.Background(), sym, gdLit); ok {
@@ -294,9 +293,8 @@ func TestMaxCoveringStarUnions(t *testing.T) {
 		if mc != tIdx {
 			t.Errorf("effective max-cov_%d = %d, want %d (paper)", tIdx, mc, tIdx)
 		}
-		m, ok, _ := MaxCoveringCoefficientEffective(context.Background(), sym, tIdx)
-		if !ok || m != 5-tIdx {
-			t.Errorf("effective M_%d = %d (ok=%v), want %d (paper)", tIdx, m, ok, 5-tIdx)
+		if m := MaxCoveringCoefficient(5, tIdx, mc); m != 5-tIdx {
+			t.Errorf("effective M_%d = %d, want %d (paper)", tIdx, m, 5-tIdx)
 		}
 	}
 	if _, ok, _ := MaxCoveringNumberEffective(context.Background(), sym, gdEff); ok {
@@ -334,8 +332,7 @@ func TestSymClosedForms(t *testing.T) {
 		if mc != tIdx {
 			t.Errorf("sym max-cov_%d(star) = %d, want %d", tIdx, mc, tIdx)
 		}
-		m, ok, _ := SymMaxCoveringCoefficient(star, tIdx)
-		if !ok || m != 5-tIdx {
+		if m := MaxCoveringCoefficient(5, tIdx, mc); m != 5-tIdx {
 			t.Errorf("sym M_%d(star) = %d, want %d", tIdx, m, 5-tIdx)
 		}
 	}
@@ -347,8 +344,7 @@ func TestSymClosedForms(t *testing.T) {
 	if !ok || mc != 2 {
 		t.Errorf("sym max-cov_1(cycle6) = %d, want 2", mc)
 	}
-	m, ok, _ := SymMaxCoveringCoefficient(cyc, 1)
-	if !ok || m != 4 {
+	if m := MaxCoveringCoefficient(6, 1, mc); m != 4 {
 		t.Errorf("sym M_1(cycle6) = %d, want 4", m)
 	}
 }

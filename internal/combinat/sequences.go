@@ -54,6 +54,14 @@ func CoveringSequenceSet(ctx context.Context, gens []graph.Digraph, i int) (Sequ
 	})
 }
 
+// CoveringSequenceFrom returns the i-th covering-number sequence (Def 6.6 /
+// Def 6.8) of a graph or set whose γ_eq and covering numbers are already
+// computed: cov[j−1] = cov_j for j = 1..γ_eq−1, the only indices the
+// sequence reads.
+func CoveringSequenceFrom(i, n, gammaEq int, cov []int) (Sequence, error) {
+	return coveringSequence(i, n, gammaEq, func(j int) (int, error) { return cov[j-1], nil })
+}
+
 func coveringSequence(i, n, gammaEq int, cov func(int) (int, error)) (Sequence, error) {
 	if i < 1 || i > n {
 		return Sequence{}, fmt.Errorf("combinat: sequence index %d outside [1,%d]", i, n)

@@ -19,6 +19,8 @@ import (
 // t processes of P can hit max-cov_t({G})−t fresh processes in each of t
 // differently-permuted graphs. It is exact for the star family used in the
 // paper and is cross-checked against explicit Sym(S) expansion in tests.
+// MaxCoveringCoefficient over it gives the Cor 5.5 closed form of
+// M_t(Sym(G)), ⌊(n−t−1)/(t·(max-cov_t({G})−t))⌋ (n − t at the floor).
 func SymMaxCovering(g graph.Digraph, t int) (int, bool, error) {
 	mc, ok, err := MaxCoveringNumber(context.Background(), []graph.Digraph{g}, t)
 	if err != nil || !ok {
@@ -28,23 +30,6 @@ func SymMaxCovering(g graph.Digraph, t int) (int, bool, error) {
 		return t, true, nil
 	}
 	return t + t*(mc-t), true, nil
-}
-
-// SymMaxCoveringCoefficient returns the Corollary 5.5 closed form for
-// M_t(Sym(G)):
-//
-//	⌊(n−t−1)/(t·(max-cov_t({G})−t))⌋ if max-cov_t({G}) > t
-//	n − t                            if max-cov_t({G}) = t
-func SymMaxCoveringCoefficient(g graph.Digraph, t int) (int, bool, error) {
-	mc, ok, err := MaxCoveringNumber(context.Background(), []graph.Digraph{g}, t)
-	if err != nil || !ok {
-		return 0, ok, err
-	}
-	n := g.N()
-	if mc == t {
-		return n - t, true, nil
-	}
-	return (n - t - 1) / (t * (mc - t)), true, nil
 }
 
 // StarUnionNumbers returns the closed-form quantities the paper derives for

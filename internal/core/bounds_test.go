@@ -73,11 +73,11 @@ func TestFigure1aStarModelBounds(t *testing.T) {
 	// Figure 1(a) discussion: Sym(star) on n=4 — all one-round upper bounds
 	// give 4-set; Thm 5.4 gives 3-set impossible (= Thm 6.13, s=1): tight.
 	m := kernelModel(t, 4)
-	ups, err := UpperBoundsOneRound(m)
+	b, err := Bounds(context.Background(), m, 1)
 	if err != nil {
-		t.Fatalf("UpperBoundsOneRound: %v", err)
+		t.Fatalf("Bounds: %v", err)
 	}
-	for _, u := range ups {
+	for _, u := range b.Upper {
 		if u.K < 4 {
 			t.Errorf("star model upper bound %d (%s) below n", u.K, u.Theorem)
 		}
@@ -96,12 +96,12 @@ func TestFigure1bCoveringBeatsEqualDomination(t *testing.T) {
 	// Figure 1(b) (§3.2): the covering bound gives 3-set while γ_eq gives
 	// only 4-set; and Thm 5.4 shows 2-set impossible: 3 is tight.
 	m := fig1bModel(t)
-	ups, err := UpperBoundsOneRound(m)
+	b, err := Bounds(context.Background(), m, 1)
 	if err != nil {
-		t.Fatalf("UpperBoundsOneRound: %v", err)
+		t.Fatalf("Bounds: %v", err)
 	}
 	var eqK, covK int
-	for _, u := range ups {
+	for _, u := range b.Upper {
 		switch u.Theorem {
 		case "Cor 3.5":
 			eqK = u.K
@@ -180,16 +180,13 @@ func TestMultiRoundSimpleCycle(t *testing.T) {
 	// cycle³ = clique so γ = 1.
 	wantUpper := map[int]int{1: 2, 2: 2, 3: 1}
 	for r, want := range wantUpper {
-		up, err := BestUpperMultiRound(context.Background(), m, r)
+		b, err := Bounds(context.Background(), m, r)
 		if err != nil {
-			t.Fatalf("BestUpperMultiRound(context.Background(), %d): %v", r, err)
+			t.Fatalf("Bounds(%d): %v", r, err)
 		}
+		up, lo := b.Best().Upper, b.Lower
 		if up.K != want {
 			t.Errorf("r=%d: upper = %d (%s), want %d", r, up.K, up.Theorem, want)
-		}
-		lo, err := BestLowerMultiRound(context.Background(), m, r)
-		if err != nil {
-			t.Fatalf("BestLowerMultiRound(context.Background(), %d): %v", r, err)
 		}
 		if lo.K != want-1 {
 			t.Errorf("r=%d: lower = %d, want %d (tight with upper)", r, lo.K, want-1)
@@ -205,27 +202,24 @@ func TestMultiRoundCoveringSequenceBound(t *testing.T) {
 	// solvable in 3 rounds via Thm 6.7 (and γ(cycle³) = 1 via Thm 6.3).
 	cyc, _ := graph.Cycle(4)
 	m, _ := model.Simple(cyc)
-	ups, err := UpperBoundsMultiRound(context.Background(), m, 3)
+	b, err := Bounds(context.Background(), m, 3)
 	if err != nil {
-		t.Fatalf("UpperBoundsMultiRound: %v", err)
+		t.Fatalf("Bounds: %v", err)
 	}
 	foundSeq := false
-	for _, u := range ups {
+	for _, u := range b.Upper {
 		if u.Theorem == "Thm 6.7" && u.K == 1 {
 			foundSeq = true
 		}
 	}
 	if !foundSeq {
-		t.Errorf("expected a Thm 6.7 consensus bound at r=3; got %+v", ups)
+		t.Errorf("expected a Thm 6.7 consensus bound at r=3; got %+v", b.Upper)
 	}
 }
 
 func TestMultiRoundGuards(t *testing.T) {
 	m := kernelModel(t, 3)
-	if _, err := UpperBoundsMultiRound(context.Background(), m, 0); err == nil {
-		t.Errorf("r=0 should fail")
-	}
-	if _, err := LowerBoundsMultiRound(context.Background(), m, 0); err == nil {
+	if _, err := Bounds(context.Background(), m, 0); err == nil {
 		t.Errorf("r=0 should fail")
 	}
 }
@@ -236,12 +230,9 @@ func TestAnalyzeAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	if a.GammaEq != 4 || a.GammaDistEffective != 4 {
-		t.Errorf("γ_eq = %d, γ_dist_eff = %d, want 4/4", a.GammaEq, a.GammaDistEffective)
-	}
-	if a.GammaDistLiteral > a.GammaDistEffective {
-		t.Errorf("literal γ_dist %d must not exceed effective %d",
-			a.GammaDistLiteral, a.GammaDistEffective)
+	if eq := a.PerRound[0].GammaEq; eq != 4 || a.GammaDistLiteral > eq {
+		t.Errorf("γ_eq = effective γ_dist = %d, literal γ_dist %d; want 4 and literal ≤ effective",
+			eq, a.GammaDistLiteral)
 	}
 	if len(a.Best) != 2 || !a.Best[0].Tight {
 		t.Errorf("round-1 bounds should be tight: %+v", a.Best)

@@ -123,10 +123,11 @@ func TestVerifyLowerMultiRoundBySolver(t *testing.T) {
 	// oblivious algorithms (Thm 6.10).
 	cyc, _ := graph.Cycle(4)
 	m, _ := model.Simple(cyc)
-	lo, err := BestLowerMultiRound(context.Background(), m, 2)
+	b, err := Bounds(context.Background(), m, 2)
 	if err != nil {
-		t.Fatalf("BestLowerMultiRound: %v", err)
+		t.Fatalf("Bounds: %v", err)
 	}
+	lo := b.Lower
 	if lo.K != 1 {
 		t.Fatalf("lower = %d, want 1", lo.K)
 	}
@@ -151,10 +152,11 @@ func TestVerifyLowerMultiRoundBySolver(t *testing.T) {
 
 	// Star-union model, 2 rounds (Thm 6.13: impossibility persists).
 	sm, _ := model.UnionOfStarsModel(3, 1)
-	slo, err := BestLowerMultiRound(context.Background(), sm, 2)
+	sb, err := Bounds(context.Background(), sm, 2)
 	if err != nil {
-		t.Fatalf("BestLowerMultiRound: %v", err)
+		t.Fatalf("Bounds: %v", err)
 	}
+	slo := sb.Lower
 	if slo.K != 2 {
 		t.Fatalf("star lower = %d, want 2", slo.K)
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"ksettop/internal/graph"
@@ -39,10 +41,11 @@ func TestVerifyUpperMultiRound(t *testing.T) {
 	// ↑cycle on n=4, 3 rounds: consensus via min (covering sequence).
 	cyc, _ := graph.Cycle(4)
 	m, _ := model.Simple(cyc)
-	up, err := BestUpperMultiRound(context.Background(), m, 3)
+	b, err := Bounds(context.Background(), m, 3)
 	if err != nil {
-		t.Fatalf("BestUpperMultiRound: %v", err)
+		t.Fatalf("Bounds: %v", err)
 	}
+	up := b.Best().Upper
 	if up.K != 1 {
 		t.Fatalf("upper = %d, want 1", up.K)
 	}
@@ -123,8 +126,9 @@ func TestVerifySimpleCycleLowerAllRoutes(t *testing.T) {
 }
 
 // Every long core entry point returns a cancelled context's cause instead
-// of a result: the multi-round analysis (S^r product and pruning), the
-// product adversary, and the simulation, solver and topology checks.
+// of a result: the analysis and the bounds at one round and at several (S^r
+// product and pruning), the product adversary, and the simulation, solver
+// and topology checks.
 func TestCoreEntryPointsReturnCancellation(t *testing.T) {
 	m, err := model.NonSplitModel(4)
 	if err != nil {
@@ -141,9 +145,11 @@ func TestCoreEntryPointsReturnCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func() error{
-		"AnalyzeCtx":            func() error { _, err := AnalyzeCtx(ctx, m, 3); return err },
-		"LowerBoundsMultiRound": func() error { _, err := LowerBoundsMultiRound(ctx, m, 3); return err },
-		"ProductAdversary":      func() error { _, err := ProductAdversary(ctx, m, 2); return err },
+		"AnalyzeCtx r=1":   func() error { _, err := AnalyzeCtx(ctx, m, 1); return err },
+		"AnalyzeCtx r=3":   func() error { _, err := AnalyzeCtx(ctx, m, 3); return err },
+		"Bounds r=1":       func() error { _, err := Bounds(ctx, m, 1); return err },
+		"Bounds r=3":       func() error { _, err := Bounds(ctx, m, 3); return err },
+		"ProductAdversary": func() error { _, err := ProductAdversary(ctx, m, 2); return err },
 		"VerifyUpperBySimulationCtx": func() error {
 			return VerifyUpperBySimulationCtx(ctx, m, up, 4_000_000)
 		},
@@ -155,5 +161,55 @@ func TestCoreEntryPointsReturnCancellation(t *testing.T) {
 		if err := run(); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s on a cancelled context = %v, want context.Canceled", name, err)
 		}
+	}
+}
+
+// productPollCtx counts the polls made from inside graph.ProductSet, the
+// build of S^r, and nothing else.
+type productPollCtx struct {
+	context.Context
+	polls atomic.Int64
+}
+
+func (c *productPollCtx) Err() error {
+	pcs := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if f.Function == "ksettop/internal/graph.ProductSet" {
+			c.polls.Add(1)
+			break
+		}
+		if !more {
+			break
+		}
+	}
+	return c.Context.Err()
+}
+
+// AnalyzeCtx builds S^r once per round r ≥ 2: over nonsplit n=4 its
+// ProductSet polls at r = 3 are exactly those of one build of S^2 and one of
+// S^3 (the build polls once per 4096 products, deterministically).
+func TestAnalyzeCancellationPollsBuildEachProductOnce(t *testing.T) {
+	m, err := model.NonSplitModel(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := &productPollCtx{Context: context.Background()}
+	for r := 2; r <= 3; r++ {
+		if _, err := graph.ProductSet(once, m.Generators(), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := once.polls.Load()
+	if want == 0 {
+		t.Fatal("building S^2 and S^3 never polled; the count shows nothing")
+	}
+	ctx := &productPollCtx{Context: context.Background()}
+	if _, err := AnalyzeCtx(ctx, m, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctx.polls.Load(); got != want {
+		t.Errorf("AnalyzeCtx(nonsplit:n=4, 3) polled %d times from ProductSet, want %d (S^2 and S^3 built once each)", got, want)
 	}
 }

@@ -3,8 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
-	"ksettop/internal/combinat"
 	"ksettop/internal/core"
 	"ksettop/internal/graph"
 	"ksettop/internal/model"
@@ -51,16 +51,12 @@ func E5SimpleBounds(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		up, err := core.BestUpperOneRound(m)
+		b, err := core.Bounds(ctx, m, 1)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := core.BestLowerOneRound(m)
-		if err != nil {
-			return nil, err
-		}
-		gamma := combinat.DominationNumber(c.g)
-		tight := up.K == lo.K+1
+		best := b.Best()
+		up, lo := best.Upper, best.Lower
 
 		simStatus, solverStatus := "skipped", "skipped"
 		if c.g.N() <= 4 {
@@ -71,9 +67,9 @@ func E5SimpleBounds(ctx context.Context) (*Table, error) {
 				return nil, err
 			}
 		}
-		t.AddRow(c.name, c.g.N(), gamma,
+		t.AddRow(c.name, c.g.N(), b.Gamma,
 			fmt.Sprintf("%d-set", up.K), fmt.Sprintf("%d-set", lo.K),
-			check(tight && up.K == gamma), simStatus, solverStatus)
+			check(best.Tight && up.K == b.Gamma), simStatus, solverStatus)
 	}
 	return t, nil
 }
@@ -108,34 +104,23 @@ func E6GeneralUpper(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ups, err := core.UpperBoundsOneRound(m)
+		b, err := core.Bounds(ctx, m, 1)
 		if err != nil {
 			return nil, err
 		}
-		var gammaEq int
-		covBounds := ""
-		best := ups[0]
-		for _, u := range ups {
-			if u.K < best.K {
-				best = u
-			}
-			switch u.Theorem {
-			case "Thm 3.4", "Cor 3.5":
-				gammaEq = u.K
-			case "Thm 3.7", "Cor 3.8":
-				if covBounds != "" {
-					covBounds += " "
-				}
-				covBounds += fmt.Sprintf("%s:%d", u.Note[4:5], u.K)
-			}
+		// The covering bounds close the list, one per i = 1..γ_eq−1.
+		var covBounds []string
+		for j, u := range b.Upper[len(b.Upper)-len(b.Covering):] {
+			covBounds = append(covBounds, fmt.Sprintf("%d:%d", j+1, u.K))
 		}
+		best := b.Best().Upper
 		simStatus := "skipped"
 		if m.N() <= 4 {
 			if simStatus, err = verdict(ctx, core.VerifyUpperBySimulationCtx(ctx, m, best, 4_000_000)); err != nil {
 				return nil, err
 			}
 		}
-		t.AddRow(c.name, m.N(), gammaEq, covBounds, fmt.Sprintf("%d-set (%s)", best.K, best.Theorem), simStatus)
+		t.AddRow(c.name, m.N(), b.GammaEq, strings.Join(covBounds, " "), fmt.Sprintf("%d-set (%s)", best.K, best.Theorem), simStatus)
 	}
 	t.AddNote("Fig 1b row shows the §3.2 crossover: covering bound 3 < γ_eq bound 4.")
 	return t, nil
@@ -171,35 +156,18 @@ func E7GeneralLower(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		gens := m.Generators()
-		lo, err := core.BestLowerOneRound(m)
+		a, err := core.AnalyzeCtx(ctx, m, 1)
 		if err != nil {
 			return nil, err
 		}
-		eff, _ := combinat.DistributedDominationNumberEffective(gens)
-		lit, err := combinat.DistributedDominationNumber(ctx, gens)
-		if err != nil {
-			return nil, err
-		}
-		var mcs, mts string
-		for tt := 1; tt < eff; tt++ {
-			mc, ok, err := combinat.MaxCoveringNumberEffective(ctx, gens, tt)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
+		nb, lo := a.PerRound[0].Numbers, a.Best[0].Lower
+		var mcs, mts []string
+		for j, mc := range nb.MaxCov {
+			if mc == 0 {
 				break
 			}
-			mt, _, err := combinat.MaxCoveringCoefficientEffective(ctx, gens, tt)
-			if err != nil {
-				return nil, err
-			}
-			if mcs != "" {
-				mcs += " "
-				mts += " "
-			}
-			mcs += fmt.Sprint(mc)
-			mts += fmt.Sprint(mt)
+			mcs = append(mcs, fmt.Sprint(mc))
+			mts = append(mts, fmt.Sprint(nb.MaxCoeff[j]))
 		}
 		solverStatus, topoStatus := "skipped", "skipped"
 		if c.solver {
@@ -212,7 +180,7 @@ func E7GeneralLower(ctx context.Context) (*Table, error) {
 				return nil, err
 			}
 		}
-		t.AddRow(c.name, m.N(), fmt.Sprintf("%d(%d)", eff, lit), mcs, mts,
+		t.AddRow(c.name, m.N(), fmt.Sprintf("%d(%d)", nb.GammaEq, a.GammaDistLiteral), strings.Join(mcs, " "), strings.Join(mts, " "),
 			fmt.Sprintf("%d-set", lo.K), solverStatus, topoStatus)
 	}
 	t.AddNote("solver = no oblivious decision map exists over the full closure (one-round full-info is oblivious).")

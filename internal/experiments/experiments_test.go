@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -11,11 +13,39 @@ import (
 	"ksettop/internal/par"
 )
 
+// tableDigests are the SHA-256 digests of every table's Render(), byte-
+// identical at every parallelism. They pin each table on its own, so that a
+// changed table fails go test and names itself; the reproduce digest of
+// perfbench covers only the whole ksetexperiments output.
+var tableDigests = map[string]string{
+	"E1":  "a8496e7d59e81a11b32dcbebcad191b7520bee2c9afcdbe26cf1afc7e642f0f1",
+	"E2":  "baf975dadeeb835a296c357f9cb4709543365570682f9a974e891370c824eba3",
+	"E3":  "8fe79d92b65a35be566399c55b27338b61922f357d41b88ad164ab6f55bb779a",
+	"E4":  "8a7e27d8b12167bf3a74447f98b11d1309486f01793dd926625d50b580620fc4",
+	"E5":  "8c9ba756a37ab23c5a51088a1d180acddd9b1e719e377c43d865e415efb3975a",
+	"E6":  "957c4570a5c9db1ba4070c22d3719423b46c7482cb38232882e1fe2728dd8358",
+	"E7":  "4f74227d29e8ca08d8a45b73ad285437275004721ab1a8f1fe9ce083e11e8d15",
+	"E8":  "1a0fe2af67720a1137318bfa910fa26fccf7653ab126d919c08b18090d23b74b",
+	"E9":  "074334ae1dec001859a7491a8706bb480dcd956f7ba99498e15705abab516eb4",
+	"E10": "36ccae24ce759371beada54182bba1bdd304231ca490858c693f88f138c3af26",
+	"E11": "0a08bc1a03ae3ec99d2001f243f083ad57b7657291dd02a453a603823c71a359",
+	"E12": "23671025cfd363dba51d4d05f6e2a660dcb476ac5ffd7ac5358c5b0aeb4daffc",
+	"E13": "ba956a388c50a6d7ebe6265d38287da8f406b9ac4a6aa2c5b00ea4ecf9908c77",
+	"E14": "eab44176c9bc0b6d907bf04d15c12a2f9c26fc2e5e75b09b6a2883582811f0ee",
+	"E15": "5a21cfd96d9a6ab179a7498b21b649472fa06d5a08e3d4356b65ca8175410804",
+	"E16": "17e34cf973eda27588cbf9cd49639e44c1fce1f70744180d9de366db160d6e6c",
+	"E17": "9bd639cceee86902be0103830e219e3ae3561d2503145619ab29b1c61a62e456",
+}
+
 // TestAllExperimentsPass runs every experiment and fails on any MISMATCH or
-// FAIL cell — this is the repository's end-to-end reproduction gate.
+// FAIL cell — this is the repository's end-to-end reproduction gate. Each
+// table must also match its digest.
 func TestAllExperimentsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are exhaustive sweeps; skipped in -short mode")
+	}
+	if len(tableDigests) != len(All()) {
+		t.Errorf("%d table digests for %d experiments", len(tableDigests), len(All()))
 	}
 	for _, r := range All() {
 		r := r
@@ -30,6 +60,9 @@ func TestAllExperimentsPass(t *testing.T) {
 			}
 			if len(table.Rows) == 0 {
 				t.Errorf("%s produced no rows", r.ID)
+			}
+			if sum := sha256.Sum256([]byte(text)); hex.EncodeToString(sum[:]) != tableDigests[r.ID] {
+				t.Errorf("%s table changed (sha256 %x, want %s):\n%s", r.ID, sum, tableDigests[r.ID], text)
 			}
 		})
 	}

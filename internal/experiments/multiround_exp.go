@@ -220,15 +220,11 @@ func E10StarUnions(ctx context.Context) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			gu, err := core.BestUpperOneRound(m)
+			b, err := core.Bounds(ctx, m, 1)
 			if err != nil {
 				return nil, err
 			}
-			gl, err := core.BestLowerOneRound(m)
-			if err != nil {
-				return nil, err
-			}
-			genericStatus = check(gu.K == up.K && gl.K == lo.K)
+			genericStatus = check(b.Best().Upper.K == up.K && b.Lower.K == lo.K)
 			if c.n <= 4 && lo.K >= 1 {
 				bound := core.LowerBound{K: lo.K, Rounds: 1, Theorem: lo.Theorem}
 				if solverStatus, err = verdict(ctx, core.VerifyLowerBySolverCtx(ctx, m, bound, protocol.DefaultNodeBudget())); err != nil {
@@ -269,15 +265,12 @@ func E12MultiRound(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for r := 1; r <= c.rounds; r++ {
-			up, err := core.BestUpperMultiRound(ctx, m, r)
-			if err != nil {
-				return nil, err
-			}
-			lo, err := core.BestLowerMultiRound(ctx, m, r)
-			if err != nil {
-				return nil, err
-			}
+		a, err := core.AnalyzeCtx(ctx, m, c.rounds)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range a.Best {
+			r, up, lo := p.Rounds, p.Upper, p.Lower
 			sim := "skipped"
 			if m.N() <= 4 && r <= 3 {
 				if sim, err = verdict(ctx, core.VerifyUpperBySimulationCtx(ctx, m, up, 2_000_000)); err != nil {
@@ -287,7 +280,7 @@ func E12MultiRound(ctx context.Context) (*Table, error) {
 			t.AddRow(c.name, r,
 				fmt.Sprintf("%d-set (%s)", up.K, up.Theorem),
 				fmt.Sprintf("%d-set (%s)", lo.K, lo.Theorem),
-				check(up.K == lo.K+1), sim)
+				check(p.Tight), sim)
 		}
 	}
 	t.AddNote("star models are product-idempotent: bounds do not improve with rounds (a leaf may stay unheard forever).")

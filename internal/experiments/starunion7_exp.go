@@ -32,11 +32,7 @@ func E14StarUnions7(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		gu, err := core.BestUpperOneRound(m)
-		if err != nil {
-			return nil, err
-		}
-		gl, err := core.BestLowerOneRound(m)
+		b, err := core.Bounds(ctx, m, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +51,7 @@ func E14StarUnions7(ctx context.Context) (*Table, error) {
 		t.AddRow(n, s, m.GeneratorCount(), n-s+1,
 			fmt.Sprintf("%d-set", lo.K), fmt.Sprintf("%d-set", up.K),
 			check(up.K == lo.K+1),
-			check(gu.K == up.K && gl.K == lo.K),
+			check(b.Best().Upper.K == up.K && b.Lower.K == lo.K),
 			closure)
 	}
 	t.AddNote("closure column: streaming-enumeration count vs inclusion–exclusion closed form, where the rank space fits the default budget.")

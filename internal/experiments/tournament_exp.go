@@ -30,16 +30,12 @@ func E13TournamentGap(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	up, err := core.BestUpperOneRound(m)
+	b, err := core.Bounds(ctx, m, 1)
 	if err != nil {
 		return nil, err
 	}
+	up, lo := b.Best().Upper, b.Lower
 	t.AddRow("best upper bound (Cor 3.5)", fmt.Sprintf("%d-set", up.K), "3-set", check(up.K == 3))
-
-	lo, err := core.BestLowerOneRound(m)
-	if err != nil {
-		return nil, err
-	}
 	t.AddRow("Thm 5.4 lower bound", fmt.Sprintf("%d-set", lo.K), "1-set", check(lo.K == 1))
 
 	var all []graph.Digraph

@@ -54,6 +54,12 @@ type (
 	LowerBound = core.LowerBound
 	// Analysis is a full bound report for a model.
 	Analysis = core.Analysis
+	// RoundBounds are the bounds of one round count.
+	RoundBounds = core.RoundBounds
+	// Numbers are the graph numbers of S or S^r the bounds are stated in.
+	Numbers = core.Numbers
+	// BoundPair is a round's best upper and lower bound.
+	BoundPair = core.BoundPair
 	// Sequence is a covering-number sequence (Def 6.6/6.8).
 	Sequence = combinat.Sequence
 	// Algorithm is an oblivious round-based algorithm (Def 2.5).
@@ -140,18 +146,10 @@ var (
 
 // Bounds (§3, §5, §6).
 var (
-	// UpperBoundsOneRound lists every one-round upper bound with provenance.
-	UpperBoundsOneRound = core.UpperBoundsOneRound
-	// LowerBoundsOneRound lists every one-round lower bound with provenance.
-	LowerBoundsOneRound = core.LowerBoundsOneRound
-	// BestUpperOneRound returns the smallest solvable K.
-	BestUpperOneRound = core.BestUpperOneRound
-	// BestLowerOneRound returns the largest impossible K.
-	BestLowerOneRound = core.BestLowerOneRound
-	// UpperBoundsMultiRound lists the r-round upper bounds (§6.2).
-	UpperBoundsMultiRound = core.UpperBoundsMultiRound
-	// LowerBoundsMultiRound lists the r-round lower bounds (§6.3).
-	LowerBoundsMultiRound = core.LowerBoundsMultiRound
+	// Bounds lists every r-round upper bound and the lower bound, with
+	// provenance and the numbers they derive from (§3 and §5 at r = 1, §6
+	// at r ≥ 2).
+	Bounds = core.Bounds
 	// StarUnionBounds returns the tight Thm 6.13 pair.
 	StarUnionBounds = core.StarUnionBounds
 	// Analyze computes the full bound report for a model.

@@ -20,16 +20,12 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 		t.Errorf("render missing tight pair:\n%s", text)
 	}
 
-	up, err := BestUpperOneRound(m)
+	b, err := Bounds(context.Background(), m, 1)
 	if err != nil {
-		t.Fatalf("BestUpperOneRound: %v", err)
+		t.Fatalf("Bounds: %v", err)
 	}
-	lo, err := BestLowerOneRound(m)
-	if err != nil {
-		t.Fatalf("BestLowerOneRound: %v", err)
-	}
-	if up.K != 3 || lo.K != 2 {
-		t.Errorf("bounds = %d/%d, want 3/2", up.K, lo.K)
+	if best := b.Best(); best.Upper.K != 3 || best.Lower.K != 2 || best != a.Best[0] {
+		t.Errorf("bounds = %+v, want 3/2 as in the analysis %+v", best, a.Best[0])
 	}
 }
 
@@ -100,7 +96,8 @@ func TestFacadeSequencesAndVerification(t *testing.T) {
 	}
 
 	m, _ := SimpleModel(cyc)
-	up, _ := BestUpperOneRound(m)
+	b, _ := Bounds(context.Background(), m, 1)
+	up := b.Best().Upper
 	if err := VerifyUpperBySimulation(context.Background(), m, up, 2_000_000); err != nil {
 		t.Errorf("verification failed: %v", err)
 	}
