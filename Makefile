@@ -28,14 +28,16 @@ race:
 # kill/restart recovery) and the crash-resume matrix (kill-and-restart over
 # solver/homology/dist checkpoints, SIGKILL torn-write atomicity), each test
 # individually time-boxed so a stuck drain fails fast instead of hanging CI.
+# Every command is raced too: the interrupt, SIGTERM-drain and checkpoint
+# tests drive each one in-process through the shared cli lifecycle.
 chaos:
-	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Cancel|Leak|Budget|Serve|Flight|Snapshot|Deadline|Dist|Ring|Journal|Race|Obs|Trace|Metrics|Log|Checkpoint|Resume|Kill|Durable|Byzantine|Lie|Quarantine|Verify|Degrade|Duplicate|PickWorker|ProbeInterval' \
+	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Cancel|Leak|Budget|Serve|Flight|Snapshot|Deadline|Dist|Ring|Journal|Race|Obs|Trace|Metrics|Log|Checkpoint|Resume|Kill|Durable|Byzantine|Lie|Quarantine|Verify|Degrade|Duplicate|PickWorker|ProbeInterval|Interrupt|SIGTERM' \
 		./internal/faultinject/ ./internal/par/ ./internal/protocol/ \
 		./internal/model/ ./internal/homology/ ./internal/memo/ \
 		./internal/cli/ ./internal/serve/ ./internal/dist/ ./internal/obs/ \
 		./internal/checkpoint/ ./internal/durable/ \
 		./internal/core/ ./internal/topology/ ./internal/graph/ \
-		./internal/experiments/ ./cmd/ksetexperiments/
+		./internal/experiments/ ./cmd/...
 
 # Smoke-run every benchmark once (also re-validates the E1–E17 tables).
 bench:
@@ -53,5 +55,7 @@ benchcheck:
 experiments:
 	$(GO) run ./cmd/ksetexperiments
 
+# Removes only the CI scratch snapshot: the BENCH_<n>.json files are the
+# committed perf trajectory.
 clean:
-	rm -f BENCH_*.json
+	rm -f BENCH_ci.json

@@ -22,8 +22,8 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"log/slog"
@@ -41,7 +41,6 @@ import (
 
 	"ksettop/internal/bench"
 	"ksettop/internal/cli"
-	"ksettop/internal/obs"
 	"ksettop/internal/par"
 	"ksettop/internal/serve"
 )
@@ -68,36 +67,27 @@ type snapshot struct {
 	Benchmarks  []benchResult `json:"benchmarks"`
 }
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ksetbench:", err)
-		os.Exit(1)
-	}
+func main() { cli.Main("ksetbench", run) }
+
+// run is the whole tool: it parses args, prints one line per row to stdout
+// and writes the snapshot. A SIGINT/SIGTERM stops it between rows, before
+// any snapshot is written.
+func run(parent context.Context, args []string, stdout io.Writer) error {
+	c := cli.New("ksetbench")
+	out := c.Flags.String("out", "BENCH_1.json", "output JSON path")
+	against := c.Flags.String("against", "", "previous snapshot to compare against (fails on regression)")
+	filter := c.Flags.String("filter", "", "regexp over benchmark names; only matches run (e.g. '^Homology')")
+	return c.Run(parent, args, func(ctx context.Context) error {
+		return record(ctx, stdout, *out, *against, *filter)
+	})
 }
 
-func run() error {
-	out := flag.String("out", "BENCH_1.json", "output JSON path")
-	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	against := flag.String("against", "", "previous snapshot to compare against (fails on regression)")
-	filter := flag.String("filter", "", "regexp over benchmark names; only matches run (e.g. '^Homology')")
-	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
-	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
-	flag.Parse()
-	obs.SetProcessName("ksetbench")
-	if err := cli.ApplyLogLevelFlag(*logLevel); err != nil {
-		return err
-	}
-	flushTrace := cli.StartTraceOut(*traceOut)
-	defer func() {
-		if err := flushTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "ksetbench: trace-out:", err)
-		}
-	}()
-	par.SetParallelism(*parallelism)
-
+// record measures the rows matching filter, writes the snapshot to out and,
+// with a non-empty against, gates it on that baseline.
+func record(ctx context.Context, stdout io.Writer, out, against, filter string) error {
 	var nameRe *regexp.Regexp
-	if *filter != "" {
-		re, err := regexp.Compile(*filter)
+	if filter != "" {
+		re, err := regexp.Compile(filter)
 		if err != nil {
 			return fmt.Errorf("parsing -filter: %w", err)
 		}
@@ -116,6 +106,9 @@ func run() error {
 		if nameRe != nil && !nameRe.MatchString(row.Name) {
 			continue
 		}
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
+		}
 		r := testing.Benchmark(row.Fn)
 		snap.Benchmarks = append(snap.Benchmarks, benchResult{
 			Name:        row.Name,
@@ -124,7 +117,7 @@ func run() error {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
 		})
-		fmt.Printf("%-28s %12.0f ns/op %10d B/op %8d allocs/op\n",
+		fmt.Fprintf(stdout, "%-28s %12.0f ns/op %10d B/op %8d allocs/op\n",
 			row.Name, snap.Benchmarks[len(snap.Benchmarks)-1].NsPerOp,
 			r.AllocedBytesPerOp(), r.AllocsPerOp())
 	}
@@ -133,6 +126,9 @@ func run() error {
 	// loop body, so they bypass testing.Benchmark; both come from one load
 	// run. -filter applies per row as usual.
 	if nameRe == nil || nameRe.MatchString("ServeMixedP50") || nameRe.MatchString("ServeMixedP99") {
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
+		}
 		rows, err := serveBench()
 		if err != nil {
 			return fmt.Errorf("service benchmark: %w", err)
@@ -142,7 +138,7 @@ func run() error {
 				continue
 			}
 			snap.Benchmarks = append(snap.Benchmarks, row)
-			fmt.Printf("%-28s %12.0f ns/op  (latency percentile over %d requests)\n",
+			fmt.Fprintf(stdout, "%-28s %12.0f ns/op  (latency percentile over %d requests)\n",
 				row.Name, row.NsPerOp, row.Iterations)
 		}
 	}
@@ -151,13 +147,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Println("wrote", *out)
+	fmt.Fprintln(stdout, "wrote", out)
 
-	if *against != "" {
-		return compareAgainst(snap, *against, regressAllowed)
+	if against != "" {
+		return compareAgainst(stdout, snap, against, regressAllowed)
 	}
 	return nil
 }
@@ -170,7 +166,7 @@ func run() error {
 // below): a uniformly slower runner cancels out and only benchmarks that
 // regressed relative to the rest of the suite trip the gate. New and
 // removed benchmarks only inform.
-func compareAgainst(snap snapshot, path string, allowed float64) error {
+func compareAgainst(w io.Writer, snap snapshot, path string, allowed float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading baseline: %w", err)
@@ -193,7 +189,7 @@ func compareAgainst(snap snapshot, path string, allowed float64) error {
 	for _, b := range snap.Benchmarks {
 		prev, ok := baseNs[b.Name]
 		if !ok || prev <= 0 {
-			fmt.Printf("  %-28s new benchmark, no baseline\n", b.Name)
+			fmt.Fprintf(w, "  %-28s new benchmark, no baseline\n", b.Name)
 			continue
 		}
 		shared = append(shared, comparison{b.Name, prev, b.NsPerOp, b.NsPerOp / prev})
@@ -216,7 +212,7 @@ func compareAgainst(snap snapshot, path string, allowed float64) error {
 			speed = med
 		}
 	}
-	fmt.Printf("\nregression check vs %s (threshold +%.0f%%, machine factor %.2fx):\n",
+	fmt.Fprintf(w, "\nregression check vs %s (threshold +%.0f%%, machine factor %.2fx):\n",
 		path, allowed*100, speed)
 	var failures []string
 	for _, c := range shared {
@@ -226,7 +222,7 @@ func compareAgainst(snap snapshot, path string, allowed float64) error {
 			verdict = "REGRESSION"
 			failures = append(failures, fmt.Sprintf("%s %.2fx", c.name, normalized))
 		}
-		fmt.Printf("  %-28s %.2fx normalized (%.0f → %.0f ns/op) %s\n",
+		fmt.Fprintf(w, "  %-28s %.2fx normalized (%.0f → %.0f ns/op) %s\n",
 			c.name, normalized, c.prev, c.now, verdict)
 	}
 	if len(failures) > 0 {

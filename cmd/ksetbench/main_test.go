@@ -1,11 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ksettop/internal/cli"
 )
 
 // snap builds a snapshot from name → ns/op pairs given in order.
@@ -34,7 +40,7 @@ func baseline(t *testing.T, s snapshot) string {
 func TestCompareAgainstUniformSlowdownIsMachineFactor(t *testing.T) {
 	base := baseline(t, snap("A", 100.0, "B", 200.0, "C", 300.0, "D", 400.0, "E", 500.0))
 	now := snap("A", 200.0, "B", 400.0, "C", 600.0, "D", 800.0, "E", 1000.0)
-	if err := compareAgainst(now, base, regressAllowed); err != nil {
+	if err := compareAgainst(io.Discard, now, base, regressAllowed); err != nil {
 		t.Fatalf("uniform 2x slowdown over 5 rows must normalize away, got %v", err)
 	}
 }
@@ -42,7 +48,7 @@ func TestCompareAgainstUniformSlowdownIsMachineFactor(t *testing.T) {
 func TestCompareAgainstNamesTheRegressedRow(t *testing.T) {
 	base := baseline(t, snap("A", 100.0, "B", 100.0, "C", 100.0, "D", 100.0, "E", 100.0))
 	now := snap("A", 100.0, "B", 140.0, "C", 100.0, "D", 100.0, "E", 100.0)
-	err := compareAgainst(now, base, regressAllowed)
+	err := compareAgainst(io.Discard, now, base, regressAllowed)
 	if err == nil {
 		t.Fatal("a +40% row with the rest flat must fail the gate")
 	}
@@ -59,7 +65,7 @@ func TestCompareAgainstNamesTheRegressedRow(t *testing.T) {
 func TestCompareAgainstUnsharedRowsInformOnly(t *testing.T) {
 	base := baseline(t, snap("A", 100.0, "B", 100.0, "C", 100.0, "D", 100.0, "E", 100.0, "Gone", 1.0))
 	now := snap("A", 100.0, "B", 100.0, "C", 100.0, "D", 100.0, "E", 100.0, "New", 1e12)
-	if err := compareAgainst(now, base, regressAllowed); err != nil {
+	if err := compareAgainst(io.Discard, now, base, regressAllowed); err != nil {
 		t.Fatalf("rows missing from either snapshot must not gate, got %v", err)
 	}
 }
@@ -67,7 +73,7 @@ func TestCompareAgainstUnsharedRowsInformOnly(t *testing.T) {
 func TestCompareAgainstNoNormalizationBelowFiveSharedRows(t *testing.T) {
 	base := baseline(t, snap("A", 100.0, "B", 100.0, "C", 100.0, "D", 100.0, "Gone", 100.0))
 	now := snap("A", 200.0, "B", 200.0, "C", 200.0, "D", 200.0, "New", 100.0)
-	err := compareAgainst(now, base, regressAllowed)
+	err := compareAgainst(io.Discard, now, base, regressAllowed)
 	if err == nil {
 		t.Fatal("with 4 shared rows a uniform 2x slowdown must not be divided out")
 	}
@@ -75,5 +81,39 @@ func TestCompareAgainstNoNormalizationBelowFiveSharedRows(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not name %q", err, name)
 		}
+	}
+}
+
+// cancelAfterFirstRow cancels the run with an interrupt cause as soon as the
+// first row has been printed: a deterministic stand-in for a SIGINT arriving
+// while the second row is queued.
+type cancelAfterFirstRow struct {
+	out    strings.Builder
+	cancel context.CancelCauseFunc
+}
+
+func (w *cancelAfterFirstRow) Write(p []byte) (int, error) {
+	w.out.Write(p)
+	w.cancel(fmt.Errorf("%w (test)", cli.ErrInterrupted))
+	return len(p), nil
+}
+
+// TestInterruptStopsBetweenRows interrupts a two-row run after its first
+// row: the run must stop before the second row with an error exiting 3, and
+// write no snapshot.
+func TestInterruptStopsBetweenRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_x.json")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	w := &cancelAfterFirstRow{cancel: cancel}
+	err := run(ctx, []string{"-out", path, "-filter", "^(DominationNumber|CoveringNumbers)$"}, w)
+	if code := cli.ExitCode(err); code != cli.ExitInterrupted {
+		t.Fatalf("run = %v (exit %d), want exit %d\noutput:\n%s", err, code, cli.ExitInterrupted, w.out.String())
+	}
+	if got := strings.Count(w.out.String(), "ns/op"); got != 1 {
+		t.Errorf("%d rows measured, want 1:\n%s", got, w.out.String())
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("interrupted run wrote a snapshot: %v", err)
 	}
 }

@@ -14,88 +14,45 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	"ksettop/internal/cli"
 	"ksettop/internal/core"
 	"ksettop/internal/model"
-	"ksettop/internal/obs"
-	"ksettop/internal/par"
 	"ksettop/internal/protocol"
 )
 
-func main() {
-	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
-		cli.Exit("ksetbounds", err)
-	}
-}
+func main() { cli.Main("ksetbounds", run) }
 
 // run is the whole tool: it parses args, prints the bound table (and the
 // -verify cells) to stdout, and stops early with the cause once parent or
 // a SIGINT/SIGTERM cancels the run.
-func run(parent context.Context, args []string, stdout io.Writer) (err error) {
-	fs := flag.NewFlagSet("ksetbounds", flag.ExitOnError)
-	spec := fs.String("model", "star:n=4", "model specification (see package doc)")
-	rounds := fs.Int("rounds", 1, "analyze rounds 1..r")
-	verify := fs.Bool("verify", false, "re-check the one-round bounds mechanically")
-	parallelism := fs.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	solverBudget := fs.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
-	memoSnapshot := fs.String("memo-snapshot", "", cli.MemoSnapshotUsage)
-	logLevel := fs.String("log-level", "info", cli.LogLevelFlagUsage)
-	traceOut := fs.String("trace-out", "", cli.TraceOutFlagUsage)
-	checkpointPath := fs.String("checkpoint", "", cli.CheckpointFlagUsage)
-	checkpointInterval := fs.Duration("checkpoint-interval", 30*time.Second, cli.CheckpointIntervalFlagUsage)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	obs.SetProcessName("ksetbounds")
-	if err := cli.ApplyLogLevelFlag(*logLevel); err != nil {
-		return err
-	}
-	flushTrace := cli.StartTraceOut(*traceOut)
-	defer func() {
-		if err := flushTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "ksetbounds: trace-out:", err)
-		}
-	}()
-	ctx, stopSignals := cli.SignalContext(parent)
-	defer stopSignals()
-	jobKey := cli.JobKey("ksetbounds", *spec, fmt.Sprint(*rounds), fmt.Sprint(*verify),
-		fmt.Sprint(*solverBudget))
-	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval)
-	defer func() {
-		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
-			err = ferr
-		}
-	}()
-	par.SetParallelism(*parallelism)
-	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {
-		return err
-	}
-	if err := cli.LoadMemoSnapshot(*memoSnapshot); err != nil {
-		return err
-	}
-
-	m, err := cli.ParseModel(*spec)
-	if err != nil {
-		return err
-	}
-	a, err := core.AnalyzeCtx(ctx, m, *rounds)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, a.Render())
-
-	if *verify {
-		if err := verifyOneRound(ctx, stdout, m, a.Best[0]); err != nil {
+func run(parent context.Context, args []string, stdout io.Writer) error {
+	c := cli.New("ksetbounds")
+	spec := c.Flags.String("model", "star:n=4", "model specification (see package doc)")
+	rounds := c.Flags.Int("rounds", 1, "analyze rounds 1..r")
+	verify := c.Flags.Bool("verify", false, "re-check the one-round bounds mechanically")
+	solverBudget := c.SolverBudget()
+	c.MemoSnapshot(cli.MemoSnapshotUsage, nil)
+	c.Checkpoint(cli.CheckpointFlagUsage, cli.CheckpointIntervalFlagUsage, func() []string {
+		return []string{*spec, fmt.Sprint(*rounds), fmt.Sprint(*verify), fmt.Sprint(*solverBudget)}
+	})
+	return c.Run(parent, args, func(ctx context.Context) error {
+		m, err := cli.ParseModel(*spec)
+		if err != nil {
 			return err
 		}
-	}
-	return cli.SaveMemoSnapshot(*memoSnapshot)
+		a, err := core.AnalyzeCtx(ctx, m, *rounds)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(stdout, a.Render())
+		if *verify {
+			return verifyOneRound(ctx, stdout, m, a.Best[0])
+		}
+		return nil
+	})
 }
 
 // verifyOneRound re-checks the analysis's best one-round bounds and prints

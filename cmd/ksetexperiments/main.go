@@ -16,10 +16,8 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -27,76 +25,45 @@ import (
 	"ksettop/internal/dist"
 	"ksettop/internal/experiments"
 	"ksettop/internal/model"
-	"ksettop/internal/obs"
-	"ksettop/internal/par"
 )
 
-func main() {
-	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
-		cli.Exit("ksetexperiments", err)
-	}
-}
+func main() { cli.Main("ksetexperiments", run) }
 
 // run is the whole tool: it parses args, prints the selected tables to
 // stdout, and stops early with the cause once parent or a SIGINT/SIGTERM
 // cancels the run.
-func run(parent context.Context, args []string, stdout io.Writer) (err error) {
-	fs := flag.NewFlagSet("ksetexperiments", flag.ExitOnError)
-	only := fs.String("only", "", "comma-separated experiment IDs (default all)")
-	parallelism := fs.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	memoSnapshot := fs.String("memo-snapshot", "", cli.MemoSnapshotUsage)
-	solverBudget := fs.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
-	workers := fs.String("workers", "", cli.WorkersFlagUsage)
-	verifyFraction := fs.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
-	quarantineThreshold := fs.Float64("quarantine-threshold", 0, cli.QuarantineThresholdFlagUsage)
-	logLevel := fs.String("log-level", "info", cli.LogLevelFlagUsage)
-	traceOut := fs.String("trace-out", "", cli.TraceOutFlagUsage)
-	checkpointPath := fs.String("checkpoint", "", cli.CheckpointFlagUsage)
-	checkpointInterval := fs.Duration("checkpoint-interval", 30*time.Second, cli.CheckpointIntervalFlagUsage)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	obs.SetProcessName("ksetexperiments")
-	if err := cli.ApplyLogLevelFlag(*logLevel); err != nil {
-		return err
-	}
-	flushTrace := cli.StartTraceOut(*traceOut)
-	defer func() {
-		if err := flushTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "ksetexperiments: trace-out:", err)
+func run(parent context.Context, args []string, stdout io.Writer) error {
+	c := cli.New("ksetexperiments")
+	only := c.Flags.String("only", "", "comma-separated experiment IDs (default all)")
+	solverBudget := c.SolverBudget()
+	workers := c.Flags.String("workers", "", "comma-separated ksetsweepd worker addresses; non-empty distributes heavy closure sweeps across them (local fallback when the fleet is unavailable)")
+	verifyFraction := c.Flags.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
+	quarantineThreshold := c.Flags.Float64("quarantine-threshold", 0, cli.QuarantineThresholdFlagUsage)
+	c.MemoSnapshot(cli.MemoSnapshotUsage, nil)
+	c.Checkpoint(cli.CheckpointFlagUsage, cli.CheckpointIntervalFlagUsage, func() []string {
+		return []string{*only, fmt.Sprint(*solverBudget)}
+	})
+	return c.Run(parent, args, func(ctx context.Context) error {
+		if list := cli.SplitWorkers(*workers); len(list) > 0 {
+			coord := dist.NewCoordinator(dist.CoordConfig{
+				Workers:             list,
+				VerifyFraction:      *verifyFraction,
+				QuarantineThreshold: *quarantineThreshold,
+			})
+			coord.Start(ctx)
+			model.SetDistributor(coord)
+			defer model.SetDistributor(nil)
 		}
-	}()
-	ctx, stopSignals := cli.SignalContext(parent)
-	defer stopSignals()
-	jobKey := cli.JobKey("ksetexperiments", *only,
-		fmt.Sprint(*solverBudget))
-	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval)
-	defer func() {
-		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
-			err = ferr
-		}
-	}()
-	par.SetParallelism(*parallelism)
-	if list := cli.SplitWorkers(*workers); len(list) > 0 {
-		coord := dist.NewCoordinator(dist.CoordConfig{
-			Workers:             list,
-			VerifyFraction:      *verifyFraction,
-			QuarantineThreshold: *quarantineThreshold,
-		})
-		coord.Start(ctx)
-		model.SetDistributor(coord)
-		defer model.SetDistributor(nil)
-	}
-	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {
-		return err
-	}
-	if err := cli.LoadMemoSnapshot(*memoSnapshot); err != nil {
-		return err
-	}
+		return printTables(ctx, stdout, *only)
+	})
+}
 
+// printTables runs the experiments named by only (all when empty) and
+// prints their tables; any MISMATCH or FAIL cell fails the run.
+func printTables(ctx context.Context, stdout io.Writer, only string) error {
 	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
+	if only != "" {
+		for _, id := range strings.Split(only, ",") {
 			want[strings.TrimSpace(id)] = true
 		}
 	}
@@ -121,5 +88,5 @@ func run(parent context.Context, args []string, stdout io.Writer) (err error) {
 	if failures > 0 {
 		return fmt.Errorf("%d experiment(s) had failing rows", failures)
 	}
-	return cli.SaveMemoSnapshot(*memoSnapshot)
+	return nil
 }

@@ -36,7 +36,7 @@
 // per-request deadlines (504), returns typed budget rejections (422),
 // isolates worker panics (500, never a crash), coalesces identical
 // in-flight queries, warm-boots from a checksummed memo snapshot
-// (tolerating corruption by starting cold), checkpoints in the background,
+// (tolerating corruption by starting cold), saves it in the background,
 // and drains gracefully on SIGINT/SIGTERM with a final snapshot save.
 //
 // The -faults flag arms the deterministic fault-injection registry inside
@@ -46,94 +46,58 @@ package main
 
 import (
 	"context"
-	"flag"
-	"os"
-	"os/signal"
-	"syscall"
+	"io"
+	"net/http"
 	"time"
 
 	"ksettop/internal/cli"
 	"ksettop/internal/dist"
-	"ksettop/internal/faultinject"
 	"ksettop/internal/model"
-	"ksettop/internal/obs"
-	"ksettop/internal/par"
 	"ksettop/internal/serve"
 )
 
-func main() {
-	if err := run(); err != nil {
-		cli.Exit("ksetserved", err)
-	}
-}
+func main() { cli.Main("ksetserved", run) }
 
-func run() error {
-	addr := flag.String("addr", ":8080", "listen address")
-	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	maxConcurrent := flag.Int("max-concurrent", 8, "concurrent requests admitted before shedding with 503")
-	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "default per-request deadline")
-	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "hard cap on any request deadline")
-	solverBudget := flag.Int("solver-budget", 0, "per-request solver node budget cap (0 = stock 50M)")
-	memoSnapshot := flag.String("memo-snapshot", "", "memo snapshot file: warm boot, background checkpoints, final save on drain (empty = off)")
-	checkpointEvery := flag.Duration("checkpoint-every", time.Minute, "background checkpoint period")
-	drainGrace := flag.Duration("drain-grace", 15*time.Second, "shutdown grace for in-flight requests")
-	faults := flag.String("faults", "", "deterministic fault-injection rules, e.g. 'panic:serve.request@3,delay:par.task@1+100:1ms' (empty = off)")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault-injection schedule")
-	workers := flag.String("workers", "", "comma-separated ksetsweepd worker addresses; non-empty enables coordinator mode")
-	distShards := flag.Int("dist-shards", 0, "shards per distributed sweep (0 = 8 × workers)")
-	distLease := flag.Duration("dist-lease", 15*time.Second, "shard lease TTL before a grant is forfeited and re-dispatched")
-	distJournal := flag.String("dist-journal", "", "shard-commit journal file for coordinator crash recovery (empty = off)")
-	verifyFraction := flag.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
-	quarantineThreshold := flag.Float64("quarantine-threshold", 0, cli.QuarantineThresholdFlagUsage)
-	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
-	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	flag.Parse()
-
-	obs.SetProcessName("ksetserved")
-	if err := cli.ApplyLogLevelFlag(*logLevel); err != nil {
-		return err
-	}
-	flushTrace := cli.StartTraceOut(*traceOut)
-	par.SetParallelism(*parallelism)
-	if *faults != "" {
-		rules, err := faultinject.ParseRules(*faults)
-		if err != nil {
-			return err
+// run is the whole daemon: it parses args, serves until parent is
+// cancelled or a SIGINT/SIGTERM arrives, then drains and returns nil.
+func run(parent context.Context, args []string, stdout io.Writer) error {
+	c := cli.New("ksetserved")
+	maxConcurrent := c.Flags.Int("max-concurrent", 8, "concurrent requests admitted before shedding with 503")
+	requestTimeout := c.Flags.Duration("request-timeout", 30*time.Second, "default per-request deadline")
+	maxTimeout := c.Flags.Duration("max-timeout", 2*time.Minute, "hard cap on any request deadline")
+	solverBudget := c.Flags.Int("solver-budget", 0, "per-request solver node budget cap (0 = stock 50M)")
+	checkpointEvery := c.Flags.Duration("checkpoint-every", time.Minute, "background checkpoint period")
+	c.MemoSnapshot("memo snapshot file: warm boot, background checkpoints, final save on drain (empty = off)", checkpointEvery)
+	c.Faults("deterministic fault-injection rules, e.g. 'panic:serve.request@3,delay:par.task@1+100:1ms' (empty = off)")
+	workers := c.Flags.String("workers", "", "comma-separated ksetsweepd worker addresses; non-empty enables coordinator mode")
+	distShards := c.Flags.Int("dist-shards", 0, "shards per distributed sweep (0 = 8 × workers)")
+	distLease := c.Flags.Duration("dist-lease", 15*time.Second, "shard lease TTL before a grant is forfeited and re-dispatched")
+	distJournal := c.Flags.String("dist-journal", "", "shard-commit journal file for coordinator crash recovery (empty = off)")
+	verifyFraction := c.Flags.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
+	quarantineThreshold := c.Flags.Float64("quarantine-threshold", 0, cli.QuarantineThresholdFlagUsage)
+	pprofFlag := c.Flags.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+	return c.Serve(parent, args, ":8080", "shutdown grace for in-flight requests", func(ctx context.Context) (http.Handler, error) {
+		var coord *dist.Coordinator
+		if list := cli.SplitWorkers(*workers); len(list) > 0 {
+			coord = dist.NewCoordinator(dist.CoordConfig{
+				Workers:             list,
+				Shards:              *distShards,
+				LeaseTTL:            *distLease,
+				JournalPath:         *distJournal,
+				VerifyFraction:      *verifyFraction,
+				QuarantineThreshold: *quarantineThreshold,
+			})
+			coord.Start(ctx)
+			model.SetDistributor(coord)
 		}
-		faultinject.Enable(*faultSeed, rules...)
-		defer faultinject.Disable()
-	}
-
-	var coord *dist.Coordinator
-	if list := cli.SplitWorkers(*workers); len(list) > 0 {
-		coord = dist.NewCoordinator(dist.CoordConfig{
-			Workers:             list,
-			Shards:              *distShards,
-			LeaseTTL:            *distLease,
-			JournalPath:         *distJournal,
-			VerifyFraction:      *verifyFraction,
-			QuarantineThreshold: *quarantineThreshold,
+		s := serve.New(serve.Config{
+			MaxConcurrent:   *maxConcurrent,
+			DefaultTimeout:  *requestTimeout,
+			MaxTimeout:      *maxTimeout,
+			MaxSolverBudget: *solverBudget,
+			Coordinator:     coord,
+			EnablePprof:     *pprofFlag,
 		})
-		model.SetDistributor(coord)
-	}
-
-	s := serve.New(serve.Config{
-		MaxConcurrent:   *maxConcurrent,
-		DefaultTimeout:  *requestTimeout,
-		MaxTimeout:      *maxTimeout,
-		MaxSolverBudget: *solverBudget,
-		SnapshotPath:    *memoSnapshot,
-		CheckpointEvery: *checkpointEvery,
-		Coordinator:     coord,
-		EnablePprof:     *pprofFlag,
+		return s.Handler(), nil
 	})
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	err := s.Run(ctx, *addr, *drainGrace)
-	if terr := flushTrace(); terr != nil && err == nil {
-		err = terr
-	}
-	return err
 }

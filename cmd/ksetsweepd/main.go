@@ -32,111 +32,39 @@ package main
 
 import (
 	"context"
-	"flag"
-	"log/slog"
-	"os"
-	"os/signal"
-	"syscall"
+	"io"
+	"net/http"
 	"time"
 
 	"ksettop/internal/checkpoint"
 	"ksettop/internal/cli"
 	"ksettop/internal/dist"
-	"ksettop/internal/faultinject"
-	"ksettop/internal/obs"
-	"ksettop/internal/par"
 )
 
-func main() {
-	if err := run(); err != nil {
-		cli.Exit("ksetsweepd", err)
-	}
-}
+func main() { cli.Main("ksetsweepd", run) }
 
-func run() error {
-	addr := flag.String("addr", ":9090", "listen address")
-	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	maxConcurrent := flag.Int("max-concurrent", 8, "concurrent shard executions admitted before shedding with 503")
-	maxLease := flag.Duration("max-lease", time.Minute, "hard cap on any granted lease duration")
-	drainGrace := flag.Duration("drain-grace", 15*time.Second, "shutdown grace for in-flight shard executions")
-	memoSnapshot := flag.String("memo-snapshot", "", "memo snapshot file: loaded at startup, rewritten every -checkpoint-interval while serving and at drain, so a restarted worker keeps its warm closures (empty = off)")
-	checkpointPath := flag.String("checkpoint", "", "checkpoint file for in-flight shard progress: saved every -checkpoint-interval and at drain, reloaded at startup so re-leased shards resume mid-range (empty = off)")
-	checkpointInterval := flag.Duration("checkpoint-interval", 30*time.Second, "background save cadence for -checkpoint and -memo-snapshot")
-	faults := flag.String("faults", "", "deterministic fault-injection rules, e.g. 'panic:dist.exec@3,corrupt:dist.result@2' (empty = off)")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault-injection schedule")
-	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
-	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	flag.Parse()
-
-	obs.SetProcessName("ksetsweepd")
-	if err := cli.ApplyLogLevelFlag(*logLevel); err != nil {
-		return err
-	}
-	flushTrace := cli.StartTraceOut(*traceOut)
-	par.SetParallelism(*parallelism)
-	if err := cli.LoadMemoSnapshot(*memoSnapshot); err != nil {
-		return err
-	}
-	if *faults != "" {
-		rules, err := faultinject.ParseRules(*faults)
-		if err != nil {
-			return err
-		}
-		faultinject.Enable(*faultSeed, rules...)
-		defer faultinject.Disable()
-	}
-
-	// A daemon restart is the resume case by definition: a matching
-	// checkpoint is always reloaded.
-	var ckpt *checkpoint.Runner
-	if *checkpointPath != "" {
-		ckpt = checkpoint.NewRunner(*checkpointPath, cli.JobKey("ksetsweepd"), *checkpointInterval)
-		ckpt.LoadForResume()
-		ckpt.Start()
-	}
-	w := dist.NewWorker(dist.WorkerConfig{
-		MaxConcurrent: *maxConcurrent,
-		MaxLease:      *maxLease,
-		EnablePprof:   *pprofFlag,
-		Checkpoint:    ckpt,
+// run is the whole daemon: it parses args, serves until parent is
+// cancelled or a SIGINT/SIGTERM arrives, then drains and returns nil. A
+// daemon restart is the resume case by definition: a matching -checkpoint
+// file is always reloaded, and the memoized closures — the worker's warm
+// state — are saved every -checkpoint-interval, so a SIGKILL loses at most
+// one interval of them.
+func run(parent context.Context, args []string, stdout io.Writer) error {
+	c := cli.New("ksetsweepd")
+	maxConcurrent := c.Flags.Int("max-concurrent", 8, "concurrent shard executions admitted before shedding with 503")
+	maxLease := c.Flags.Duration("max-lease", time.Minute, "hard cap on any granted lease duration")
+	interval := c.Checkpoint("checkpoint file for in-flight shard progress: saved every -checkpoint-interval and at drain, reloaded at startup so re-leased shards resume mid-range (empty = off)",
+		"background save cadence for -checkpoint and -memo-snapshot", func() []string { return nil })
+	c.MemoSnapshot("memo snapshot file: loaded at startup, rewritten every -checkpoint-interval while serving and at drain, so a restarted worker keeps its warm closures (empty = off)", interval)
+	c.Faults("deterministic fault-injection rules, e.g. 'panic:dist.exec@3,corrupt:dist.result@2' (empty = off)")
+	pprofFlag := c.Flags.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+	return c.Serve(parent, args, ":9090", "shutdown grace for in-flight shard executions", func(ctx context.Context) (http.Handler, error) {
+		w := dist.NewWorker(dist.WorkerConfig{
+			MaxConcurrent: *maxConcurrent,
+			MaxLease:      *maxLease,
+			EnablePprof:   *pprofFlag,
+			Checkpoint:    checkpoint.FromContext(ctx),
+		})
+		return w.Handler(), nil
 	})
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// Background memo-snapshot saver: the worker's memoized closures are its
-	// warm state, and waiting for a clean drain to persist them would lose
-	// them to a SIGKILL. Cadence shared with -checkpoint.
-	if *memoSnapshot != "" && *checkpointInterval > 0 {
-		go func() {
-			t := time.NewTicker(*checkpointInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := cli.SaveMemoSnapshot(*memoSnapshot); err != nil {
-						slog.Warn("memo: background snapshot failed", "err", err)
-					}
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	err := w.Run(ctx, *addr, *drainGrace)
-	// Drain-time durability: one final shard checkpoint and memo snapshot,
-	// whatever the serve loop's outcome.
-	if ckpt != nil {
-		ckpt.Stop()
-		if serr := ckpt.SaveNow(); serr != nil {
-			slog.Warn("checkpoint: drain save failed", "err", serr)
-		}
-	}
-	if serr := cli.SaveMemoSnapshot(*memoSnapshot); serr != nil && err == nil {
-		err = serr
-	}
-	if terr := flushTrace(); terr != nil && err == nil {
-		err = terr
-	}
-	return err
 }

@@ -13,94 +13,61 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"time"
+	"io"
 
 	"ksettop/internal/cli"
 	"ksettop/internal/model"
-	"ksettop/internal/obs"
-	"ksettop/internal/par"
 	"ksettop/internal/topology"
 )
 
-func main() {
-	if err := run(); err != nil {
-		cli.Exit("ksettopo", err)
-	}
+func main() { cli.Main("ksettopo", run) }
+
+// run is the whole tool: it parses args, prints the topology report to
+// stdout, and stops early with the cause once parent or a SIGINT/SIGTERM
+// cancels the run.
+func run(parent context.Context, args []string, stdout io.Writer) error {
+	c := cli.New("ksettopo")
+	spec := c.Flags.String("model", "star:n=3", "model specification (see ksetbounds)")
+	values := c.Flags.Int("values", 2, "input values for the protocol complex")
+	maxDim := c.Flags.Int("maxdim", -1, "homology dimension cap (default n−2)")
+	c.MemoSnapshot(cli.MemoSnapshotUsage, nil)
+	c.Checkpoint(cli.CheckpointFlagUsage, cli.CheckpointIntervalFlagUsage, func() []string {
+		return []string{*spec, fmt.Sprint(*values), fmt.Sprint(*maxDim)}
+	})
+	return c.Run(parent, args, func(ctx context.Context) error {
+		m, err := cli.ParseModel(*spec)
+		if err != nil {
+			return err
+		}
+		dim := *maxDim
+		if dim < 0 {
+			dim = m.N() - 2
+		}
+		fmt.Fprintln(stdout, m)
+		if err := reportUninterpreted(ctx, stdout, m, dim); err != nil {
+			return err
+		}
+		return reportProtocol(ctx, stdout, m, *values, dim)
+	})
 }
 
-func run() (err error) {
-	spec := flag.String("model", "star:n=3", "model specification (see ksetbounds)")
-	values := flag.Int("values", 2, "input values for the protocol complex")
-	maxDim := flag.Int("maxdim", -1, "homology dimension cap (default n−2)")
-	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
-	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
-	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
-	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
-	checkpointPath := flag.String("checkpoint", "", cli.CheckpointFlagUsage)
-	checkpointInterval := flag.Duration("checkpoint-interval", 30*time.Second, cli.CheckpointIntervalFlagUsage)
-	flag.Parse()
-	obs.SetProcessName("ksettopo")
-	if err := cli.ApplyLogLevelFlag(*logLevel); err != nil {
-		return err
-	}
-	flushTrace := cli.StartTraceOut(*traceOut)
-	defer func() {
-		if err := flushTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "ksettopo: trace-out:", err)
-		}
-	}()
-	ctx, stopSignals := cli.SignalContext(context.Background())
-	defer stopSignals()
-	jobKey := cli.JobKey("ksettopo", *spec, fmt.Sprint(*values), fmt.Sprint(*maxDim))
-	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval)
-	defer func() {
-		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
-			err = ferr
-		}
-	}()
-	par.SetParallelism(*parallelism)
-	if err := cli.LoadMemoSnapshot(*memoSnapshot); err != nil {
-		return err
-	}
-
-	m, err := cli.ParseModel(*spec)
-	if err != nil {
-		return err
-	}
-	dim := *maxDim
-	if dim < 0 {
-		dim = m.N() - 2
-	}
-	fmt.Println(m)
-
-	if err := reportUninterpreted(ctx, m, dim); err != nil {
-		return err
-	}
-	if err := reportProtocol(ctx, m, *values, dim); err != nil {
-		return err
-	}
-	return cli.SaveMemoSnapshot(*memoSnapshot)
-}
-
-func reportUninterpreted(ctx context.Context, m *model.ClosedAbove, dim int) error {
+func reportUninterpreted(ctx context.Context, w io.Writer, m *model.ClosedAbove, dim int) error {
 	cover, err := topology.UninterpretedCover(m.Generators())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nuninterpreted complex C_A (Def 4.4):\n")
+	fmt.Fprintf(w, "\nuninterpreted complex C_A (Def 4.4):\n")
 	totalFacets := 0
 	for i, ps := range cover {
 		totalFacets += ps.FacetCount()
 		if i < 4 {
-			fmt.Printf("  pseudosphere %d: %d facets, Lemma 4.7 bound: %d-connected\n",
+			fmt.Fprintf(w, "  pseudosphere %d: %d facets, Lemma 4.7 bound: %d-connected\n",
 				i, ps.FacetCount(), ps.ConnectivityBound())
 		}
 	}
 	if len(cover) > 4 {
-		fmt.Printf("  … %d more pseudospheres\n", len(cover)-4)
+		fmt.Fprintf(w, "  … %d more pseudospheres\n", len(cover)-4)
 	}
 	c, err := topology.UninterpretedComplex(m.Generators())
 	if err != nil {
@@ -110,31 +77,28 @@ func reportUninterpreted(ctx context.Context, m *model.ClosedAbove, dim int) err
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  union: %d facets (%d before dedup), dim %d, pure=%v, χ=%d\n",
+	fmt.Fprintf(w, "  union: %d facets (%d before dedup), dim %d, pure=%v, χ=%d\n",
 		ac.FacetCount(), totalFacets, ac.Dimension(), ac.IsPure(), ac.EulerCharacteristic())
 
-	// One facet walk feeds the reduction; the facet-based entry would
-	// re-derive the levels the report already enumerates.
-	levels := ac.SimplexLevels(dim + 1)
-	betti, err := topology.ReducedBettiNumbersFromLevels(ctx, ac, levels, dim)
+	betti, err := topology.ReducedBettiNumbersCtx(ctx, ac, dim)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  GF(2) reduced betti up to dim %d: %v\n", dim, betti)
+	fmt.Fprintf(w, "  GF(2) reduced betti up to dim %d: %v\n", dim, betti)
 	ih, err := topology.IntegerHomologyGroups(ac, dim)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  integral homology: %s\n", ih)
+	fmt.Fprintf(w, "  integral homology: %s\n", ih)
 	ok, _, err := topology.IsIntegrallyKConnected(ac, m.N()-2)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  Thm 4.12 check ((n−2)-connected): %v\n", ok)
+	fmt.Fprintf(w, "  Thm 4.12 check ((n−2)-connected): %v\n", ok)
 	return nil
 }
 
-func reportProtocol(ctx context.Context, m *model.ClosedAbove, values, dim int) error {
+func reportProtocol(ctx context.Context, w io.Writer, m *model.ClosedAbove, values, dim int) error {
 	inputs, err := topology.InputAssignments(m.N(), values)
 	if err != nil {
 		return err
@@ -147,24 +111,24 @@ func reportProtocol(ctx context.Context, m *model.ClosedAbove, values, dim int) 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\none-round protocol complex over %d values (Def 4.14):\n", values)
-	fmt.Printf("  %d input facets × %d generators → %d facets, %d vertices\n",
+	fmt.Fprintf(w, "\none-round protocol complex over %d values (Def 4.14):\n", values)
+	fmt.Fprintf(w, "  %d input facets × %d generators → %d facets, %d vertices\n",
 		len(inputs), m.GeneratorCount(), ac.FacetCount(), len(verts))
 
-	betti, err := topology.ReducedBettiNumbersFromLevels(ctx, ac, ac.SimplexLevels(dim+1), dim)
+	betti, err := topology.ReducedBettiNumbersCtx(ctx, ac, dim)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  GF(2) reduced betti up to dim %d: %v\n", dim, betti)
+	fmt.Fprintf(w, "  GF(2) reduced betti up to dim %d: %v\n", dim, betti)
 	for k := 0; k <= dim; k++ {
 		if betti[k] != 0 {
-			fmt.Printf("  verdict: NOT %d-connected → no obstruction to %d-set agreement at k=%d\n",
+			fmt.Fprintf(w, "  verdict: NOT %d-connected → no obstruction to %d-set agreement at k=%d\n",
 				k, k+1, k+1)
 			return nil
 		}
 	}
-	fmt.Printf("  verdict: %d-connected → (k ≤ %d)-set agreement impossible in one round\n",
+	fmt.Fprintf(w, "  verdict: %d-connected → (k ≤ %d)-set agreement impossible in one round\n",
 		dim, dim+1)
-	fmt.Printf("  ([HKR13] Thm 10.3.1 / paper Thm 5.4 premise)\n")
+	fmt.Fprintf(w, "  ([HKR13] Thm 10.3.1 / paper Thm 5.4 premise)\n")
 	return nil
 }

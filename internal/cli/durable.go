@@ -14,10 +14,10 @@ import (
 	"ksettop/internal/checkpoint"
 )
 
-// This file is the durable-run surface of the batch CLIs: graceful
+// This file is the durable-run part of the lifecycle: graceful
 // SIGINT/SIGTERM handling (cancel the root context, flush trace/memo/
-// checkpoint state, exit with a distinct code) and the
-// -checkpoint/-checkpoint-interval flag plumbing around internal/checkpoint.
+// checkpoint state, exit with a distinct code) and the checkpoint runner
+// around internal/checkpoint.
 
 // ErrInterrupted is the sentinel a signal-cancelled run's error matches
 // under errors.Is; ExitCode maps it to ExitInterrupted (3).
@@ -28,13 +28,12 @@ var ErrInterrupted = errors.New("cli: interrupted by signal")
 // from generic failures (1) and budget rejections (2).
 const ExitInterrupted = 3
 
-// SignalContext derives a context that is cancelled (with a cause matching
-// ErrInterrupted) on SIGINT or SIGTERM. The tools pass it to every engine
-// call, so an interrupt aborts the run promptly. The returned stop function
-// releases the signal handler; a second signal while shutdown is in flight
-// kills the process the default way, so a wedged flush cannot make the tool
+// signalContext derives a context that is cancelled (with a cause matching
+// ErrInterrupted) on SIGINT or SIGTERM. The returned stop function releases
+// the signal handler; a second signal while shutdown is in flight kills the
+// process the default way, so a wedged flush cannot make the tool
 // unkillable.
-func SignalContext(parent context.Context) (context.Context, func()) {
+func signalContext(parent context.Context) (context.Context, func()) {
 	ctx, cancel := context.WithCancelCause(parent)
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
@@ -53,29 +52,22 @@ func SignalContext(parent context.Context) (context.Context, func()) {
 	}
 }
 
-// CheckpointFlagUsage is the shared help text of the -checkpoint flag.
-const CheckpointFlagUsage = "checkpoint file for durable runs: solver/homology/shard progress is persisted every -checkpoint-interval and on SIGINT/SIGTERM (empty = off)"
-
-// CheckpointIntervalFlagUsage is the shared help text of -checkpoint-interval.
-const CheckpointIntervalFlagUsage = "background checkpoint save cadence for -checkpoint"
-
-// JobKey builds a checkpoint job identity from a tool name and its
+// jobKey builds a checkpoint job identity from a tool name and its
 // workload-defining flag values. Checkpoint files carry this key, so a file
 // written by a different tool or workload is rejected at load instead of
 // resumed. Checkpoint control flags (intervals, paths) must NOT be part of
 // the key — a restart with another -checkpoint-interval resumes the same job.
-func JobKey(tool string, parts ...string) string {
+func jobKey(tool string, parts ...string) string {
 	return tool + "|" + strings.Join(parts, "|")
 }
 
-// StartCheckpoint builds the checkpoint runner for a batch run and attaches
-// it to ctx: resumes from the file when it holds this job's interrupted run
-// (a missing file is a cold start; a corrupt, truncated or foreign one warns
-// and starts cold) and starts the background save ticker. The returned
-// context carries the runner: the engines find it there, so the tool must
-// pass that context to them. An empty path returns ctx unchanged and a nil
-// runner — every later call on it is a no-op.
-func StartCheckpoint(ctx context.Context, path, jobKey string, interval time.Duration) (context.Context, *checkpoint.Runner) {
+// startCheckpoint builds the checkpoint runner for a run and attaches it to
+// ctx: resumes from the file when it holds this job's interrupted run (a
+// missing file is a cold start; a corrupt, truncated or foreign one warns
+// and starts cold) and starts the background save ticker. The engines find
+// the runner in the returned context. An empty path returns ctx unchanged
+// and a nil runner — every later call on it is a no-op.
+func startCheckpoint(ctx context.Context, path, jobKey string, interval time.Duration) (context.Context, *checkpoint.Runner) {
 	if path == "" {
 		return ctx, nil
 	}
@@ -85,25 +77,28 @@ func StartCheckpoint(ctx context.Context, path, jobKey string, interval time.Dur
 	return checkpoint.WithRunner(ctx, r), r
 }
 
-// FinishDurable finalizes a durable batch run. A clean run removes the
-// checkpoint file (a finished job must not be resumed); a failed or
-// interrupted run stops the ticker and flushes one final checkpoint so the
-// state the run died with is on disk, and an interrupted run additionally
-// flushes the memo snapshot the success path would have written. Flush
+// finishDurable flushes the durable state a run leaves behind. A batch run
+// that succeeded saves the memo snapshot and removes the checkpoint file (a
+// finished job must not be resumed). Any other run stops the ticker and
+// flushes one final checkpoint, so the state it ended with is on disk; an
+// interrupted run and a drained daemon also save the memo snapshot. Flush
 // failures are logged at warn level — they never mask the run's own error —
-// and only a failed removal surfaces as the returned error.
-func FinishDurable(r *checkpoint.Runner, memoSnapshot string, runErr error) error {
+// and only a failed success-path save or removal is returned.
+func finishDurable(r *checkpoint.Runner, memoSnapshot string, daemon bool, runErr error) error {
 	r.Stop()
-	if runErr == nil {
-		return r.Remove()
-	}
-	if err := r.SaveNow(); err != nil {
-		slog.Warn("checkpoint: final save failed", "err", err)
-	}
-	if errors.Is(runErr, ErrInterrupted) {
-		if err := SaveMemoSnapshot(memoSnapshot); err != nil {
-			slog.Warn("memo: snapshot on interrupt failed", "err", err)
+	var err error
+	if runErr == nil && !daemon {
+		if err = saveMemoSnapshot(memoSnapshot); err == nil {
+			return r.Remove()
 		}
 	}
-	return nil
+	if serr := r.SaveNow(); serr != nil {
+		slog.Warn("checkpoint: final save failed", "err", serr)
+	}
+	if daemon || errors.Is(runErr, ErrInterrupted) {
+		if serr := saveMemoSnapshot(memoSnapshot); serr != nil {
+			slog.Warn("memo: final snapshot failed", "err", serr)
+		}
+	}
+	return err
 }

@@ -40,21 +40,21 @@ func TestDurableExitCodeMapping(t *testing.T) {
 }
 
 func TestJobKeyStable(t *testing.T) {
-	if got := JobKey("ksetbounds", "star:n=4", "3"); got != "ksetbounds|star:n=4|3" {
-		t.Fatalf("JobKey = %q", got)
+	if got := jobKey("ksetbounds", "star:n=4", "3"); got != "ksetbounds|star:n=4|3" {
+		t.Fatalf("jobKey = %q", got)
 	}
 	// Checkpoint control flags are excluded by construction: the key is only
 	// what the caller passes, so a restart with other checkpoint settings
 	// produces the same key.
-	if JobKey("t", "a") != JobKey("t", "a") {
-		t.Fatal("JobKey is not deterministic")
+	if jobKey("t", "a") != jobKey("t", "a") {
+		t.Fatal("jobKey is not deterministic")
 	}
 }
 
 // A SIGINT delivered to the process must cancel the signal context with a
 // cause matching ErrInterrupted.
 func TestSignalContextKillCancelsWithInterrupt(t *testing.T) {
-	ctx, stop := SignalContext(context.Background())
+	ctx, stop := signalContext(context.Background())
 	defer stop()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
 		t.Fatal(err)
@@ -71,15 +71,15 @@ func TestSignalContextKillCancelsWithInterrupt(t *testing.T) {
 
 func TestStartCheckpointEmptyPathIsOff(t *testing.T) {
 	ctx := context.Background()
-	got, r := StartCheckpoint(ctx, "", "job", time.Second)
+	got, r := startCheckpoint(ctx, "", "job", time.Second)
 	if got != ctx || r != nil {
 		t.Fatal("empty -checkpoint must return the context unchanged and a nil runner")
 	}
 	// The whole durable finalization must be a no-op on the nil runner.
-	if err := FinishDurable(r, "", nil); err != nil {
+	if err := finishDurable(r, "", false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := FinishDurable(r, "", errors.New("boom")); err != nil {
+	if err := finishDurable(r, "", false, errors.New("boom")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,7 +112,7 @@ func captureDefaultLog(t *testing.T, fn func()) string {
 func TestStartCheckpointResumesMatchingFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	writeCheckpoint(t, path, "job", "mid-run state")
-	_, r := StartCheckpoint(context.Background(), path, "job", time.Hour)
+	_, r := startCheckpoint(context.Background(), path, "job", time.Hour)
 	defer r.Stop()
 	payload, ok := r.Resume("phase", 7)
 	if !ok || string(payload) != "mid-run state" {
@@ -126,7 +126,7 @@ func TestStartCheckpointForeignFileStartsCold(t *testing.T) {
 	writeCheckpoint(t, path, "other-job", "foreign state")
 	var r *checkpoint.Runner
 	logged := captureDefaultLog(t, func() {
-		_, r = StartCheckpoint(context.Background(), path, "job", time.Hour)
+		_, r = startCheckpoint(context.Background(), path, "job", time.Hour)
 	})
 	defer r.Stop()
 	if _, ok := r.Resume("phase", 7); ok {
@@ -139,12 +139,12 @@ func TestStartCheckpointForeignFileStartsCold(t *testing.T) {
 
 func TestFinishDurableSuccessRemovesCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	_, r := StartCheckpoint(context.Background(), path, "job", time.Hour)
+	_, r := startCheckpoint(context.Background(), path, "job", time.Hour)
 	r.Register("phase", 1, func() ([]byte, error) { return []byte("state"), nil })
 	if err := r.SaveNow(); err != nil {
 		t.Fatal(err)
 	}
-	if err := FinishDurable(r, "", nil); err != nil {
+	if err := finishDurable(r, "", false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
@@ -154,9 +154,9 @@ func TestFinishDurableSuccessRemovesCheckpoint(t *testing.T) {
 
 func TestFinishDurableErrorFlushesCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	_, r := StartCheckpoint(context.Background(), path, "job", time.Hour)
+	_, r := startCheckpoint(context.Background(), path, "job", time.Hour)
 	r.Register("phase", 1, func() ([]byte, error) { return []byte("mid-run state"), nil })
-	if err := FinishDurable(r, "", fmt.Errorf("run: %w (SIGTERM)", ErrInterrupted)); err != nil {
+	if err := finishDurable(r, "", false, fmt.Errorf("run: %w (SIGTERM)", ErrInterrupted)); err != nil {
 		t.Fatal(err)
 	}
 	secs, err := checkpoint.Load(path, "job")
@@ -168,7 +168,7 @@ func TestFinishDurableErrorFlushesCheckpoint(t *testing.T) {
 	}
 }
 
-// The checkpoint runner travels in the context StartCheckpoint returns: a
+// The checkpoint runner travels in the context startCheckpoint returns: a
 // solver verification run on that context and aborted mid-search must
 // leave the solver's frontier in the final checkpoint, and a second run on
 // a resumed context must pick that frontier up and finish with the
@@ -188,14 +188,14 @@ func TestCheckpointRunnerReachesSolverThroughContext(t *testing.T) {
 	budget := protocol.DefaultNodeBudget()
 	path := filepath.Join(t.TempDir(), "verify.ckpt")
 
-	ctx, r := StartCheckpoint(context.Background(), path, "job", time.Hour)
+	ctx, r := startCheckpoint(context.Background(), path, "job", time.Hour)
 	faultinject.Enable(42, faultinject.Rule{Point: faultinject.PointSolverTask, Nth: 3, Action: faultinject.ActionError})
 	runErr := core.VerifyLowerBySolverCtx(ctx, m, lo, budget)
 	faultinject.Disable()
 	if !errors.Is(runErr, faultinject.ErrInjected) {
 		t.Fatalf("aborted verification = %v, want the injected task fault", runErr)
 	}
-	if err := FinishDurable(r, "", runErr); err != nil {
+	if err := finishDurable(r, "", false, runErr); err != nil {
 		t.Fatal(err)
 	}
 	secs, err := checkpoint.Load(path, "job")
@@ -208,9 +208,9 @@ func TestCheckpointRunnerReachesSolverThroughContext(t *testing.T) {
 
 	resumes := func() float64 { return obs.DefaultRegistry().Values()["kset_checkpoint_resumes_total"] }
 	before := resumes()
-	ctx, r = StartCheckpoint(context.Background(), path, "job", time.Hour)
+	ctx, r = startCheckpoint(context.Background(), path, "job", time.Hour)
 	runErr = core.VerifyLowerBySolverCtx(ctx, m, lo, budget)
-	if err := FinishDurable(r, "", runErr); err != nil {
+	if err := finishDurable(r, "", false, runErr); err != nil {
 		t.Fatal(err)
 	}
 	if runErr != nil {

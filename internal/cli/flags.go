@@ -13,12 +13,9 @@ import (
 	"ksettop/internal/protocol"
 )
 
-// LogLevelFlagUsage is the shared help text of the -log-level flag.
-const LogLevelFlagUsage = "minimum structured-log level: debug | info | warn | error"
-
-// ApplyLogLevelFlag interprets the shared -log-level flag value and sets the
+// applyLogLevel interprets the -log-level flag value and sets the
 // process-wide default logger's threshold.
-func ApplyLogLevelFlag(value string) error {
+func applyLogLevel(value string) error {
 	lvl, err := obs.ParseLevel(value)
 	if err != nil {
 		return fmt.Errorf("cli: -log-level: %w", err)
@@ -27,14 +24,11 @@ func ApplyLogLevelFlag(value string) error {
 	return nil
 }
 
-// TraceOutFlagUsage is the shared help text of the -trace-out flag.
-const TraceOutFlagUsage = "write a Chrome trace_event JSON file of the run's spans to this path on exit; tracing is armed for the run (empty = off)"
-
-// StartTraceOut arms span tracing when path is non-empty and returns the
+// startTraceOut arms span tracing when path is non-empty and returns the
 // flush function to run on exit, which writes the recorded spans as Chrome
 // trace_event JSON (load via chrome://tracing or https://ui.perfetto.dev).
 // With an empty path tracing stays off and the flush is a no-op.
-func StartTraceOut(path string) func() error {
+func startTraceOut(path string) func() error {
 	if path == "" {
 		return func() error { return nil }
 	}
@@ -42,13 +36,10 @@ func StartTraceOut(path string) func() error {
 	return func() error { return obs.WriteChromeTraceFile(path) }
 }
 
-// SolverBudgetFlagUsage is the shared help text of the -solver-budget flag.
-const SolverBudgetFlagUsage = "node budget for decision-map searches (0 = stock 50M)"
-
-// ApplySolverBudgetFlag sets the process-wide default solver node budget
-// used by every verification and experiment that does not take an explicit
+// applySolverBudget sets the process-wide default solver node budget used
+// by every verification and experiment that does not take an explicit
 // budget (0 restores the stock value).
-func ApplySolverBudgetFlag(n int) error {
+func applySolverBudget(n int) error {
 	if n < 0 {
 		return fmt.Errorf("cli: -solver-budget=%d must be ≥ 0", n)
 	}
@@ -56,16 +47,13 @@ func ApplySolverBudgetFlag(n int) error {
 	return nil
 }
 
-// MemoSnapshotUsage is the shared help text of the -memo-snapshot flag.
-const MemoSnapshotUsage = "memo snapshot file: loaded before the run when present, rewritten after a successful run (empty = off)"
-
-// LoadMemoSnapshot restores the memo caches from the -memo-snapshot file.
+// loadMemoSnapshot restores the memo caches from the -memo-snapshot file.
 // An empty path or a missing file is a no-op — the first run of a fresh
 // workspace starts cold and writes the snapshot on exit. A corrupt or
 // truncated snapshot (checksum failure) is also survivable: it warns on
 // stderr and starts cold, so a torn write from a crashed run never bricks
-// the tool; a successful run rewrites the file.
-func LoadMemoSnapshot(path string) error {
+// the tool; the next save rewrites the file.
+func loadMemoSnapshot(path string) error {
 	if path == "" {
 		return nil
 	}
@@ -82,8 +70,16 @@ func LoadMemoSnapshot(path string) error {
 	return nil
 }
 
-// WorkersFlagUsage is the shared help text of the -workers flag.
-const WorkersFlagUsage = "comma-separated ksetsweepd worker addresses; non-empty distributes heavy closure sweeps across them (local fallback when the fleet is unavailable)"
+// saveMemoSnapshot persists the memo caches to the -memo-snapshot file; an
+// empty path is a no-op. So is a run with memoization switched off through
+// memo.SetEnabled: every cache stayed empty (Put is a no-op), and
+// overwriting the file would destroy a previously warm snapshot.
+func saveMemoSnapshot(path string) error {
+	if path == "" || !memo.Enabled() {
+		return nil
+	}
+	return memo.SaveSnapshot(path)
+}
 
 // VerifyFractionFlagUsage is the shared help text of the -verify-fraction flag.
 const VerifyFractionFlagUsage = "fraction [0,1] of committed sweep shards re-executed on a distinct worker and cross-validated byte-for-byte against the commit (Byzantine defense; 0 = off, CRC and hedge cross-checks only)"
@@ -91,8 +87,8 @@ const VerifyFractionFlagUsage = "fraction [0,1] of committed sweep shards re-exe
 // QuarantineThresholdFlagUsage is the shared help text of the -quarantine-threshold flag.
 const QuarantineThresholdFlagUsage = "divergence score at which a worker is quarantined from sweep placement until it passes a half-open known-answer probe (0 = default 3, negative = never quarantine)"
 
-// SplitWorkers parses the shared -workers flag value: a comma-separated
-// address list, whitespace and empty entries tolerated.
+// SplitWorkers parses a -workers flag value: a comma-separated address
+// list, whitespace and empty entries tolerated.
 func SplitWorkers(value string) []string {
 	var out []string
 	for _, w := range strings.Split(value, ",") {
@@ -119,24 +115,4 @@ func ExitCode(err error) int {
 		return 2
 	}
 	return 1
-}
-
-// Exit prints err prefixed with the tool name (budget errors carry their
-// nodes-spent accounting in the message) and exits with ExitCode(err).
-func Exit(tool string, err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-	}
-	os.Exit(ExitCode(err))
-}
-
-// SaveMemoSnapshot persists the memo caches to the -memo-snapshot file; an
-// empty path is a no-op. So is a run with memoization switched off through
-// memo.SetEnabled: every cache stayed empty (Put is a no-op), and
-// overwriting the file would destroy a previously warm snapshot.
-func SaveMemoSnapshot(path string) error {
-	if path == "" || !memo.Enabled() {
-		return nil
-	}
-	return memo.SaveSnapshot(path)
 }

@@ -19,14 +19,14 @@ import (
 )
 
 func TestMemoSnapshotFlagRoundTrip(t *testing.T) {
-	if err := LoadMemoSnapshot(""); err != nil {
+	if err := loadMemoSnapshot(""); err != nil {
 		t.Errorf("empty path should be a no-op, got %v", err)
 	}
-	if err := SaveMemoSnapshot(""); err != nil {
+	if err := saveMemoSnapshot(""); err != nil {
 		t.Errorf("empty path should be a no-op, got %v", err)
 	}
 	missing := filepath.Join(t.TempDir(), "absent.snap")
-	if err := LoadMemoSnapshot(missing); err != nil {
+	if err := loadMemoSnapshot(missing); err != nil {
 		t.Errorf("missing file should be a cold start, got %v", err)
 	}
 
@@ -39,10 +39,10 @@ func TestMemoSnapshotFlagRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "memo.snap")
-	if err := SaveMemoSnapshot(path); err != nil {
+	if err := saveMemoSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadMemoSnapshot(path); err != nil {
+	if err := loadMemoSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
 	// The snapshot layer never flips the enable switch.
@@ -56,7 +56,7 @@ func TestMemoSnapshotFlagRoundTrip(t *testing.T) {
 func TestSaveMemoSnapshotSkippedWhileDisabled(t *testing.T) {
 	defer memo.SetEnabled(true)
 	path := filepath.Join(t.TempDir(), "warm.snap")
-	if err := SaveMemoSnapshot(path); err != nil {
+	if err := saveMemoSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.Stat(path)
@@ -64,7 +64,7 @@ func TestSaveMemoSnapshotSkippedWhileDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	memo.SetEnabled(false)
-	if err := SaveMemoSnapshot(path); err != nil {
+	if err := saveMemoSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.Stat(path)
@@ -81,7 +81,7 @@ func TestSaveMemoSnapshotSkippedWhileDisabled(t *testing.T) {
 // instead of failing the run.
 func TestLoadMemoSnapshotCorruptStartsCold(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.snap")
-	if err := SaveMemoSnapshot(path); err != nil {
+	if err := saveMemoSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -98,7 +98,7 @@ func TestLoadMemoSnapshotCorruptStartsCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		var loadErr error
-		warning := captureStderr(t, func() { loadErr = LoadMemoSnapshot(path) })
+		warning := captureStderr(t, func() { loadErr = loadMemoSnapshot(path) })
 		if loadErr != nil {
 			t.Fatalf("%s snapshot should cold-start, got %v", name, loadErr)
 		}
@@ -147,19 +147,19 @@ func TestExitCode(t *testing.T) {
 
 func TestApplySolverBudgetFlag(t *testing.T) {
 	defer protocol.SetDefaultNodeBudget(0)
-	if err := ApplySolverBudgetFlag(1234); err != nil {
+	if err := applySolverBudget(1234); err != nil {
 		t.Fatal(err)
 	}
 	if got := protocol.DefaultNodeBudget(); got != 1234 {
 		t.Errorf("budget = %d, want 1234", got)
 	}
-	if err := ApplySolverBudgetFlag(0); err != nil {
+	if err := applySolverBudget(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := protocol.DefaultNodeBudget(); got != 50_000_000 {
 		t.Errorf("budget = %d, want the stock 50M", got)
 	}
-	if err := ApplySolverBudgetFlag(-1); err == nil {
+	if err := applySolverBudget(-1); err == nil {
 		t.Error("negative budget should be rejected")
 	}
 }
@@ -167,26 +167,26 @@ func TestApplySolverBudgetFlag(t *testing.T) {
 func TestApplyLogLevelFlag(t *testing.T) {
 	defer obs.SetLevel(slog.LevelInfo)
 	for _, v := range []string{"debug", "INFO", "warn", "warning", "Error"} {
-		if err := ApplyLogLevelFlag(v); err != nil {
-			t.Fatalf("ApplyLogLevelFlag(%q): %v", v, err)
+		if err := applyLogLevel(v); err != nil {
+			t.Fatalf("applyLogLevel(%q): %v", v, err)
 		}
 	}
 	// The flag moves the default logger's threshold.
-	if err := ApplyLogLevelFlag("warn"); err != nil {
+	if err := applyLogLevel("warn"); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	if slog.Default().Enabled(ctx, slog.LevelInfo) || !slog.Default().Enabled(ctx, slog.LevelWarn) {
 		t.Error("-log-level warn must drop info records and keep warnings")
 	}
-	if err := ApplyLogLevelFlag("verbose"); err == nil {
+	if err := applyLogLevel("verbose"); err == nil {
 		t.Error("unknown level should be rejected")
 	}
 }
 
 func TestStartTraceOut(t *testing.T) {
 	// Empty path: tracing stays off and the flush is a no-op.
-	if err := StartTraceOut("")(); err != nil {
+	if err := startTraceOut("")(); err != nil {
 		t.Fatal(err)
 	}
 	if obs.TracingEnabled() {
@@ -199,7 +199,7 @@ func TestStartTraceOut(t *testing.T) {
 		obs.ResetTrace(0)
 	}()
 	path := filepath.Join(t.TempDir(), "trace.json")
-	flush := StartTraceOut(path)
+	flush := startTraceOut(path)
 	if !obs.TracingEnabled() {
 		t.Fatal("-trace-out must arm tracing")
 	}

@@ -1,5 +1,7 @@
-// Package cli holds the model-specification parser shared by the command
-// line tools.
+// Package cli is what the command-line tools share: the one command
+// lifecycle (Command: shared flags, signals, trace, memo snapshot,
+// checkpoint, and the daemons' listen/drain loop), exit codes, and the
+// model-specification parser.
 package cli
 
 import (

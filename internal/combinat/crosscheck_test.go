@@ -2,8 +2,10 @@ package combinat
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
+	"ksettop/internal/bits"
 	"ksettop/internal/graph"
 )
 
@@ -95,4 +97,48 @@ func TestGammaDistProductMonotone(t *testing.T) {
 	if base != squared {
 		t.Errorf("γ_dist(S²) = %d, want γ_dist(S) = %d (star idempotence)", squared, base)
 	}
+}
+
+// TestMissCoverMatchesSubsets checks the antichain search of maxCoverScan
+// against plain subset enumeration on seeded random out-set families —
+// large enough that the search has to grow unions past two sets.
+func TestMissCoverMatchesSubsets(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var sc coverScratch
+	for trial := 0; trial < 2000; trial++ {
+		n := 3 + rng.Intn(5)
+		outs := make([]bits.Set, 1+rng.Intn(12))
+		for i := range outs {
+			outs[i] = bits.Set(rng.Int63()) & bits.Full(n)
+		}
+		q := rng.Intn(n)
+		maxSize := 1 + rng.Intn(len(outs))
+		minSize := 1 + rng.Intn(maxSize)
+		want := -1
+		if missing := countMissing(outs, q); missing > 0 && missing >= minSize {
+			for sel := bits.Set(1); sel < bits.Set(1)<<len(outs); sel++ {
+				if sel.Count() > maxSize {
+					continue
+				}
+				var union bits.Set
+				sel.ForEach(func(i int) { union |= outs[i] })
+				if !union.Has(q) {
+					want = max(want, union.Count())
+				}
+			}
+		}
+		if got := sc.missCover(outs, q, minSize, maxSize); got != want {
+			t.Fatalf("outs %v, q %d, sizes %d..%d: missCover = %d, subsets give %d", outs, q, minSize, maxSize, got, want)
+		}
+	}
+}
+
+func countMissing(outs []bits.Set, q int) int {
+	missing := 0
+	for _, o := range outs {
+		if !o.Has(q) {
+			missing++
+		}
+	}
+	return missing
 }

@@ -19,7 +19,6 @@ package combinat
 import (
 	"context"
 	"fmt"
-	mathbits "math/bits"
 
 	"ksettop/internal/bits"
 	"ksettop/internal/graph"
@@ -186,19 +185,16 @@ func DistributedDominationNumber(ctx context.Context, gens []graph.Digraph) (int
 }
 
 // distDominatesAll reports whether every (P, S_i) combination of size i
-// jointly dominates Π. The P sweep is sharded; each worker keeps its own
-// out-set scratch and the inner graph-subset sweep runs sequentially (the
-// number of generators is small next to C(n,i)).
+// jointly dominates Π. A subset S_i misses q exactly when every graph in it
+// does, so some S_i of si graphs fails to dominate iff, for some P and some
+// q, at least si generators have q ∉ Out_G(P): the check counts those
+// generators and enumerates no generator subsets. The P sweep is sharded.
 func distDominatesAll(ctx context.Context, gens []graph.Digraph, i int) (bool, error) {
 	n := gens[0].N()
-	full := bits.Full(n)
-	si := i
-	if si > len(gens) {
-		si = len(gens)
-	}
+	si := min(i, len(gens))
 	someViolated, err := par.Exists(ctx, bits.Binomial(n, i), func(from, to int64, ctl *par.Ctl) bool {
 		outs := make([]bits.Set, len(gens))
-		violated, r, subsets := false, from, 0
+		violated, r := false, from
 		bits.CombinationsRange(n, i, from, to, func(p bits.Set) bool {
 			if r&pollMask == 0 && ctl.Stopped() {
 				return false
@@ -207,19 +203,15 @@ func distDominatesAll(ctx context.Context, gens []graph.Digraph, i int) (bool, e
 			for gi, g := range gens {
 				outs[gi] = g.OutSet(p)
 			}
-			bits.Combinations(len(gens), si, func(gsel bits.Set) bool {
-				if subsets++; subsets&par.PollMask == 0 && ctl.Stopped() {
-					return false
+			for q := 0; q < n && !violated; q++ {
+				missing := 0
+				for _, o := range outs {
+					if !o.Has(q) {
+						missing++
+					}
 				}
-				var union bits.Set
-				for t := uint64(gsel); t != 0; t &= t - 1 {
-					union |= outs[mathbits.TrailingZeros64(t)]
-				}
-				if union != full {
-					violated = true
-				}
-				return !violated
-			})
+				violated = missing >= si
+			}
 			return !violated
 		})
 		return violated
@@ -244,15 +236,19 @@ func DistributedDominationNumberEffective(gens []graph.Digraph) (int, error) {
 }
 
 // maxCoverScan is the shared shard scanner of the max-covering sweeps: the
-// maximum of |⋃_{G∈S_i} Out_G(P)| over the shard's P range and the graph
-// subsets selected by sizes, restricted to non-dominating combinations, or
-// -1 when every combination in the shard dominates. The n−1 ceiling is exact
-// (a non-dominating union misses at least one process), so attaining it
-// cancels the remaining shards.
-func maxCoverScan(gens []graph.Digraph, n, i int, sizes []int, from, to int64, ctl *par.Ctl) int64 {
-	full := bits.Full(n)
+// maximum of |⋃_{G∈S_i} Out_G(P)| over the shard's P range and the
+// non-dominating graph subsets S_i of minSize..maxSize graphs, or -1 when
+// every such combination in the shard dominates. A union misses some q
+// exactly when every graph in it does, so the scan reads off, per P and q,
+// the generators whose out-set misses q and covers the most with at most
+// maxSize of them (missCover); with at least minSize such generators, a
+// smaller winning subset pads up to minSize without covering q. The n−1
+// ceiling is exact (a non-dominating union misses at least one process), so
+// attaining it cancels the remaining shards.
+func maxCoverScan(gens []graph.Digraph, n, i, minSize, maxSize int, from, to int64, ctl *par.Ctl) int64 {
 	outs := make([]bits.Set, len(gens))
-	local, r, subsets := int64(-1), from, 0
+	var sc coverScratch
+	local, r := int64(-1), from
 	bits.CombinationsRange(n, i, from, to, func(p bits.Set) bool {
 		if r&pollMask == 0 && ctl.Stopped() {
 			return false
@@ -261,29 +257,75 @@ func maxCoverScan(gens []graph.Digraph, n, i int, sizes []int, from, to int64, c
 		for gi, g := range gens {
 			outs[gi] = g.OutSet(p)
 		}
-		for _, size := range sizes {
-			bits.Combinations(len(gens), size, func(gsel bits.Set) bool {
-				if subsets++; subsets&par.PollMask == 0 && ctl.Stopped() {
-					return false
-				}
-				var union bits.Set
-				for t := uint64(gsel); t != 0; t &= t - 1 {
-					union |= outs[mathbits.TrailingZeros64(t)]
-				}
-				if union != full {
-					if c := int64(union.Count()); c > local {
-						local = c
-					}
-				}
-				return local < int64(n-1)
-			})
-			if local == int64(n-1) {
-				break
+		for q := 0; q < n && local < int64(n-1); q++ {
+			if c := int64(sc.missCover(outs, q, minSize, maxSize)); c > local {
+				local = c
 			}
 		}
 		return local < int64(n-1)
 	})
 	return local
+}
+
+// coverScratch holds missCover's reusable antichains.
+type coverScratch struct{ anti, reach, next []bits.Set }
+
+// missCover returns the most processes covered by the union of at most
+// maxSize out-sets among outs that miss q, or -1 when fewer than minSize
+// (or no) out-sets miss q. Only the ⊆-maximal out-sets matter — swapping a
+// set for a superset never covers less — and the search keeps just the
+// ⊆-maximal unions reached with k sets as it grows k, stopping early once
+// one covers as much as all of them together.
+func (sc *coverScratch) missCover(outs []bits.Set, q, minSize, maxSize int) int {
+	missing := 0
+	var all bits.Set
+	sc.anti = sc.anti[:0]
+	for _, o := range outs {
+		if !o.Has(q) {
+			missing++
+			all |= o
+			sc.anti = addMaximal(sc.anti, o)
+		}
+	}
+	if missing == 0 || missing < minSize {
+		return -1
+	}
+	if len(sc.anti) <= maxSize {
+		return all.Count()
+	}
+	best := 0
+	sc.reach = append(sc.reach[:0], sc.anti...)
+	for _, u := range sc.reach {
+		best = max(best, u.Count())
+	}
+	for k := 2; k <= maxSize && best < all.Count(); k++ {
+		sc.next = sc.next[:0]
+		for _, u := range sc.reach {
+			for _, a := range sc.anti {
+				sc.next = addMaximal(sc.next, u|a)
+			}
+		}
+		sc.reach, sc.next = sc.next, sc.reach
+		for _, u := range sc.reach {
+			best = max(best, u.Count())
+		}
+	}
+	return best
+}
+
+// addMaximal adds s to the ⊆-antichain set unless a member contains it,
+// dropping the members s contains.
+func addMaximal(set []bits.Set, s bits.Set) []bits.Set {
+	kept := set[:0]
+	for _, m := range set {
+		if m.ContainsAll(s) {
+			return set
+		}
+		if !s.ContainsAll(m) {
+			kept = append(kept, m)
+		}
+	}
+	return append(kept, s)
 }
 
 // MaxCoveringNumber returns max-cov_i(S) (Def 5.3): the maximum, over sets P
@@ -300,12 +342,9 @@ func MaxCoveringNumber(ctx context.Context, gens []graph.Digraph, i int) (int, b
 	if i < 1 || i > n {
 		return 0, false, fmt.Errorf("combinat: max-cov index %d outside [1,%d]", i, n)
 	}
-	si := i
-	if si > len(gens) {
-		si = len(gens)
-	}
+	si := min(i, len(gens))
 	best, err := par.Max(ctx, bits.Binomial(n, i), int64(n-1), func(from, to int64, ctl *par.Ctl) int64 {
-		return maxCoverScan(gens, n, i, []int{si}, from, to, ctl)
+		return maxCoverScan(gens, n, i, si, si, from, to, ctl)
 	})
 	if err != nil || best < 0 {
 		return 0, false, err
@@ -327,16 +366,9 @@ func MaxCoveringNumberEffective(ctx context.Context, gens []graph.Digraph, i int
 	if i < 1 || i > n {
 		return 0, false, fmt.Errorf("combinat: max-cov index %d outside [1,%d]", i, n)
 	}
-	maxSize := i
-	if maxSize > len(gens) {
-		maxSize = len(gens)
-	}
-	sizes := make([]int, 0, maxSize)
-	for size := 1; size <= maxSize; size++ {
-		sizes = append(sizes, size)
-	}
+	maxSize := min(i, len(gens))
 	best, err := par.Max(ctx, bits.Binomial(n, i), int64(n-1), func(from, to int64, ctl *par.Ctl) int64 {
-		return maxCoverScan(gens, n, i, sizes, from, to, ctl)
+		return maxCoverScan(gens, n, i, 1, maxSize, from, to, ctl)
 	})
 	if err != nil || best < 0 {
 		return 0, false, err

@@ -12,7 +12,10 @@ import (
 
 // TestBoundsGolden pins the bound report and every bound field (K, Rounds,
 // Theorem, Scope, Note) against testdata/bounds.golden, recorded before the
-// upper and lower bounds were derived from one computation of the numbers.
+// upper and lower bounds were derived from one computation of the numbers,
+// and re-recorded once on purpose when the γ_dist/max-cov sweeps stopped
+// reading generator sets of 64 or more as having no subsets (three cases
+// changed: nonsplit:n=4 at one and three rounds, cycle:n=5 at two).
 // Its cases are the query-hot working set of perfbench at seed 1 (the 17
 // named families and 47 random gens: models on 3–5 processes) at one round,
 // and five models at two or three rounds: non-split and star on 4

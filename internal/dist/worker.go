@@ -80,7 +80,6 @@ type Worker struct {
 	ckpt   *checkpoint.Runner
 	shards *shardTable
 
-	boundAddr atomic.Pointer[string]
 	// lastPayload is the previous shard result, kept only while the fault
 	// registry is armed: it is the stale bytes a dist.lie.replay rule makes
 	// the worker serve in place of a fresh result.
@@ -246,8 +245,8 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	var collector *obs.Collector
 	if h := r.Header.Get(obs.TraceHeaderName); h != "" {
 		proc := "ksetsweepd"
-		if addr := w.Addr(); addr != "" {
-			proc += ":" + addr
+		if addr, ok := r.Context().Value(http.LocalAddrContextKey).(net.Addr); ok {
+			proc += ":" + addr.String()
 		}
 		collector = obs.NewCollector(proc)
 		rctx, _ = obs.WithRemoteParent(rctx, h, collector)
@@ -403,41 +402,4 @@ func (w *Worker) handleStatz(rw http.ResponseWriter, r *http.Request) {
 func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.WritePrometheusTo(rw, obs.DefaultRegistry(), w.reg)
-}
-
-// Addr returns the bound listen address once Run has opened its listener.
-func (w *Worker) Addr() string {
-	if v := w.boundAddr.Load(); v != nil {
-		return *v
-	}
-	return ""
-}
-
-// Run serves on addr until ctx is cancelled, then drains gracefully:
-// in-flight shard executions get drainGrace to finish (their coordinators
-// re-dispatch anything cut off).
-func (w *Worker) Run(ctx context.Context, addr string, drainGrace time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	bound := ln.Addr().String()
-	w.boundAddr.Store(&bound)
-	w.log.Info("dist: worker listening on", "addr", bound)
-	srv := &http.Server{Handler: w.Handler()}
-
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		w.log.Info("dist: worker draining", "grace", drainGrace)
-		sctx, cancel := context.WithTimeout(context.Background(), drainGrace)
-		defer cancel()
-		shutdownErr <- srv.Shutdown(sctx)
-	}()
-
-	err = srv.Serve(ln)
-	if !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return <-shutdownErr
 }

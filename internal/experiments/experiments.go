@@ -181,12 +181,12 @@ func verdict(ctx context.Context, err error) (string, error) {
 }
 
 // crossCheckedBetti computes β̃_0…β̃_maxDim of the complex on the hybrid
-// engine, feeding the pure-sparse cross-check from the same SimplexLevels
-// walk via the levels-accepting entry point. connected reports whether
-// every Betti number vanishes (the Thm 4.12 claim); enginesAgree whether
-// the two reductions returned identical vectors.
+// engine and on the pure-sparse reference, both reducing one chain complex.
+// connected reports whether every Betti number vanishes (the Thm 4.12
+// claim); enginesAgree whether the two reductions returned identical
+// vectors.
 func crossCheckedBetti(ctx context.Context, ac *topology.AbstractComplex, maxDim int) (betti []int, connected, enginesAgree bool, err error) {
-	cc, err := homology.NewChainComplexFromLevels(ac.SimplexLevels(maxDim + 1))
+	cc, err := homology.NewChainComplex(ac, maxDim+1)
 	if err != nil {
 		return nil, false, false, err
 	}

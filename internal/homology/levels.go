@@ -167,77 +167,6 @@ func NewChainComplex(c Complex, maxDim int) (*ChainComplex, error) {
 	return cc, nil
 }
 
-// NewChainComplexFromLevels builds the level table directly from simplex
-// lists the caller already holds — the output shape of
-// topology.(*AbstractComplex).SimplexLevels: levels[d] lists the distinct
-// d-simplexes as sorted vertex slices, lexicographically ordered. Callers
-// that have paid for the facet walk once (reports printing simplex counts,
-// experiments cross-checking several engines on one complex) use this to
-// avoid re-deriving the levels per engine.
-func NewChainComplexFromLevels(levels [][][]int) (*ChainComplex, error) {
-	// Choose the representation exactly as NewChainComplex would: packing
-	// preserves lexicographic order, so the conversion is a linear pass with
-	// no sorting.
-	maxVert, maxSize := uint32(0), 0
-	for d, simplexes := range levels {
-		for i, s := range simplexes {
-			if len(s) != d+1 {
-				return nil, fmt.Errorf("homology: level %d simplex %d has %d vertices, want %d", d, i, len(s), d+1)
-			}
-			if s[0] < 0 {
-				return nil, fmt.Errorf("homology: negative vertex in level %d", d)
-			}
-			// Ascending vertices inside each simplex is what packKey and the
-			// face binary searches silently rely on — reject rather than
-			// compute wrong Betti numbers on malformed input.
-			for p := 1; p < len(s); p++ {
-				if s[p] <= s[p-1] {
-					return nil, fmt.Errorf("homology: level %d simplex %d is not strictly ascending", d, i)
-				}
-			}
-			if v := uint32(s[len(s)-1]); v > maxVert {
-				maxVert = v
-			}
-		}
-		if len(simplexes) > 0 {
-			maxSize = d + 1
-		}
-	}
-	width := packedWidth(maxVert, maxSize)
-	cc := &ChainComplex{levels: make([]*Level, len(levels))}
-	for d, simplexes := range levels {
-		size := d + 1
-		l := &Level{size: size, width: width}
-		if width > 0 {
-			l.keys = make([]uint64, 0, len(simplexes))
-			for i, s := range simplexes {
-				var key uint64
-				for p, v := range s {
-					key |= uint64(v) << uint(64-width*(p+1))
-				}
-				if i > 0 && key <= l.keys[i-1] {
-					return nil, fmt.Errorf("homology: level %d is not sorted and deduplicated at position %d", d, i)
-				}
-				l.keys = append(l.keys, key)
-			}
-		} else {
-			l.verts = make([]uint32, 0, len(simplexes)*size)
-			for _, s := range simplexes {
-				for _, v := range s {
-					l.verts = append(l.verts, uint32(v))
-				}
-			}
-			for i := 1; i < l.Count(); i++ {
-				if !lexLessU32(l.simplex(i-1), l.simplex(i)) {
-					return nil, fmt.Errorf("homology: level %d is not sorted and deduplicated at position %d", d, i)
-				}
-			}
-		}
-		cc.levels[d] = l
-	}
-	return cc, nil
-}
-
 // buildLevels streams one facet range into sorted, deduplicated level
 // arenas, indexed by simplex size.
 func buildLevels(facets [][]int, maxDim int) [][]uint32 {

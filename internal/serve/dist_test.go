@@ -33,23 +33,6 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, []byte(body.String())
 }
 
-// /readyz is readiness, distinct from /healthz liveness: before warm boot
-// the process is alive but not ready.
-func TestServeReadyzWarmBootGate(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	if st, _ := get(t, ts, "/healthz"); st != http.StatusOK {
-		t.Fatalf("healthz before boot: %d", st)
-	}
-	st, body := get(t, ts, "/readyz")
-	if st != http.StatusServiceUnavailable {
-		t.Fatalf("readyz before warm boot: %d (%s)", st, body)
-	}
-	s.WarmBoot()
-	if st, body := get(t, ts, "/readyz"); st != http.StatusOK {
-		t.Fatalf("readyz after warm boot: %d (%s)", st, body)
-	}
-}
-
 // In coordinator mode /readyz additionally requires a live worker, and
 // /statz carries the dist counters.
 func TestServeCoordinatorReadyzAndStatz(t *testing.T) {
@@ -63,8 +46,7 @@ func TestServeCoordinatorReadyzAndStatz(t *testing.T) {
 		MinRanks: 1,
 		Log:      discardLog,
 	})
-	s, ts := newTestServer(t, Config{Coordinator: coord})
-	s.WarmBoot()
+	_, ts := newTestServer(t, Config{Coordinator: coord})
 
 	if st, body := get(t, ts, "/readyz"); st != http.StatusOK {
 		t.Fatalf("readyz with live worker: %d (%s)", st, body)

@@ -17,9 +17,10 @@ import (
 // error envelope, and no handler or computation may panic. A short
 // MaxTimeout bounds every computation, the ones a 504 abandons included,
 // since every engine polls the detached request context. Models naming
-// more than 5 processes are skipped: the handler parses the model before
-// compute starts, outside any deadline, and constructing such a model
-// alone can run for minutes.
+// more than 5 processes are skipped: the handler parses the model inside
+// the computation, so the deadline answers its 504 in time, but the
+// predicate-model parse polls no context, and constructing such a model
+// alone can run on for minutes after the answer.
 func FuzzServeRequests(f *testing.F) {
 	paths := []string{"/v1/solve", "/v1/betti", "/v1/bounds"}
 	for _, seed := range []struct {

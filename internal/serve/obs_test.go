@@ -105,7 +105,7 @@ func TestServeStatzShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"requests", "in_flight", "shared", "panics", "overloaded",
-		"budget_rejects", "timeouts", "checkpoints", "uptime_seconds"}
+		"budget_rejects", "timeouts", "uptime_seconds"}
 	for _, k := range want {
 		if _, ok := raw[k]; !ok {
 			t.Fatalf("/statz missing key %q: %s", k, body)

@@ -7,15 +7,14 @@
 // per-request deadline that cancels the engine sweep cooperatively through
 // the PR-6 context backbone, (3) isolated from worker panics (a panic
 // becomes a 500 and a counter bump, never a crash), and (4) deduplicated
-// against identical in-flight computations by a canonical-key singleflight,
-// so a thundering herd of equal queries costs one solve. Responses for
+// against identical in-flight requests by a singleflight, so a thundering
+// herd of equal queries costs one solve. Responses for
 // completed computations are deterministic: the engines' parallelism
 // contract makes repeated queries byte-identical.
 //
-// The service warm-boots from a memo snapshot when configured (tolerating
-// corrupt or truncated files — checksummed since PR 6 — by warning and
-// starting cold), checkpoints the caches in the background, and drains
-// gracefully on shutdown, writing a final snapshot.
+// The process around a Server — listening, graceful drain, and the memo
+// snapshot it warm-boots from and saves in the background and at drain —
+// is the shared daemon lifecycle of internal/cli (cli.Command.Serve).
 package serve
 
 import (
@@ -24,12 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
-	"os"
 	"runtime/debug"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"ksettop/internal/cli"
@@ -57,12 +53,6 @@ type Config struct {
 	// MaxSolverBudget caps the per-request solver node budget; larger asks
 	// are rejected at admission with 422. Default 50M (the stock budget).
 	MaxSolverBudget int
-	// SnapshotPath, when set, warm-boots the memo caches at startup and
-	// receives background checkpoints plus a final save on drain.
-	SnapshotPath string
-	// CheckpointEvery is the background checkpoint period. Default 1m;
-	// checkpointing is off when SnapshotPath is empty.
-	CheckpointEvery time.Duration
 	// Coordinator, when set, puts the service in coordinator mode: heavy
 	// closure counts distribute across its worker fleet, its counters merge
 	// into /statz and /metrics, and /readyz additionally requires ≥ 1 live
@@ -88,9 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSolverBudget <= 0 {
 		c.MaxSolverBudget = 50_000_000
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = time.Minute
-	}
 	if c.Log == nil {
 		c.Log = slog.Default()
 	}
@@ -107,7 +94,6 @@ type Stats struct {
 	Overloaded    uint64 `json:"overloaded"`     // shed at admission (503)
 	BudgetRejects uint64 `json:"budget_rejects"` // solver/enumeration budget rejections (422)
 	Timeouts      uint64 `json:"timeouts"`       // request deadlines expired (504)
-	Checkpoints   uint64 `json:"checkpoints"`    // background snapshot saves
 	UptimeSeconds int64  `json:"uptime_seconds"`
 	// Dist carries the coordinator's ring/lease/retry/hedge counters when
 	// the service runs in coordinator mode.
@@ -123,9 +109,6 @@ type Server struct {
 	fly   memo.Flight[any]
 	start time.Time
 
-	boundAddr atomic.Pointer[string]
-	warmed    atomic.Bool
-
 	// Counters live on a per-instance registry (tests spin many servers in
 	// one process), so /statz and /metrics read the same storage and a
 	// snapshot is one consistent pass under the registry lock.
@@ -137,7 +120,6 @@ type Server struct {
 	overloaded    *obs.Counter
 	budgetRejects *obs.Counter
 	timeouts      *obs.Counter
-	checkpoints   *obs.Counter
 	requestSecs   *obs.Histogram
 }
 
@@ -165,8 +147,6 @@ func New(cfg Config) *Server {
 			"solver/enumeration budget rejections (422)"),
 		timeouts: reg.Counter("kset_serve_timeouts_total",
 			"request deadlines expired (504)"),
-		checkpoints: reg.Counter("kset_serve_checkpoints_total",
-			"background snapshot saves"),
 		requestSecs: reg.Histogram("kset_serve_request_seconds",
 			"admitted request wall time", obs.LatencyBuckets()),
 	}
@@ -209,7 +189,6 @@ func (s *Server) Stats() Stats {
 		Overloaded:    u("kset_serve_overloaded_total"),
 		BudgetRejects: u("kset_serve_budget_rejects_total"),
 		Timeouts:      u("kset_serve_timeouts_total"),
-		Checkpoints:   u("kset_serve_checkpoints_total"),
 		UptimeSeconds: int64(time.Since(s.start) / time.Second),
 	}
 }
@@ -315,7 +294,7 @@ func (s *Server) requestTimeout(timeoutMs int) time.Duration {
 	return faultinject.CompressDeadline(faultinject.PointServeRequest, d)
 }
 
-// compute runs fn behind the canonical-key singleflight on a context
+// compute runs fn behind the singleflight (key: flightKey) on a context
 // DETACHED from the request: followers share the leader's result, and a
 // caller whose deadline expires gets 504 while the computation keeps running
 // (bounded by MaxTimeout) for the callers still waiting — a cancelled
@@ -345,12 +324,15 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, timeoutMs int, 
 		writeError(w, http.StatusGatewayTimeout,
 			apiError{Kind: "deadline", Message: context.Cause(reqCtx).Error()})
 	case out := <-ch:
+		var bm badModelError
 		switch {
 		case out.err == nil:
 			if out.shared {
 				s.shared.Inc()
 			}
 			writeJSON(w, http.StatusOK, out.val)
+		case errors.As(out.err, &bm):
+			writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: bm.Error()})
 		case errors.Is(out.err, protocol.ErrBudgetExceeded):
 			s.budgetRejects.Inc()
 			var be *protocol.BudgetError
@@ -378,24 +360,33 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, timeoutMs int, 
 	}
 }
 
-// parseModel resolves a request's model spec with the CLI grammar, so the
-// service and the command-line tools accept identical specifications.
-func parseModel(spec string) (*model.ClosedAbove, error) { return cli.ParseModel(spec) }
+// badModelError is a model spec the CLI grammar rejects; compute answers
+// it 400 bad_request.
+type badModelError struct{ error }
 
-// modelKey is the canonical identity of a parsed model: generator-set key,
-// not spec string, so "star:n=4" and an adj-list spelling of the same
-// generators coalesce in the singleflight.
-func modelKey(kind string, m *model.ClosedAbove, params ...int) string {
-	gens := m.Generators()
-	keys := make([]string, len(gens))
-	for i, g := range gens {
-		keys[i] = g.Key()
+func (e badModelError) Unwrap() error { return e.error }
+
+// parseModel resolves a request's model spec with the CLI grammar, so the
+// service and the command-line tools accept identical specifications. The
+// handlers call it inside their computation, so the request deadline bounds
+// the parse too: building a large model can take longer than the deadline.
+func parseModel(spec string) (*model.ClosedAbove, error) {
+	m, err := cli.ParseModel(spec)
+	if err != nil {
+		return nil, badModelError{err}
 	}
-	k := memo.Key(kind, m.N(), keys)
+	return m, nil
+}
+
+// flightKey is the singleflight identity of a request: the endpoint, its
+// integer parameters and the model spec as written. The spec comes last, so
+// no two requests share a key by an accident of concatenation.
+func flightKey(endpoint, spec string, params ...int) string {
+	k := endpoint
 	for _, p := range params {
 		k += ":" + strconv.Itoa(p)
 	}
-	return k
+	return k + "|" + spec
 }
 
 // SolveRequest asks whether k-set agreement is solvable in one round over
@@ -423,11 +414,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: err.Error()})
 		return
 	}
-	m, err := parseModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: err.Error()})
-		return
-	}
 	if req.Values < 2 || req.Values > protocol.MaxSolverValues || req.K < 1 {
 		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request",
 			Message: fmt.Sprintf("values must be in [2, %d] and k ≥ 1", protocol.MaxSolverValues)})
@@ -446,8 +432,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	key := modelKey("serve.solve", m, req.Values, req.K, budget)
+	key := flightKey("serve.solve", req.Model, req.Values, req.K, budget)
 	s.compute(w, r, req.TimeoutMs, key, func(ctx context.Context) (any, error) {
+		m, err := parseModel(req.Model)
+		if err != nil {
+			return nil, err
+		}
 		// The adversary picks any graph of the closed-above model, so the
 		// sweep runs over the full enumeration, not just the generators —
 		// the same contract as core.VerifyLowerBySolver.
@@ -483,17 +473,16 @@ func (s *Server) handleBetti(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: err.Error()})
 		return
 	}
-	m, err := parseModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: err.Error()})
-		return
-	}
 	if req.Values < 1 || req.MaxDim < 0 {
 		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: "values must be ≥ 1, max_dim ≥ 0"})
 		return
 	}
-	key := modelKey("serve.betti", m, req.Values, req.MaxDim)
+	key := flightKey("serve.betti", req.Model, req.Values, req.MaxDim)
 	s.compute(w, r, req.TimeoutMs, key, func(ctx context.Context) (any, error) {
+		m, err := parseModel(req.Model)
+		if err != nil {
+			return nil, err
+		}
 		pc, err := core.ProtocolComplexOneRoundCtx(ctx, m, req.Values)
 		if err != nil {
 			return nil, err
@@ -540,16 +529,15 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: err.Error()})
 		return
 	}
-	m, err := parseModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: err.Error()})
-		return
-	}
 	if req.Rounds < 1 {
 		req.Rounds = 1
 	}
-	key := modelKey("serve.bounds", m, req.Rounds)
+	key := flightKey("serve.bounds", req.Model, req.Rounds)
 	s.compute(w, r, req.TimeoutMs, key, func(ctx context.Context) (any, error) {
+		m, err := parseModel(req.Model)
+		if err != nil {
+			return nil, err
+		}
 		a, err := core.AnalyzeCtx(ctx, m, req.Rounds)
 		if err != nil {
 			return nil, err
@@ -589,13 +577,12 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: err.Error()})
 		return
 	}
-	m, err := parseModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: err.Error()})
-		return
-	}
-	key := modelKey("serve.count", m)
+	key := flightKey("serve.count", req.Model)
 	s.compute(w, r, req.TimeoutMs, key, func(ctx context.Context) (any, error) {
+		m, err := parseModel(req.Model)
+		if err != nil {
+			return nil, err
+		}
 		// GraphCountCtx consults the installed model.Distributor first, so in
 		// coordinator mode this is the distributed sweep.
 		count, err := m.GraphCountCtx(ctx)
@@ -611,14 +598,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the readiness probe, distinct from /healthz liveness: the
-// process can be alive (healthz 200) but not yet able to serve well —
-// warm boot still loading, or coordinator mode with a dead worker fleet.
-// Load balancers should gate traffic on /readyz and restarts on /healthz.
+// process can be alive (healthz 200) but not able to serve well — in
+// coordinator mode with a dead worker fleet. Load balancers should gate
+// traffic on /readyz and restarts on /healthz.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	reasons := []string{}
-	if !s.warmed.Load() {
-		reasons = append(reasons, "warm boot in progress")
-	}
 	live := -1
 	if s.cfg.Coordinator != nil {
 		live = s.cfg.Coordinator.LiveWorkers()
@@ -640,103 +624,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// WarmBoot loads the configured memo snapshot. Corrupt or truncated files
-// (detected by the PR-6 checksums) warn and start cold — a torn write from
-// a crashed checkpoint must never prevent startup.
-func (s *Server) WarmBoot() {
-	// Whatever the outcome — warm, cold, or no snapshot configured — the boot
-	// phase is over afterwards, which is what /readyz reports.
-	defer s.warmed.Store(true)
-	if s.cfg.SnapshotPath == "" {
-		return
-	}
-	if _, err := os.Stat(s.cfg.SnapshotPath); os.IsNotExist(err) {
-		return
-	}
-	if err := memo.LoadSnapshot(s.cfg.SnapshotPath); err != nil {
-		s.log.Warn("serve: snapshot load failed; starting cold", "err", err)
-		return
-	}
-	s.log.Info("serve: warm boot", "path", s.cfg.SnapshotPath)
-}
-
-// Checkpoint saves the memo caches to the configured snapshot path.
-func (s *Server) Checkpoint() error {
-	if s.cfg.SnapshotPath == "" || !memo.Enabled() {
-		return nil
-	}
-	if err := memo.SaveSnapshot(s.cfg.SnapshotPath); err != nil {
-		return err
-	}
-	s.checkpoints.Inc()
-	return nil
-}
-
-// Addr returns the bound listen address once Run has opened its listener
-// (empty before that). Useful with addr ":0".
-func (s *Server) Addr() string {
-	if v := s.boundAddr.Load(); v != nil {
-		return *v
-	}
-	return ""
-}
-
-// Run serves on addr until ctx is cancelled, then drains gracefully:
-// in-flight requests get drainGrace to finish, and a final checkpoint is
-// written. It returns nil on a clean drain.
-func (s *Server) Run(ctx context.Context, addr string, drainGrace time.Duration) error {
-	s.WarmBoot()
-	if s.cfg.Coordinator != nil {
-		s.cfg.Coordinator.Start(ctx)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	bound := ln.Addr().String()
-	s.boundAddr.Store(&bound)
-	s.log.Info("serve: listening on", "addr", bound)
-	srv := &http.Server{Handler: s.Handler()}
-
-	checkpointDone := make(chan struct{})
-	go func() {
-		defer close(checkpointDone)
-		if s.cfg.SnapshotPath == "" {
-			return
-		}
-		t := time.NewTicker(s.cfg.CheckpointEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				if err := s.Checkpoint(); err != nil {
-					s.log.Warn("serve: checkpoint failed", "err", err)
-				}
-			}
-		}
-	}()
-
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		s.log.Info("serve: draining", "grace", drainGrace)
-		sctx, cancel := context.WithTimeout(context.Background(), drainGrace)
-		defer cancel()
-		shutdownErr <- srv.Shutdown(sctx)
-	}()
-
-	err = srv.Serve(ln)
-	if !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	err = <-shutdownErr
-	<-checkpointDone
-	if cerr := s.Checkpoint(); cerr != nil {
-		s.log.Warn("serve: final checkpoint failed", "err", cerr)
-	}
-	return err
 }

@@ -9,8 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -388,32 +386,6 @@ func TestServeSingleflightCoalesces(t *testing.T) {
 	t.Logf("shared %d of %d requests", s.Stats().Shared, burst)
 }
 
-func TestServeCorruptSnapshotWarmBoot(t *testing.T) {
-	var logs bytes.Buffer
-	path := filepath.Join(t.TempDir(), "serve.snap")
-	if err := os.WriteFile(path, []byte("definitely not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{SnapshotPath: path, Log: slog.New(slog.NewJSONHandler(&logs, nil))})
-	s.WarmBoot() // must neither panic nor fail startup
-	joined := logs.String()
-	if !strings.Contains(joined, "starting cold") {
-		t.Errorf("corrupt snapshot boot did not log a cold start: %q", joined)
-	}
-	// A checkpoint rewrites the file; the next boot is warm.
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	s.WarmBoot()
-	joined = logs.String()
-	if !strings.Contains(joined, "warm boot") {
-		t.Errorf("rewritten snapshot did not warm-boot: %q", joined)
-	}
-	if s.Stats().Checkpoints != 1 {
-		t.Errorf("Checkpoints = %d, want 1", s.Stats().Checkpoints)
-	}
-}
-
 func TestServeHealthAndStats(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -446,44 +418,6 @@ func TestServeHealthAndStats(t *testing.T) {
 	}
 	if got := s.Stats().Requests; got != stats.Requests {
 		t.Errorf("Stats() = %d requests, statz reported %d", got, stats.Requests)
-	}
-}
-
-func TestServeGracefulDrain(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "drain.snap")
-	s := New(Config{SnapshotPath: path, CheckpointEvery: time.Hour, Log: testLog(t)})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx, "127.0.0.1:0", 2*time.Second) }()
-
-	var addr string
-	for i := 0; i < 200; i++ {
-		if addr = s.Addr(); addr != "" {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if addr == "" {
-		t.Fatal("server never bound")
-	}
-	resp, err := http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("drain returned %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server did not drain")
-	}
-	// The final checkpoint must have been written.
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("final snapshot missing: %v", err)
 	}
 }
 
@@ -551,13 +485,44 @@ func TestServeChaosNoLeaks(t *testing.T) {
 // join.
 var errNotInFlight = errors.New("computation no longer in flight")
 
+// TestServeDeadlineBoundsModelParse pins that the request deadline bounds
+// the model parse: the handlers parse inside the detached computation, so a
+// 200 ms deadline on a bounds query over nonsplit:n=5 — whose parse alone
+// takes most of a second and polls no context — answers its 504 before one
+// parse of that spec can finish. A handler that parses before the deadline
+// starts answers only after the parse, and fails.
+func TestServeDeadlineBoundsModelParse(t *testing.T) {
+	const spec = "nonsplit:n=5"
+	s, ts := newTestServer(t, Config{MaxTimeout: time.Second})
+	start := time.Now()
+	st, body := post(t, ts, "/v1/bounds", `{"model":"`+spec+`","rounds":3,"timeout_ms":200}`)
+	answered := time.Since(start)
+	if st != http.StatusGatewayTimeout || errKind(t, body) != "deadline" {
+		t.Fatalf("status %d (%s), want a 504 deadline envelope", st, body)
+	}
+	// Let the abandoned computation end, then time one parse of the spec.
+	s.fly.Do(flightKey("serve.bounds", spec, 3), func() (any, error) { return nil, errNotInFlight })
+	start = time.Now()
+	if _, err := parseModel(spec); err != nil {
+		t.Fatal(err)
+	}
+	parse := time.Since(start)
+	if answered >= parse {
+		t.Fatalf("504 answered after %v, no sooner than one parse of %s (%v)", answered, spec, parse)
+	}
+	t.Logf("504 after %v; one parse takes %v", answered, parse)
+}
+
 // A request whose deadline expires gets its 504, and the computation it
 // leaves behind on the detached context must stop at MaxTimeout: the betti
 // complex build and the multi-round product sweep poll that context, so
 // the computation returns a context error within one poll interval
-// (milliseconds) of MaxTimeout instead of running on unbounded. The test
-// joins the abandoned computation through the server's singleflight and
-// asserts on that return; the bound allows a second of scheduling slack.
+// (milliseconds) of MaxTimeout instead of running on unbounded. The model
+// parse at its start polls no context, so the computation may end no
+// sooner than one parse of the spec: the bound is the later of MaxTimeout
+// and a parse timed here, plus a second of scheduling slack. The test joins
+// the abandoned computation through the server's singleflight and asserts
+// on that return.
 func TestServeDeadlineStopsDetachedComputation(t *testing.T) {
 	const maxTimeout = time.Second
 	for _, c := range []struct {
@@ -572,10 +537,11 @@ func TestServeDeadlineStopsDetachedComputation(t *testing.T) {
 		if err := json.Unmarshal([]byte(c.body), &req); err != nil {
 			t.Fatal(err)
 		}
-		m, err := parseModel(req.Model)
-		if err != nil {
+		start := time.Now()
+		if _, err := parseModel(req.Model); err != nil {
 			t.Fatal(err)
 		}
+		bound := max(maxTimeout, time.Since(start)) + time.Second
 		st, body := post(t, ts, c.path, c.body)
 		if st != http.StatusGatewayTimeout || errKind(t, body) != "deadline" {
 			t.Fatalf("%s: status %d (%s), want a 504 deadline envelope", c.path, st, body)
@@ -587,7 +553,7 @@ func TestServeDeadlineStopsDetachedComputation(t *testing.T) {
 		}
 		done := make(chan joined, 1)
 		go func() {
-			_, err, shared := s.fly.Do(modelKey(c.kind, m, c.params...), func() (any, error) { return nil, errNotInFlight })
+			_, err, shared := s.fly.Do(flightKey(c.kind, req.Model, c.params...), func() (any, error) { return nil, errNotInFlight })
 			done <- joined{err, shared}
 		}()
 		select {
@@ -599,9 +565,9 @@ func TestServeDeadlineStopsDetachedComputation(t *testing.T) {
 				t.Fatalf("%s: detached computation returned %v, want the MaxTimeout deadline", c.path, j.err)
 			}
 			t.Logf("%s: detached computation returned %v after the 504", c.path, time.Since(answered).Round(time.Millisecond))
-		case <-time.After(maxTimeout + time.Second):
-			t.Fatalf("%s: detached computation still running %v after the 504 (MaxTimeout %v)",
-				c.path, time.Since(answered).Round(time.Millisecond), maxTimeout)
+		case <-time.After(bound):
+			t.Fatalf("%s: detached computation still running %v after the 504 (MaxTimeout %v, bound %v)",
+				c.path, time.Since(answered).Round(time.Millisecond), maxTimeout, bound)
 		}
 	}
 }

@@ -210,49 +210,6 @@ func (c *AbstractComplex) Simplexes(dim int) [][]int {
 	return out
 }
 
-// SimplexLevels returns the simplexes of every dimension 0..maxDim, each
-// sorted lexicographically (levels above the complex's dimension are empty).
-// One facet walk feeds all levels — callers that need several dimensions
-// (the homology rank loop) previously re-walked the facets once per
-// dimension via Simplexes.
-func (c *AbstractComplex) SimplexLevels(maxDim int) [][][]int {
-	if maxDim < 0 {
-		return nil
-	}
-	arenas := make([][]int, maxDim+2) // indexed by simplex size
-	buf := make([]int, maxDim+1)
-	for _, f := range c.facets {
-		maxSize := len(f)
-		if maxSize > maxDim+1 {
-			maxSize = maxDim + 1
-		}
-		for size := 1; size <= maxSize; size++ {
-			combinationsOf(f, size, buf[:size], 0, 0, func(s []int) {
-				arenas[size] = append(arenas[size], s...)
-			})
-		}
-	}
-	levels := make([][][]int, maxDim+1)
-	for dim := 0; dim <= maxDim; dim++ {
-		size := dim + 1
-		arena := arenas[size]
-		total := len(arena) / size
-		all := make([][]int, total)
-		for i := range all {
-			all[i] = arena[i*size : (i+1)*size : (i+1)*size]
-		}
-		sort.Slice(all, func(i, j int) bool { return lexLess(all[i], all[j]) })
-		out := all[:0]
-		for i, s := range all {
-			if i == 0 || !slices.Equal(s, out[len(out)-1]) {
-				out = append(out, s)
-			}
-		}
-		levels[dim] = out
-	}
-	return levels
-}
-
 func lexLess(a, b []int) bool {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {
@@ -308,16 +265,14 @@ func (c *AbstractComplex) Skeleton(d int) (*AbstractComplex, error) {
 	return NewAbstract(c.numVertices, gens)
 }
 
-// EulerCharacteristic returns Σ (−1)^q · (number of q-simplexes), counting
-// every level from one facet walk (SimplexCount per dimension would re-walk
-// the facets once per q).
+// EulerCharacteristic returns Σ (−1)^q · (number of q-simplexes).
 func (c *AbstractComplex) EulerCharacteristic() int {
 	chi := 0
-	for q, level := range c.SimplexLevels(c.Dimension()) {
+	for q := 0; q <= c.Dimension(); q++ {
 		if q%2 == 0 {
-			chi += len(level)
+			chi += c.SimplexCount(q)
 		} else {
-			chi -= len(level)
+			chi -= c.SimplexCount(q)
 		}
 	}
 	return chi

@@ -39,27 +39,6 @@ func ReducedBettiNumbersCtx(ctx context.Context, c *AbstractComplex, maxDim int)
 	return homology.ReducedBettiCtx(ctx, c, maxDim)
 }
 
-// ReducedBettiNumbersFromLevels is ReducedBettiNumbersCtx for callers that
-// already hold the complex's SimplexLevels output (which must extend to
-// maxDim+1): the level table feeds the engine directly, skipping the
-// duplicate facet walk the facet-based entry would re-run.
-func ReducedBettiNumbersFromLevels(ctx context.Context, c *AbstractComplex, levels [][][]int, maxDim int) ([]int, error) {
-	if maxDim < 0 {
-		return nil, fmt.Errorf("topology: negative homology dimension %d", maxDim)
-	}
-	if c.IsEmpty() {
-		return nil, fmt.Errorf("topology: reduced homology of the empty complex is undefined here")
-	}
-	if maxDim+1 >= len(levels) {
-		return nil, fmt.Errorf("topology: levels reach dimension %d, need %d", len(levels)-1, maxDim+1)
-	}
-	cc, err := homology.NewChainComplexFromLevels(levels)
-	if err != nil {
-		return nil, err
-	}
-	return cc.ReducedBettiCtx(ctx, maxDim)
-}
-
 // ReducedBettiNumbersOracle is the seed GF(2) reduction — the bit-packed
 // fast path with a dense-column generic fallback. It is retained as an
 // independent oracle for cross-checking the hybrid engine; new callers
@@ -75,12 +54,13 @@ func ReducedBettiNumbersOracle(c *AbstractComplex, maxDim int) ([]int, error) {
 		return betti, nil
 	}
 
-	// Generic fallback for complexes too large to bit-pack. All levels come
-	// from one facet walk (SimplexLevels); each is sorted lexicographically,
-	// so boundary-face rows are found by binary search, no keyed index.
-	simplexes := c.SimplexLevels(maxDim + 1)
+	// Generic fallback for complexes too large to bit-pack. Each level is
+	// sorted lexicographically, so boundary-face rows are found by binary
+	// search, no keyed index.
 	counts := make([]int, maxDim+2)
+	simplexes := make([][][]int, maxDim+2)
 	for q := 0; q <= maxDim+1; q++ {
+		simplexes[q] = c.Simplexes(q)
 		counts[q] = len(simplexes[q])
 	}
 

@@ -3,7 +3,6 @@ package topology
 import (
 	"context"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -217,7 +216,10 @@ func TestQuickConeIsAcyclic(t *testing.T) {
 // (ReducedBettiNumbersOracle would itself pick the packed path on small
 // complexes).
 func genericBetti(c *AbstractComplex, maxDim int) []int {
-	simplexes := c.SimplexLevels(maxDim + 1)
+	simplexes := make([][][]int, maxDim+2)
+	for q := range simplexes {
+		simplexes[q] = c.Simplexes(q)
+	}
 	rank := make([]int, maxDim+2)
 	rank[0] = 1
 	for q := 1; q <= maxDim+1; q++ {
@@ -284,55 +286,6 @@ func TestHybridSparsePackedGenericCrossCheck(t *testing.T) {
 						promote, trial, gens, q, hybrid[q], sparse[q], packed[q], generic[q])
 				}
 			}
-		}
-	}
-}
-
-// TestReducedBettiNumbersFromLevels pins the levels-accepting entry point
-// against the facet-based one and the seed oracle: a caller holding
-// SimplexLevels output must get identical Betti vectors without the engine
-// re-walking the facets.
-func TestReducedBettiNumbersFromLevels(t *testing.T) {
-	cases := []struct {
-		name   string
-		n      int
-		gens   [][]int
-		maxDim int
-	}{
-		{"circle", 3, [][]int{{0, 1}, {1, 2}, {0, 2}}, 1},
-		{"RP²", 6, [][]int{
-			{0, 1, 4}, {0, 1, 5}, {0, 2, 3}, {0, 2, 5}, {0, 3, 4},
-			{1, 2, 3}, {1, 2, 4}, {1, 3, 5}, {2, 4, 5}, {3, 4, 5},
-		}, 2},
-	}
-	for _, tc := range cases {
-		c := mustAbstract(t, tc.n, tc.gens)
-		levels := c.SimplexLevels(tc.maxDim + 1)
-		want, err := ReducedBettiNumbersOracle(c, tc.maxDim)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", tc.name, err)
-		}
-		for _, entry := range []struct {
-			name string
-			run  func() ([]int, error)
-		}{
-			{"facets", func() ([]int, error) { return ReducedBettiNumbersCtx(context.Background(), c, tc.maxDim) }},
-			{"levels", func() ([]int, error) {
-				return ReducedBettiNumbersFromLevels(context.Background(), c, levels, tc.maxDim)
-			}},
-		} {
-			got, err := entry.run()
-			if err != nil {
-				t.Fatalf("%s %s: %v", tc.name, entry.name, err)
-			}
-			if !slices.Equal(got, want) {
-				t.Errorf("%s %s: β̃ = %v, oracle says %v", tc.name, entry.name, got, want)
-			}
-		}
-		// A level table that stops short of maxDim+1 must be rejected, not
-		// silently treated as a smaller complex.
-		if _, err := ReducedBettiNumbersFromLevels(context.Background(), c, c.SimplexLevels(tc.maxDim), tc.maxDim); err == nil {
-			t.Errorf("%s: undersized level table should be rejected", tc.name)
 		}
 	}
 }
