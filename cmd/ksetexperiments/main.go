@@ -22,9 +22,7 @@ import (
 	"time"
 
 	"ksettop/internal/cli"
-	"ksettop/internal/dist"
 	"ksettop/internal/experiments"
-	"ksettop/internal/model"
 )
 
 func main() { cli.Main("ksetexperiments", run) }
@@ -36,24 +34,11 @@ func run(parent context.Context, args []string, stdout io.Writer) error {
 	c := cli.New("ksetexperiments")
 	only := c.Flags.String("only", "", "comma-separated experiment IDs (default all)")
 	solverBudget := c.SolverBudget()
-	workers := c.Flags.String("workers", "", "comma-separated ksetsweepd worker addresses; non-empty distributes heavy closure sweeps across them (local fallback when the fleet is unavailable)")
-	verifyFraction := c.Flags.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
-	quarantineThreshold := c.Flags.Float64("quarantine-threshold", 0, cli.QuarantineThresholdFlagUsage)
 	c.MemoSnapshot(cli.MemoSnapshotUsage, nil)
 	c.Checkpoint(cli.CheckpointFlagUsage, cli.CheckpointIntervalFlagUsage, func() []string {
 		return []string{*only, fmt.Sprint(*solverBudget)}
 	})
 	return c.Run(parent, args, func(ctx context.Context) error {
-		if list := cli.SplitWorkers(*workers); len(list) > 0 {
-			coord := dist.NewCoordinator(dist.CoordConfig{
-				Workers:             list,
-				VerifyFraction:      *verifyFraction,
-				QuarantineThreshold: *quarantineThreshold,
-			})
-			coord.Start(ctx)
-			model.SetDistributor(coord)
-			defer model.SetDistributor(nil)
-		}
 		return printTables(ctx, stdout, *only)
 	})
 }

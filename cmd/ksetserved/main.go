@@ -20,17 +20,14 @@
 //	GET  /metrics    Prometheus text exposition (engine + server + coordinator counters)
 //	GET  /debug/pprof/  runtime profiles (only with -pprof)
 //
-// With -workers host:port,... the daemon runs in coordinator mode: heavy
-// closure-count sweeps are sharded across the named ksetsweepd workers
-// (consistent-hash placement, lease/heartbeat failure detection, straggler
-// hedging, optional crash-recovery journal via -dist-journal), falling back
-// to the local engine when the fleet is unavailable. The fleet is not
-// assumed honest: -verify-fraction re-executes a sample of committed shards
-// on distinct replicas and settles disagreements by quorum majority with a
-// local recompute as arbiter, and workers whose divergence score crosses
-// -quarantine-threshold are quarantined from placement until a half-open
-// known-answer probe re-admits them; when live trusted workers run out, the
-// daemon degrades to local compute rather than serve untrusted bytes.
+// With -workers host:port,... the daemon runs in coordinator mode: it
+// starts a coordinator over the named ksetsweepd workers (consistent-hash
+// placement, lease/heartbeat failure detection, straggler hedging, optional
+// crash-recovery journal via -dist-journal, -verify-fraction quorum checks
+// and -quarantine-threshold placement bans), gates /readyz on a live worker
+// and reports the coordinator's counters in /statz and /metrics. /v1/count
+// does not go to the fleet: the edge-branching count answers it in process
+// in microseconds to milliseconds.
 //
 // The daemon admission-controls concurrency (503 on overload), enforces
 // per-request deadlines (504), returns typed budget rejections (422),
@@ -52,7 +49,6 @@ import (
 
 	"ksettop/internal/cli"
 	"ksettop/internal/dist"
-	"ksettop/internal/model"
 	"ksettop/internal/serve"
 )
 
@@ -73,8 +69,8 @@ func run(parent context.Context, args []string, stdout io.Writer) error {
 	distShards := c.Flags.Int("dist-shards", 0, "shards per distributed sweep (0 = 8 × workers)")
 	distLease := c.Flags.Duration("dist-lease", 15*time.Second, "shard lease TTL before a grant is forfeited and re-dispatched")
 	distJournal := c.Flags.String("dist-journal", "", "shard-commit journal file for coordinator crash recovery (empty = off)")
-	verifyFraction := c.Flags.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
-	quarantineThreshold := c.Flags.Float64("quarantine-threshold", 0, cli.QuarantineThresholdFlagUsage)
+	verifyFraction := c.Flags.Float64("verify-fraction", 0, "fraction [0,1] of committed sweep shards re-executed on a distinct worker and cross-validated byte-for-byte against the commit (Byzantine defense; 0 = off, CRC and hedge cross-checks only)")
+	quarantineThreshold := c.Flags.Float64("quarantine-threshold", 0, "divergence score at which a worker is quarantined from sweep placement until it passes a half-open known-answer probe (0 = default 3, negative = never quarantine)")
 	pprofFlag := c.Flags.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	return c.Serve(parent, args, ":8080", "shutdown grace for in-flight requests", func(ctx context.Context) (http.Handler, error) {
 		var coord *dist.Coordinator
@@ -88,7 +84,6 @@ func run(parent context.Context, args []string, stdout io.Writer) error {
 				QuarantineThreshold: *quarantineThreshold,
 			})
 			coord.Start(ctx)
-			model.SetDistributor(coord)
 		}
 		s := serve.New(serve.Config{
 			MaxConcurrent:   *maxConcurrent,

@@ -1,6 +1,6 @@
 // Command ksetsweepd is the distributed-sweep worker daemon: it executes
-// rank-shard enumeration ops on behalf of a ksetserved or ksetexperiments
-// coordinator and answers its heartbeat probes.
+// rank-shard enumeration ops on behalf of a coordinator (dist.Coordinator;
+// ksetserved -workers runs one) and answers its heartbeat probes.
 //
 // Usage:
 //

@@ -92,6 +92,7 @@ func All() []Row {
 		{"E17DynamicRotatingStars", experiment("E17")},
 		{"BettiCold", bettiCold},
 		{"BoundsAnalyze", boundsAnalyze},
+		{"ClosureCount", closureCount},
 	}
 }
 
@@ -202,7 +203,7 @@ func symClosure(b *testing.B) {
 }
 
 // enumerateClosure is the mask-level streaming sweep of the n=5 star closure
-// (5·2^16 ranks): the fast path behind GraphCount and the sharded
+// (5·2^16 ranks): the path behind E14's closure cell and the sharded
 // collectors, no Digraph materialization.
 func enumerateClosure(b *testing.B) {
 	m, err := model.NonEmptyKernelModel(5)
@@ -218,6 +219,27 @@ func enumerateClosure(b *testing.B) {
 		})
 		if count == 0 {
 			b.Fatal("empty enumeration")
+		}
+	}
+}
+
+// closureCount is the branching closure count (/v1/count past parsing) of
+// nonsplit:n=5 (1327 generators) and stars:n=7,s=3 (35 generators), both
+// past the enumeration budget, with the memo off so every op counts.
+func closureCount(b *testing.B) {
+	nonsplit, err := model.NonSplitModel(5)
+	must(b, err)
+	stars, err := model.UnionOfStarsModel(7, 3)
+	must(b, err)
+	defer memo.SetEnabled(memo.Enabled())
+	memo.SetEnabled(false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range []*model.ClosedAbove{nonsplit, stars} {
+			if _, err := m.GraphCountCtx(context.Background()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

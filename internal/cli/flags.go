@@ -81,12 +81,6 @@ func saveMemoSnapshot(path string) error {
 	return memo.SaveSnapshot(path)
 }
 
-// VerifyFractionFlagUsage is the shared help text of the -verify-fraction flag.
-const VerifyFractionFlagUsage = "fraction [0,1] of committed sweep shards re-executed on a distinct worker and cross-validated byte-for-byte against the commit (Byzantine defense; 0 = off, CRC and hedge cross-checks only)"
-
-// QuarantineThresholdFlagUsage is the shared help text of the -quarantine-threshold flag.
-const QuarantineThresholdFlagUsage = "divergence score at which a worker is quarantined from sweep placement until it passes a half-open known-answer probe (0 = default 3, negative = never quarantine)"
-
 // SplitWorkers parses a -workers flag value: a comma-separated address
 // list, whitespace and empty entries tolerated.
 func SplitWorkers(value string) []string {

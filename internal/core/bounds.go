@@ -245,7 +245,7 @@ func boundsAt(ctx context.Context, m *model.ClosedAbove, base Numbers, r int) (*
 		b.Lower = LowerBound{K: nb.Gamma - 1, Rounds: r, Theorem: simpleLo, Scope: scope,
 			Note: fmt.Sprintf("γ(%s) = %d", graphR, nb.Gamma)}
 	} else {
-		k, note := theorem54(nb)
+		k, note := theorem54(nb, set)
 		b.Lower = LowerBound{K: k, Rounds: r, Theorem: generalLo, Scope: scope, Note: note}
 	}
 	return b, nil
@@ -256,11 +256,10 @@ func boundsAt(ctx context.Context, m *model.ClosedAbove, base Numbers, r int) (*
 // combinat.DistributedDominationNumberEffective), the reading that
 // reproduces the paper's worked examples. A t without max-cov is skipped.
 // It returns the (l+1)-set impossibility's K (at least 0) and its note,
-// which names S also when the numbers are those of S^r (Thm 6.11), as the
-// reports always have.
-func theorem54(nb Numbers) (int, string) {
+// which names set, the generator set the numbers are of (S^r for Thm 6.11).
+func theorem54(nb Numbers, set string) (int, string) {
 	l := nb.GammaEq - 2
-	note := fmt.Sprintf("γ_dist(S) = %d", nb.GammaEq)
+	note := fmt.Sprintf("γ_dist(%s) = %d", set, nb.GammaEq)
 	for j, mt := range nb.MaxCoeff {
 		t := j + 1
 		if nb.MaxCov[j] == 0 {
@@ -268,7 +267,7 @@ func theorem54(nb Numbers) (int, string) {
 		}
 		if v := t + mt - 2; v < l {
 			l = v
-			note = fmt.Sprintf("t = %d, M_t(S) = %d", t, mt)
+			note = fmt.Sprintf("t = %d, M_t(%s) = %d", t, set, mt)
 		}
 	}
 	return max(l+1, 0), note

@@ -15,7 +15,9 @@ import (
 // upper and lower bounds were derived from one computation of the numbers,
 // and re-recorded once on purpose when the γ_dist/max-cov sweeps stopped
 // reading generator sets of 64 or more as having no subsets (three cases
-// changed: nonsplit:n=4 at one and three rounds, cycle:n=5 at two).
+// changed: nonsplit:n=4 at one and three rounds, cycle:n=5 at two), and
+// once more when the Thm 6.11 lower-bound notes began naming S^r instead of
+// S (the five lower lines at two and three rounds).
 // Its cases are the query-hot working set of perfbench at seed 1 (the 17
 // named families and 47 random gens: models on 3–5 processes) at one round,
 // and five models at two or three rounds: non-split and star on 4

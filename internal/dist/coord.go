@@ -192,9 +192,7 @@ type CoordStats struct {
 
 // Coordinator drives distributed sweeps over a fixed worker set, detecting
 // failures by lease expiry and heartbeats and recovering by deterministic
-// ring re-dispatch. It implements model.Distributor, so installing it with
-// model.SetDistributor routes the engines' heavy closure counts through the
-// worker fleet transparently.
+// ring re-dispatch. CountClosure sweeps one closure count across the fleet.
 type Coordinator struct {
 	cfg    CoordConfig
 	ring   *Ring
@@ -967,10 +965,10 @@ func hedgeThreshold(samples []time.Duration, cfg CoordConfig) time.Duration {
 	return th
 }
 
-// CountClosure implements model.Distributor: heavy closure counts are
-// distributed across the worker fleet; tiny rank spaces, a dead fleet, or a
-// failed sweep (budget trips excepted — those are the caller's answer)
-// decline, so the caller's local engine still completes the count.
+// CountClosure counts m's closure by a rank sweep across the worker fleet.
+// Tiny rank spaces, a dead fleet, or a failed sweep (budget trips excepted —
+// those are the caller's answer) decline with handled=false, so the caller
+// can count locally instead (model.GraphCountCtx).
 func (c *Coordinator) CountClosure(ctx context.Context, m *model.ClosedAbove) (int64, bool, error) {
 	if c == nil || len(c.cfg.Workers) == 0 {
 		return 0, false, nil

@@ -11,7 +11,6 @@ import (
 
 	"ksettop/internal/cli"
 	"ksettop/internal/faultinject"
-	"ksettop/internal/model"
 )
 
 // discardLog silences the operational logs of in-process workers and
@@ -152,39 +151,27 @@ func TestDistHeartbeatDetection(t *testing.T) {
 	}
 }
 
-// Installing the coordinator as the process distributor routes
-// model.GraphCountCtx through the fleet — and the answer matches the local
-// engine exactly.
+// The fleet's count and the local branching count are independent
+// engines (a sharded rank sweep across workers against edge branching);
+// CountClosure must equal GraphCountCtx.
 func TestDistModelDistributorIntegration(t *testing.T) {
-	const spec = "adj:0>1;1>2;2>3;3>" // unlikely to be memo-warmed by other tests
-	m, err := cli.ParseModel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := m.GraphCountCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	workers := startWorkers(t, 3, WorkerConfig{Log: discardLog})
-	c := NewCoordinator(testCoordConfig(workers))
-	model.SetDistributor(c)
-	defer model.SetDistributor(nil)
-
-	// A distinct *ClosedAbove of the same spec, so the memoized count entry
-	// from the local run above is keyed identically… which exercises the memo
-	// vs distributor interplay: a warm cache may answer without a sweep, a
-	// cold one must sweep. Either way the answer must be `want`.
-	m2, err := cli.ParseModel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m2.GraphCountCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("distributed count %d, local %d", got, want)
+	c := NewCoordinator(testCoordConfig(startWorkers(t, 3, WorkerConfig{Log: discardLog})))
+	for _, spec := range []string{"adj:0>1;1>2;2>3;3>", "stars:n=4,s=2", "cycle:n=4"} {
+		m, err := cli.ParseModel(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.GraphCountCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, handled, err := c.CountClosure(context.Background(), m)
+		if err != nil || !handled {
+			t.Fatalf("%s: CountClosure handled=%v err=%v", spec, handled, err)
+		}
+		if got != int64(want) {
+			t.Fatalf("%s: distributed count %d, GraphCountCtx %d", spec, got, want)
+		}
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 
+	"ksettop/internal/bits"
 	"ksettop/internal/core"
 	"ksettop/internal/model"
+	"ksettop/internal/par"
 )
 
 // E14StarUnions7 extends the Thm 6.13 star-union sweep to n = 7, the first
@@ -38,7 +40,7 @@ func E14StarUnions7(ctx context.Context) (*Table, error) {
 		}
 		closure := "skipped (budget)"
 		if size, err := m.EnumerationSize(); err == nil && size <= model.DefaultEnumerationBudget {
-			count, err := m.GraphCountCtx(ctx)
+			count, err := enumeratedCount(ctx, m)
 			if err != nil {
 				return nil, err
 			}
@@ -46,7 +48,7 @@ func E14StarUnions7(ctx context.Context) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			closure = fmt.Sprintf("%d (%s)", count, check(int64(count) == want))
+			closure = fmt.Sprintf("%d (%s)", count, check(count == want))
 		}
 		t.AddRow(n, s, m.GeneratorCount(), n-s+1,
 			fmt.Sprintf("%d-set", lo.K), fmt.Sprintf("%d-set", up.K),
@@ -56,4 +58,27 @@ func E14StarUnions7(ctx context.Context) (*Table, error) {
 	}
 	t.AddNote("closure column: streaming-enumeration count vs inclusion–exclusion closed form, where the rank space fits the default budget.")
 	return t, nil
+}
+
+// enumeratedCount counts m's closure by one sequential sweep of the
+// streaming enumeration (not GraphCountCtx, whose branching count would
+// leave the enumeration unchecked), polling ctx every par.PollMask+1
+// elements.
+func enumeratedCount(ctx context.Context, m *model.ClosedAbove) (int64, error) {
+	e, err := m.Enumeration()
+	if err != nil {
+		return 0, err
+	}
+	var count int64
+	e.RangeMasks(0, e.Size(), func(bits.Words) bool {
+		if count&par.PollMask == 0 && ctx.Err() != nil {
+			return false
+		}
+		count++
+		return true
+	})
+	if ctx.Err() != nil {
+		return 0, fmt.Errorf("E14: closure enumeration aborted: %w", context.Cause(ctx))
+	}
+	return count, nil
 }

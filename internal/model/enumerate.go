@@ -331,61 +331,12 @@ func (m *ClosedAbove) AllGraphsCtx(ctx context.Context) ([]graph.Digraph, error)
 	return all, nil
 }
 
-// GraphCountCtx returns the number of graphs in the model (size of the union
-// of the closures). The count runs on the mask-level fast path, sharded
-// across the worker pool, and is memoized per generator set. A cancelled
-// count returns the cause (and is not cached — a later uncancelled call
-// recomputes).
-// When a Distributor is installed (see SetDistributor) the count is offered
-// to it first; a declined sweep falls back to the in-process pool, and the
-// distributor's determinism contract keeps the cached value identical
-// either way.
-func (m *ClosedAbove) GraphCountCtx(ctx context.Context) (int, error) {
-	v, err := countCache.Do(setKey("count", m.gens), func() (int, error) {
-		if d := CurrentDistributor(); d != nil {
-			if count, handled, err := d.CountClosure(ctx, m); handled {
-				return int(count), err
-			}
-		}
-		e, err := m.Enumeration()
-		if err != nil {
-			return 0, err
-		}
-		total := e.Size()
-		shards := par.NumShards(total)
-		ctl := &par.Ctl{}
-		var count atomic.Int64
-		if shards < 1 {
-			shards = 1
-		}
-		if err := par.ForEachShardN(ctx, total, shards, ctl, func(_ int, from, to int64, c *par.Ctl) {
-			local := 0
-			seen := int64(0)
-			e.RangeMasks(from, to, func(bits.Words) bool {
-				if seen&enumPollMask == 0 && c.Stopped() {
-					return false
-				}
-				seen++
-				local++
-				return true
-			})
-			count.Add(int64(local))
-		}); err != nil {
-			return 0, fmt.Errorf("model: enumeration aborted: %w", err)
-		}
-		if ctl.Stopped() {
-			return 0, fmt.Errorf("model: enumeration aborted: %w", context.Cause(ctx))
-		}
-		return int(count.Load()), nil
-	})
-	return v, err
-}
-
 // GraphCountClosedForm returns |⋃_i ↑G_i| by inclusion–exclusion over the
 // generator bases: Σ_{∅≠T⊆S} (−1)^{|T|+1} 2^{missing(⋃T)}. It needs no
 // enumeration at all (and so no budget), which makes it the independent
-// cross-check for the streaming engine; it is exponential in the number of
-// generators instead, so |S| ≤ 22 and ≤ 40 missing edges per term.
+// cross-check for the branching count and the streaming enumeration; it is
+// exponential in the number of generators instead, so |S| ≤ 22 and ≤ 40
+// missing edges per term.
 func (m *ClosedAbove) GraphCountClosedForm() (int64, error) {
 	k := len(m.gens)
 	if k > 22 {

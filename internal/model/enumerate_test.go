@@ -71,7 +71,7 @@ func collectKeys(t *testing.T, m *ClosedAbove) []string {
 // TestEnumerateRangeShardUnion partitions the rank space of every corpus
 // family into deliberately uneven shards and requires the concatenation to
 // reproduce the sequential enumeration exactly — order included. This is
-// the contract the parallel collectors (AllGraphs, GraphCount) build on.
+// the contract the parallel collector (AllGraphs) builds on.
 func TestEnumerateRangeShardUnion(t *testing.T) {
 	for name, m := range corpusModels(t) {
 		want := collectKeys(t, m)
@@ -133,24 +133,28 @@ func TestEnumerateNoDuplicatesAndMembership(t *testing.T) {
 	}
 }
 
-// TestGraphCountClosedFormCrossCheck pits the streaming enumeration against
-// the inclusion–exclusion closed form on the whole corpus: two independent
-// computations of |⋃ ↑G_i| must agree.
+// TestGraphCountClosedFormCrossCheck pits the branching count against the
+// streaming enumeration and, up to 22 generators, the inclusion–exclusion
+// closed form on the whole corpus: three independent computations of
+// |⋃ ↑G_i| must agree.
 func TestGraphCountClosedFormCrossCheck(t *testing.T) {
 	for name, m := range corpusModels(t) {
-		if len(m.Generators()) > 22 {
-			continue // closed form is exponential in |S|
-		}
 		count, err := m.GraphCountCtx(context.Background())
 		if err != nil {
 			t.Fatalf("%s: GraphCount: %v", name, err)
+		}
+		if enum := enumeratedCount(t, m); int64(count) != enum {
+			t.Errorf("%s: branching count %d != enumeration %d", name, count, enum)
+		}
+		if len(m.Generators()) > 22 {
+			continue // closed form is exponential in |S|
 		}
 		want, err := m.GraphCountClosedForm()
 		if err != nil {
 			t.Fatalf("%s: GraphCountClosedForm: %v", name, err)
 		}
 		if int64(count) != want {
-			t.Errorf("%s: enumerated count %d != closed form %d", name, count, want)
+			t.Errorf("%s: branching count %d != closed form %d", name, count, want)
 		}
 	}
 }

@@ -29,7 +29,7 @@ type ClosedAbove struct {
 // over, and every construction pays the minimal-generator pruning (and, for
 // NewSymmetric, the n! closure). A
 // *ClosedAbove is immutable after construction, so sharing the cached value
-// is safe. countCache memoizes closure sizes (see GraphCount).
+// is safe. countCache memoizes closure sizes (see GraphCountCtx).
 var (
 	modelCache = memo.NewCache[*ClosedAbove](256)
 	countCache = memo.NewCache[int](512)

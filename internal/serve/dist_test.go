@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"ksettop/internal/dist"
-	"ksettop/internal/memo"
-	"ksettop/internal/model"
 )
 
 func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
@@ -52,13 +50,8 @@ func TestServeCoordinatorReadyzAndStatz(t *testing.T) {
 		t.Fatalf("readyz with live worker: %d (%s)", st, body)
 	}
 
-	// Route a count through the fleet and check it lands in /statz. Memo
-	// off: a count cached by an earlier run in this process (-count > 1)
-	// would answer without a sweep.
-	memo.SetEnabled(false)
-	t.Cleanup(func() { memo.SetEnabled(true) })
-	model.SetDistributor(coord)
-	defer model.SetDistributor(nil)
+	// /v1/count answers in process; a sweep the coordinator runs itself
+	// lands in /statz.
 	st, body := post(t, ts, "/v1/count", `{"model":"stars:n=4,s=2"}`)
 	if st != http.StatusOK {
 		t.Fatalf("/v1/count: %d (%s)", st, body)
@@ -67,8 +60,13 @@ func TestServeCoordinatorReadyzAndStatz(t *testing.T) {
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
-	if cr.Count <= 0 {
-		t.Fatalf("count = %d", cr.Count)
+	m, err := parseModel("stars:n=4,s=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, handled, err := coord.CountClosure(context.Background(), m)
+	if err != nil || !handled || fleet != cr.Count {
+		t.Fatalf("coordinator count %d (handled %v, err %v), /v1/count %d", fleet, handled, err, cr.Count)
 	}
 
 	st, body = get(t, ts, "/statz")
@@ -82,8 +80,8 @@ func TestServeCoordinatorReadyzAndStatz(t *testing.T) {
 	if stats.Dist == nil {
 		t.Fatal("/statz missing dist counters in coordinator mode")
 	}
-	if stats.Dist.Workers != 1 || stats.Dist.Sweeps == 0 || stats.Dist.ShardsCommitted == 0 {
-		t.Fatalf("dist counters after a distributed count: %+v", *stats.Dist)
+	if stats.Dist.Workers != 1 || stats.Dist.Sweeps != 1 || stats.Dist.ShardsCommitted == 0 {
+		t.Fatalf("dist counters after one distributed count: %+v", *stats.Dist)
 	}
 
 	// Kill the worker: the failure detector must flip /readyz to 503 while
@@ -98,8 +96,8 @@ func TestServeCoordinatorReadyzAndStatz(t *testing.T) {
 	}
 }
 
-// A dead fleet must not break /v1/count: the distributor declines and the
-// local engine answers.
+// A dead fleet must not break /v1/count: the count is local, and it is
+// the closure's size.
 func TestServeCountFallsBackWithoutFleet(t *testing.T) {
 	coord := dist.NewCoordinator(dist.CoordConfig{
 		Workers:     []string{"127.0.0.1:1"}, // nobody home
@@ -109,10 +107,9 @@ func TestServeCountFallsBackWithoutFleet(t *testing.T) {
 		RetryMax:    5 * time.Millisecond,
 		Log:         discardLog,
 	})
-	model.SetDistributor(coord)
-	defer model.SetDistributor(nil)
 	_, ts := newTestServer(t, Config{Coordinator: coord})
-	st, body := post(t, ts, "/v1/count", `{"model":"adj:0>1 2 3;1>2;2>3;3>"}`)
+	const spec = "adj:0>1 2 3;1>2;2>3;3>"
+	st, body := post(t, ts, "/v1/count", `{"model":"`+spec+`"}`)
 	if st != http.StatusOK {
 		t.Fatalf("/v1/count without fleet: %d (%s)", st, body)
 	}
@@ -120,8 +117,12 @@ func TestServeCountFallsBackWithoutFleet(t *testing.T) {
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
-	if cr.Count <= 0 {
-		t.Fatalf("fallback count = %d", cr.Count)
+	m, err := parseModel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := m.GraphCountClosedForm(); err != nil || cr.Count != want {
+		t.Fatalf("count without fleet = %d, closed form %d (%v)", cr.Count, want, err)
 	}
 }
 

@@ -3,27 +3,12 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"ksettop/internal/dist"
-	"ksettop/internal/memo"
-	"ksettop/internal/model"
-	"ksettop/internal/obs"
 )
-
-// startTestWorker launches one in-process sweep worker and returns its
-// address.
-func startTestWorker(t *testing.T) string {
-	t.Helper()
-	w := dist.NewWorker(dist.WorkerConfig{Log: discardLog})
-	ts := httptest.NewServer(w.Handler())
-	t.Cleanup(ts.Close)
-	return strings.TrimPrefix(ts.URL, "http://")
-}
 
 // promLineRe is the Prometheus text-exposition grammar accepted by the
 // /metrics endpoints: HELP/TYPE comments and bare or {le="..."}-labelled
@@ -121,70 +106,5 @@ func TestServeStatzShape(t *testing.T) {
 	}
 	if stats.Requests != 1 {
 		t.Fatalf("requests = %d after one request", stats.Requests)
-	}
-}
-
-// The acceptance end-to-end: a distributed count through the service in
-// coordinator mode over two in-process workers renders as ONE trace tree —
-// serve.request at the root, the coordinator's dist.sweep under it, and the
-// workers' dist.exec spans (imported over the X-Kset-Trace hop) inside.
-func TestServeDistributedTraceTree(t *testing.T) {
-	obs.ResetTrace(0)
-	obs.SetTracingEnabled(true)
-	// Memo off: a count cached by an earlier run in this process
-	// (-count > 1) would answer without a sweep.
-	memo.SetEnabled(false)
-	t.Cleanup(func() {
-		memo.SetEnabled(true)
-		obs.SetTracingEnabled(false)
-		obs.ResetTrace(0)
-	})
-
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		addrs = append(addrs, startTestWorker(t))
-	}
-	coord := dist.NewCoordinator(dist.CoordConfig{
-		Workers:        addrs,
-		Shards:         8,
-		MinRanks:       1,
-		DisableHedging: true,
-		LeaseTTL:       2 * time.Second,
-		Log:            discardLog,
-	})
-	model.SetDistributor(coord)
-	defer model.SetDistributor(nil)
-	_, ts := newTestServer(t, Config{Coordinator: coord})
-
-	if st, body := post(t, ts, "/v1/count", `{"model":"star:n=5"}`); st != http.StatusOK {
-		t.Fatalf("/v1/count: %d (%s)", st, body)
-	}
-
-	spans := obs.TraceSpans()
-	var root, sweep *obs.SpanData
-	execs := 0
-	for i := range spans {
-		switch spans[i].Name {
-		case "serve.request":
-			root = &spans[i]
-		case "dist.sweep":
-			sweep = &spans[i]
-		case "dist.exec":
-			execs++
-		}
-	}
-	if root == nil || sweep == nil {
-		t.Fatalf("trace missing serve.request/dist.sweep (got %d spans)", len(spans))
-	}
-	if sweep.Parent != root.SpanID {
-		t.Fatalf("dist.sweep parent %016x, want the serve.request span %016x", sweep.Parent, root.SpanID)
-	}
-	if execs == 0 {
-		t.Fatal("no worker dist.exec spans in the tree")
-	}
-	for _, sd := range spans {
-		if sd.TraceID != root.TraceID {
-			t.Fatalf("span %s trace %016x, want one tree under %016x", sd.Name, sd.TraceID, root.TraceID)
-		}
 	}
 }

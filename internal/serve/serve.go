@@ -53,10 +53,9 @@ type Config struct {
 	// MaxSolverBudget caps the per-request solver node budget; larger asks
 	// are rejected at admission with 422. Default 50M (the stock budget).
 	MaxSolverBudget int
-	// Coordinator, when set, puts the service in coordinator mode: heavy
-	// closure counts distribute across its worker fleet, its counters merge
-	// into /statz and /metrics, and /readyz additionally requires ≥ 1 live
-	// worker.
+	// Coordinator, when set, puts the service in coordinator mode: its
+	// counters merge into /statz and /metrics, and /readyz additionally
+	// requires ≥ 1 live worker. No query goes to its fleet.
 	Coordinator *dist.Coordinator
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (the -pprof
 	// flag on ksetserved).
@@ -557,10 +556,9 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// CountRequest asks for the closure-enumeration size of a model — the sweep
-// the distributed tier shards across workers when the service runs in
-// coordinator mode (the count transparently falls back to the local engine
-// when the fleet is dead or the rank space is tiny).
+// CountRequest asks for the closure size |⋃ ↑G_i| of a model. The service
+// counts it in process by edge branching (model.GraphCountCtx), also in
+// coordinator mode: the worker fleet never receives a /v1/count.
 type CountRequest struct {
 	Model     string `json:"model"`
 	TimeoutMs int    `json:"timeout_ms,omitempty"`
@@ -583,8 +581,6 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		// GraphCountCtx consults the installed model.Distributor first, so in
-		// coordinator mode this is the distributed sweep.
 		count, err := m.GraphCountCtx(ctx)
 		if err != nil {
 			return nil, err
