@@ -34,7 +34,6 @@ func run(parent context.Context, args []string, stdout io.Writer) error {
 	rounds := c.Flags.Int("rounds", 1, "analyze rounds 1..r")
 	verify := c.Flags.Bool("verify", false, "re-check the one-round bounds mechanically")
 	solverBudget := c.SolverBudget()
-	c.MemoSnapshot(cli.MemoSnapshotUsage, nil)
 	c.Checkpoint(cli.CheckpointFlagUsage, cli.CheckpointIntervalFlagUsage, func() []string {
 		return []string{*spec, fmt.Sprint(*rounds), fmt.Sprint(*verify), fmt.Sprint(*solverBudget)}
 	})

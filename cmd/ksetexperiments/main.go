@@ -34,7 +34,6 @@ func run(parent context.Context, args []string, stdout io.Writer) error {
 	c := cli.New("ksetexperiments")
 	only := c.Flags.String("only", "", "comma-separated experiment IDs (default all)")
 	solverBudget := c.SolverBudget()
-	c.MemoSnapshot(cli.MemoSnapshotUsage, nil)
 	c.Checkpoint(cli.CheckpointFlagUsage, cli.CheckpointIntervalFlagUsage, func() []string {
 		return []string{*only, fmt.Sprint(*solverBudget)}
 	})

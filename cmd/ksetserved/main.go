@@ -32,9 +32,11 @@
 // The daemon admission-controls concurrency (503 on overload), enforces
 // per-request deadlines (504), returns typed budget rejections (422),
 // isolates worker panics (500, never a crash), coalesces identical
-// in-flight queries, warm-boots from a checksummed memo snapshot
-// (tolerating corruption by starting cold), saves it in the background,
-// and drains gracefully on SIGINT/SIGTERM with a final snapshot save.
+// in-flight queries, and drains gracefully on SIGINT/SIGTERM. With
+// -memo-snapshot it loads a checksummed memo snapshot at startup
+// (tolerating corruption by starting cold), saves it in the background and
+// on drain; no cache registers a snapshot section at present, so the file
+// carries no entries.
 //
 // The -faults flag arms the deterministic fault-injection registry inside
 // the daemon itself — the chaos schedule that the test suite runs is
@@ -62,8 +64,8 @@ func run(parent context.Context, args []string, stdout io.Writer) error {
 	requestTimeout := c.Flags.Duration("request-timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := c.Flags.Duration("max-timeout", 2*time.Minute, "hard cap on any request deadline")
 	solverBudget := c.Flags.Int("solver-budget", 0, "per-request solver node budget cap (0 = stock 50M)")
-	checkpointEvery := c.Flags.Duration("checkpoint-every", time.Minute, "background checkpoint period")
-	c.MemoSnapshot("memo snapshot file: warm boot, background checkpoints, final save on drain (empty = off)", checkpointEvery)
+	checkpointEvery := c.Flags.Duration("checkpoint-every", time.Minute, "background save period of -memo-snapshot")
+	c.MemoSnapshot("memo snapshot file: loaded at startup, saved every -checkpoint-every and on drain; no cache registers a section at present, so it carries no entries (empty = off)", checkpointEvery)
 	c.Faults("deterministic fault-injection rules, e.g. 'panic:serve.request@3,delay:par.task@1+100:1ms' (empty = off)")
 	workers := c.Flags.String("workers", "", "comma-separated ksetsweepd worker addresses; non-empty enables coordinator mode")
 	distShards := c.Flags.Int("dist-shards", 0, "shards per distributed sweep (0 = 8 × workers)")

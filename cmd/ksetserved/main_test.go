@@ -101,6 +101,27 @@ func TestCancelDrainsAndSavesSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotSavedWhileServing pins the background saver: with a short
+// -checkpoint-every the memo snapshot appears while the daemon still
+// serves, so a SIGKILL loses at most one period of it.
+func TestSnapshotSavedWhileServing(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "serve.snap")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, done := start(t, ctx, "-memo-snapshot", snap, "-checkpoint-every", "10ms")
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, err := os.Stat(snap); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no memo snapshot saved while serving")
+		}
+	}
+	healthz(t, addr)
+	cancel()
+	drained(t, done)
+}
+
 // TestSIGTERMDrainsToExitZero delivers a real SIGTERM: the daemon drains and
 // exits 0, never the interrupted batch exit 3.
 func TestSIGTERMDrainsToExitZero(t *testing.T) {

@@ -36,7 +36,6 @@ func run(parent context.Context, args []string, stdout io.Writer) error {
 	mode := c.Flags.String("mode", "worst", "worst | random")
 	seed := c.Flags.Int64("seed", 1, "random seed for -mode random")
 	limit := c.Flags.Int("limit", 4_000_000, "execution budget for -mode worst")
-	c.MemoSnapshot(cli.MemoSnapshotUsage, nil)
 	return c.Run(parent, args, func(ctx context.Context) error {
 		m, err := cli.ParseModel(*spec)
 		if err != nil {

@@ -6,7 +6,7 @@
 //
 //	ksetsweepd -addr :9090
 //	ksetsweepd -addr 127.0.0.1:0 -max-concurrent 4 -max-lease 30s
-//	ksetsweepd -checkpoint shards.ckpt -memo-snapshot memo.snap
+//	ksetsweepd -checkpoint shards.ckpt
 //	ksetsweepd -faults 'delay:dist.exec@1+3:200ms' -fault-seed 42
 //
 // Endpoints:
@@ -46,16 +46,13 @@ func main() { cli.Main("ksetsweepd", run) }
 // run is the whole daemon: it parses args, serves until parent is
 // cancelled or a SIGINT/SIGTERM arrives, then drains and returns nil. A
 // daemon restart is the resume case by definition: a matching -checkpoint
-// file is always reloaded, and the memoized closures — the worker's warm
-// state — are saved every -checkpoint-interval, so a SIGKILL loses at most
-// one interval of them.
+// file is always reloaded.
 func run(parent context.Context, args []string, stdout io.Writer) error {
 	c := cli.New("ksetsweepd")
 	maxConcurrent := c.Flags.Int("max-concurrent", 8, "concurrent shard executions admitted before shedding with 503")
 	maxLease := c.Flags.Duration("max-lease", time.Minute, "hard cap on any granted lease duration")
-	interval := c.Checkpoint("checkpoint file for in-flight shard progress: saved every -checkpoint-interval and at drain, reloaded at startup so re-leased shards resume mid-range (empty = off)",
-		"background save cadence for -checkpoint and -memo-snapshot", func() []string { return nil })
-	c.MemoSnapshot("memo snapshot file: loaded at startup, rewritten every -checkpoint-interval while serving and at drain, so a restarted worker keeps its warm closures (empty = off)", interval)
+	c.Checkpoint("checkpoint file for in-flight shard progress: saved every -checkpoint-interval and at drain, reloaded at startup so re-leased shards resume mid-range (empty = off)",
+		"background save cadence for -checkpoint", func() []string { return nil })
 	c.Faults("deterministic fault-injection rules, e.g. 'panic:dist.exec@3,corrupt:dist.result@2' (empty = off)")
 	pprofFlag := c.Flags.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	return c.Serve(parent, args, ":9090", "shutdown grace for in-flight shard executions", func(ctx context.Context) (http.Handler, error) {

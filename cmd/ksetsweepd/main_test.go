@@ -16,7 +16,6 @@ import (
 
 	"ksettop/internal/checkpoint"
 	"ksettop/internal/cli"
-	"ksettop/internal/memo"
 )
 
 // listenWatcher is a log sink that reports the address of the daemon's
@@ -78,45 +77,20 @@ func healthz(t *testing.T, addr string) {
 	}
 }
 
-// TestCancelDrainsAndSavesSnapshotAndCheckpoint cancels the run the way a
-// SIGTERM does: the worker must drain to a nil error and leave both its
-// final memo snapshot and its shard checkpoint on disk for the restart.
-func TestCancelDrainsAndSavesSnapshotAndCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	snap, ckpt := filepath.Join(dir, "memo.snap"), filepath.Join(dir, "shards.ckpt")
+// TestCancelDrainsAndSavesCheckpoint cancels the run the way a SIGTERM
+// does: the worker must drain to a nil error and leave its shard checkpoint
+// on disk for the restart.
+func TestCancelDrainsAndSavesCheckpoint(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "shards.ckpt")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	addr, done := start(t, ctx, "-memo-snapshot", snap, "-checkpoint", ckpt)
+	addr, done := start(t, ctx, "-checkpoint", ckpt)
 	healthz(t, addr)
 	cancel(fmt.Errorf("%w (test)", cli.ErrInterrupted))
 	drained(t, done)
-	if err := memo.LoadSnapshot(snap); err != nil {
-		t.Fatalf("final snapshot: %v", err)
-	}
 	if _, err := checkpoint.Load(ckpt, "ksetsweepd|"); err != nil {
 		t.Fatalf("drain checkpoint: %v", err)
 	}
-}
-
-// TestSnapshotSavedWhileServing pins the background saver: with a short
-// -checkpoint-interval the memo snapshot appears while the worker still
-// serves, so a SIGKILL loses at most one interval of warm closures.
-func TestSnapshotSavedWhileServing(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "memo.snap")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	addr, done := start(t, ctx, "-memo-snapshot", snap, "-checkpoint-interval", "10ms")
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if _, err := os.Stat(snap); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no memo snapshot saved while serving")
-		}
-	}
-	healthz(t, addr)
-	cancel()
-	drained(t, done)
 }
 
 // TestSIGTERMDrainsToExitZero delivers a real SIGTERM: the worker drains and

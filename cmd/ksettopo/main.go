@@ -8,7 +8,6 @@
 //	ksettopo -model star:n=3 -values 3
 //	ksettopo -model simple-cycle:n=4 -values 2 -maxdim 1
 //	ksettopo -model stars:n=4,s=2 -values 3            # 2-star unions on 4 processes
-//	ksettopo -model star:n=5 -memo-snapshot memo.snap   # warm-start closures
 package main
 
 import (
@@ -31,7 +30,6 @@ func run(parent context.Context, args []string, stdout io.Writer) error {
 	spec := c.Flags.String("model", "star:n=3", "model specification (see ksetbounds)")
 	values := c.Flags.Int("values", 2, "input values for the protocol complex")
 	maxDim := c.Flags.Int("maxdim", -1, "homology dimension cap (default n−2)")
-	c.MemoSnapshot(cli.MemoSnapshotUsage, nil)
 	c.Checkpoint(cli.CheckpointFlagUsage, cli.CheckpointIntervalFlagUsage, func() []string {
 		return []string{*spec, fmt.Sprint(*values), fmt.Sprint(*maxDim)}
 	})

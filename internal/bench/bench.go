@@ -186,13 +186,11 @@ func graphProductPower(b *testing.B) {
 	}
 }
 
-// symClosure runs with memoization off: it tracks the n! sweep itself, not
-// the cache (ModelConstructionMemo tracks the cached path).
+// symClosure is the two-generator orbit search of Sym(2-stars on 6), 15
+// graphs. SymClosure has no cache, so the row needs no memo switch.
 func symClosure(b *testing.B) {
 	g, err := graph.UnionOfStars(6, []int{0, 1})
 	must(b, err)
-	defer memo.SetEnabled(memo.Enabled())
-	memo.SetEnabled(false)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		closure, err := graph.SymClosure([]graph.Digraph{g})

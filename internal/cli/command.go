@@ -61,9 +61,6 @@ func New(name string) *Command {
 	}
 }
 
-// MemoSnapshotUsage is the help text of -memo-snapshot on the batch tools.
-const MemoSnapshotUsage = "memo snapshot file: loaded before the run when present, rewritten after a successful run (empty = off)"
-
 // MemoSnapshot registers -memo-snapshot. The snapshot is loaded before the
 // work starts and saved after it: a batch tool saves it after a successful
 // or interrupted run, a daemon after its drain and, when every points to a

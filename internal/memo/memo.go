@@ -2,8 +2,7 @@
 // closure computations.
 //
 // The exponential objects this repository derives from a generator set —
-// symmetric closures, minimal generator sets, whole models, closure counts —
-// are pure functions of a canonical key (the sorted adjacency encoding of
+// minimal generator sets, whole models, closure counts — are pure functions of a canonical key (the sorted adjacency encoding of
 // the set). Experiments E1–E14 and the CLI tools construct the same handful
 // of models over and over; a bounded cache keyed by that canonical key turns
 // every repeat construction into a map lookup.

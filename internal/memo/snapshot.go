@@ -9,13 +9,13 @@ import (
 	"ksettop/internal/faultinject"
 )
 
-// Memo snapshots persist cache contents across process runs: the CLI tools
-// rebuild the same symmetric closures on every invocation, and a disk
-// snapshot (canonical key → closure, length-prefixed binary) turns the cold
-// start into a file read. Caches opt in by registering a named section with
-// an export/import pair; the value encoding lives with the cache owner
-// (e.g. internal/graph encodes digraph slices), so this package stays free
-// of domain types.
+// Memo snapshots persist cache contents across process runs. Caches opt in
+// by registering a named section with an export/import pair; the value
+// encoding lives with the cache owner, so this package stays free of domain
+// types. No cache registers a section at present: the symmetric closure,
+// the one cache that did, became a cheap orbit search and lost its cache.
+// A snapshot therefore carries no section, and the registry stays so that
+// ksetserved -memo-snapshot and the files it writes keep working.
 
 // snapshotFormat is the memo snapshot layout. Loaders reject every other
 // magic, version 1 (no checksums) included, and skip sections they have no

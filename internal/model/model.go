@@ -27,9 +27,8 @@ type ClosedAbove struct {
 // modelCache memoizes constructed models per canonical generator-set key:
 // the experiments and CLI tools build the same handful of models over and
 // over, and every construction pays the minimal-generator pruning (and, for
-// NewSymmetric, the n! closure). A
-// *ClosedAbove is immutable after construction, so sharing the cached value
-// is safe. countCache memoizes closure sizes (see GraphCountCtx).
+// NewSymmetric, the orbit search of the symmetric closure). A *ClosedAbove
+// is immutable after construction, so sharing the cached value is safe. countCache memoizes closure sizes (see GraphCountCtx).
 var (
 	modelCache = memo.NewCache[*ClosedAbove](256)
 	countCache = memo.NewCache[int](512)
@@ -82,8 +81,8 @@ func newModel(ctx context.Context, gens []graph.Digraph) (*ClosedAbove, error) {
 }
 
 // NewSymmetric builds the symmetric closed-above model generated by
-// Sym(gens) (Def 2.4). A memo hit on the input set skips both the n!
-// permutation closure and the minimal-generator pruning.
+// Sym(gens) (Def 2.4). A memo hit on the input set skips both the
+// symmetric closure and the minimal-generator pruning.
 func NewSymmetric(gens []graph.Digraph) (*ClosedAbove, error) {
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("model: closed-above model needs at least one generator")

@@ -17,7 +17,7 @@ import (
 // TestConcurrentSweepsRaceFree hammers the sharded engine from several
 // client goroutines at once: DistributedDominationNumber (par fan-out over
 // combination shards) concurrently with SolveOneRound (hash-interned view
-// build), SymClosure (sharded permutation sweep) and ReducedBettiNumbers
+// build), SymClosure (orbit search) and ReducedBettiNumbers
 // (block-sharded GF(2) column reduction). Run under -race (the CI does)
 // this pins the engine's only shared state to its atomics; it also checks
 // every result against the single-client answer.
