@@ -19,7 +19,7 @@ vet:
 # Race-check the packages that fan work out across goroutines.
 race:
 	$(GO) test -race ./internal/par/ ./internal/graph/ ./internal/combinat/ ./internal/dist/ ./internal/obs/ .
-	$(GO) test -race -count=20 -run '^(TestPooledStateCleanAfterWitnessTask|TestTableBuildCancellation)$$' ./internal/protocol/
+	$(GO) test -race -count=20 -run '^(TestPooledStateCleanAfterWitnessTask|TestTableBuildCancellation|TestSolveTablesMatchConstraintSetOracle)$$' ./internal/protocol/
 
 # The chaos suite under the race detector: fault injection, cancellation,
 # budget trips, leak checks, the hardened service, the distributed sweep

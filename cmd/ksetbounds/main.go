@@ -85,13 +85,16 @@ func verifyOneRound(ctx context.Context, w io.Writer, m *model.ClosedAbove, best
 	return nil
 }
 
-// verifyCell prints one check's outcome: ok, FAIL: with the error, or
+// verifyCell prints one check's outcome: ok, FAIL: with the error, skipped
+// on an enumeration-budget trip (a check that cannot run has not failed), or
 // interrupted, in which case the error is returned.
 func verifyCell(w io.Writer, err error) error {
 	switch {
 	case errors.Is(err, cli.ErrInterrupted):
 		fmt.Fprintln(w, "interrupted")
 		return err
+	case errors.Is(err, model.ErrEnumerationBudget):
+		fmt.Fprintf(w, "skipped (budget: %v)\n", err)
 	case err != nil:
 		fmt.Fprintln(w, "FAIL:", err)
 	default:

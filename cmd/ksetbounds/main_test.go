@@ -69,3 +69,25 @@ func TestVerifyCleanRunRemovesCheckpoint(t *testing.T) {
 		t.Errorf("finished run kept its checkpoint: %v", err)
 	}
 }
+
+// TestVerifyBudgetTripPrintsSkipped: on star:n=6 the simulation check's
+// closure exceeds the enumeration budget, so the check cannot run. Its cell
+// must read skipped with the budget error, not FAIL:, the later checks
+// still print, and the run succeeds.
+func TestVerifyBudgetTripPrintsSkipped(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-model", "star:n=6", "-verify"}, &out); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	got := out.String()
+	if !strings.Contains(got, "verify upper 6-set by simulation: skipped (budget: ") ||
+		!strings.Contains(got, "enumeration budget") {
+		t.Errorf("the budget trip did not print a skipped (budget: …) cell:\n%s", got)
+	}
+	if strings.Contains(got, "FAIL:") {
+		t.Errorf("a budget trip printed a FAIL: cell:\n%s", got)
+	}
+	if !strings.Contains(got, "verify lower 5-set by protocol-complex connectivity: skipped (n > 3)") {
+		t.Errorf("the checks after the budget trip did not run:\n%s", got)
+	}
+}

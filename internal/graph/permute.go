@@ -69,15 +69,18 @@ func Permutations(n int, f func(perm []int) bool) {
 }
 
 // digraphSet deduplicates graphs without building per-graph string keys: a
-// 64-bit FNV-1a hash over the adjacency rows selects a bucket, and bucket
-// members are compared row-by-row. all holds the members in insertion order.
+// 64-bit FNV-1a hash over the adjacency rows indexes the first member with
+// that hash in all, which holds the members in insertion order, and members
+// are compared row-by-row. Later members with the same hash, which only a
+// hash collision produces, are listed in overflow.
 type digraphSet struct {
-	buckets map[uint64][]Digraph
-	all     []Digraph
+	first    map[uint64]int32
+	overflow map[uint64][]int32
+	all      []Digraph
 }
 
 func newDigraphSet() *digraphSet {
-	return &digraphSet{buckets: make(map[uint64][]Digraph)}
+	return &digraphSet{first: make(map[uint64]int32), overflow: make(map[uint64][]int32)}
 }
 
 func hashRows(rows []bits.Set) uint64 {
@@ -88,21 +91,18 @@ func hashRows(rows []bits.Set) uint64 {
 	return h
 }
 
-// inBucket reports whether the graph with the given adjacency rows, whose
+// has reports whether the graph with the given adjacency rows, whose
 // hashRows value is h, is in the set.
-func (s *digraphSet) inBucket(h uint64, rows []bits.Set) bool {
-	for _, g := range s.buckets[h] {
-		if slices.Equal(g.out, rows) {
-			return true
-		}
-	}
-	return false
+func (s *digraphSet) has(h uint64, rows []bits.Set) bool {
+	equal := func(i int32) bool { return slices.Equal(s.all[i].out, rows) }
+	i, ok := s.first[h]
+	return ok && (equal(i) || slices.ContainsFunc(s.overflow[h], equal))
 }
 
 // addRows inserts a copy of the graph with the given adjacency rows unless
 // an equal graph is present.
 func (s *digraphSet) addRows(n int, rows []bits.Set) {
-	if h := hashRows(rows); !s.inBucket(h, rows) {
+	if h := hashRows(rows); !s.has(h, rows) {
 		s.insert(h, Digraph{n: n, out: slices.Clone(rows)})
 	}
 }
@@ -110,13 +110,17 @@ func (s *digraphSet) addRows(n int, rows []bits.Set) {
 // add inserts g (sharing its rows, which must not be mutated afterwards)
 // unless an equal graph is present.
 func (s *digraphSet) add(g Digraph) {
-	if h := hashRows(g.out); !s.inBucket(h, g.out) {
+	if h := hashRows(g.out); !s.has(h, g.out) {
 		s.insert(h, g)
 	}
 }
 
 func (s *digraphSet) insert(h uint64, g Digraph) {
-	s.buckets[h] = append(s.buckets[h], g)
+	if _, ok := s.first[h]; ok {
+		s.overflow[h] = append(s.overflow[h], int32(len(s.all)))
+	} else {
+		s.first[h] = int32(len(s.all))
+	}
 	s.all = append(s.all, g)
 }
 
@@ -209,7 +213,7 @@ func IsSymmetric(gens []Digraph) (bool, error) {
 	for _, g := range gens {
 		for _, perm := range perms {
 			permuteRows(g, perm, rows)
-			if !set.inBucket(hashRows(rows), rows) {
+			if !set.has(hashRows(rows), rows) {
 				return false, nil
 			}
 		}

@@ -55,3 +55,32 @@ func TestSortByKeyMatchesKeyStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestDigraphSetHashCollision drives digraphSet's overflow path, which only
+// a 64-bit hash collision reaches: distinct graphs inserted under one hash
+// must all stay members, in insertion order, and an equal graph must be
+// found whichever slot holds it.
+func TestDigraphSetHashCollision(t *testing.T) {
+	a, b, c := MustNew(3), MustNew(3), MustNew(3)
+	if err := b.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddEdge(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	s := newDigraphSet()
+	const h = 42
+	s.insert(h, a)
+	s.insert(h, b)
+	if !s.has(h, a.out) || !s.has(h, b.out) || s.has(h, c.out) {
+		t.Fatalf("membership under one hash: a %v, b %v, c %v; want true, true, false",
+			s.has(h, a.out), s.has(h, b.out), s.has(h, c.out))
+	}
+	s.insert(h, c)
+	if !s.has(h, c.out) || len(s.all) != 3 || !s.all[2].Equal(c) || len(s.overflow[h]) != 2 {
+		t.Fatalf("third colliding graph: member %v, %d members, %d in overflow", s.has(h, c.out), len(s.all), len(s.overflow[h]))
+	}
+	if s.has(h+1, a.out) {
+		t.Errorf("a graph was found under a hash it was never inserted with")
+	}
+}

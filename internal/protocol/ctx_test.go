@@ -248,7 +248,7 @@ func TestTableBuildCancellation(t *testing.T) {
 	all := midSweepInstance(t)
 	const numValues = 4
 	in := newSolveInput(all, numValues)
-	total := int64(numValues*numValues*numValues*numValues) * int64(len(in.execLists))
+	total := int64(numValues*numValues*numValues*numValues) * int64(in.lists.count())
 	blocks := int((total + tablePollRanks - 1) / tablePollRanks)
 	if blocks < 4 {
 		t.Fatalf("instance too small: %d ranks span %d polling blocks", total, blocks)
@@ -258,16 +258,16 @@ func TestTableBuildCancellation(t *testing.T) {
 		par.SetParallelism(workers)
 
 		polls := 0
-		views, cons := buildSolveTables(in, total, func() bool { polls++; return false })
-		if views == nil || cons == nil || polls != blocks {
+		views, offs, _ := buildSolveTables(in, total, func() bool { polls++; return false })
+		if views == nil || offs == nil || polls != blocks {
 			t.Fatalf("workers=%d: uncancelled build polled %d times over %d blocks (tables %v)", workers, polls, blocks, views != nil)
 		}
 
 		ctl := &par.Ctl{}
 		ctl.Stop()
 		polls = 0
-		views, cons = buildSolveTables(in, total, func() bool { polls++; return ctl.Stopped() })
-		if views != nil || cons != nil || polls != 1 {
+		views, offs, _ = buildSolveTables(in, total, func() bool { polls++; return ctl.Stopped() })
+		if views != nil || offs != nil || polls != 1 {
 			t.Fatalf("workers=%d: build stopped before its start polled %d times (tables %v), want 1 and none", workers, polls, views != nil)
 		}
 
@@ -276,7 +276,7 @@ func TestTableBuildCancellation(t *testing.T) {
 		// the third poll.
 		ctl = &par.Ctl{}
 		polls = 0
-		views, cons = buildSolveTables(in, total, func() bool {
+		views, offs, _ = buildSolveTables(in, total, func() bool {
 			polls++
 			if polls == 2 {
 				ctl.Stop()
@@ -284,7 +284,7 @@ func TestTableBuildCancellation(t *testing.T) {
 			}
 			return ctl.Stopped()
 		})
-		if views != nil || cons != nil || polls != 3 {
+		if views != nil || offs != nil || polls != 3 {
 			t.Fatalf("workers=%d: build stopped mid-block polled %d times (tables %v), want 3 and none", workers, polls, views != nil)
 		}
 

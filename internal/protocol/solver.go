@@ -3,6 +3,7 @@ package protocol
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"ksettop/internal/bits"
 	"ksettop/internal/graph"
@@ -71,9 +72,9 @@ type SolveResult struct {
 // the product graph's in-neighborhoods, so the r-round oblivious question is
 // exactly this one-round question on S^r.
 //
-// The assignments × graphs constraint sweep interns every view and
-// constraint once, in one rank-ordered pass that is the same at every
-// parallelism setting, and the search phase runs on the work-stealing
+// The assignments × graphs constraint sweep interns every view once and
+// writes every constraint once, in one rank-ordered pass that is the same
+// at every parallelism setting, and the search phase runs on the work-stealing
 // learning engine, whose rank-ordered reduction keeps the whole SolveResult
 // identical to a sequential run of the same engine for every parallelism
 // setting (see solver_parallel.go). SolveOneRoundSeq is its sequential
@@ -176,34 +177,35 @@ func solveOneRound(ctx context.Context, roundGraphs []graph.Digraph, numValues, 
 		}
 	}
 
-	// Build the view universe and the execution constraints over the rank
-	// space assignments × lists. Distinct executions frequently induce
-	// identical view SETS; since the constraint "≤ k distinct decisions"
-	// depends only on the view set, constraints are deduplicated, which
-	// shrinks hard instances by orders of magnitude. Both tables intern
-	// through 64-bit hashes with full content comparison — no per-execution
-	// key strings or view slices are allocated; memory grows only with the
-	// number of DISTINCT views and constraints.
+	// Build the view universe and one execution constraint per rank of the
+	// space assignments × lists. What shrinks hard instances is
+	// newSolveInput's list dedup; the ranks left are distinct constraints
+	// (solver_tables.go says why), so no constraint set is kept. Views
+	// intern through 64-bit hashes with full content comparison, and the
+	// constraint CSR is sized exactly before the sweep.
 	in := newSolveInput(roundGraphs, numValues)
-	total := int64(numAssignments) * int64(len(in.execLists))
-	var views *viewIntern
-	var constraints *constraintIntern
+	total := int64(numAssignments) * int64(in.lists.count())
+	if entries := int64(numAssignments) * int64(len(in.lists.arena)); entries > math.MaxInt32 {
+		return SolveResult{}, fmt.Errorf("protocol: %d constraint entries exceed the solver's int32 table range", entries)
+	}
+	var views []View
+	var consOffs, consViews []int32
 	tableCtx, tableSpan := obs.StartSpan(ctx, "solver.tables")
 	defer tableSpan.End() // idempotent: records at the explicit End below
 	tableCtl := &par.Ctl{}
 	if err := par.ForEachShardN(tableCtx, total, 1, tableCtl, func(_ int, _, to int64, ctl *par.Ctl) {
-		views, constraints = buildSolveTables(in, to, ctl.Stopped)
-	}); err != nil || views == nil {
+		views, consOffs, consViews = buildSolveTables(in, to, ctl.Stopped)
+	}); err != nil || consOffs == nil {
 		return SolveResult{}, cancelCause(tableCtl, ctx)
 	}
 
-	tableSpan.SetInt("views", int64(len(views.views)))
-	tableSpan.SetInt("constraints", int64(constraints.count()))
+	tableSpan.SetInt("views", int64(len(views)))
+	tableSpan.SetInt("constraints", int64(len(consOffs)-1))
 	tableSpan.End()
 
-	res := SolveResult{Views: len(views.views), Executions: numAssignments * len(roundGraphs)}
+	res := SolveResult{Views: len(views), Executions: numAssignments * len(roundGraphs)}
 
-	t := assembleTables(k, numValues, views, constraints)
+	t := assembleTables(k, numValues, views, consOffs, consViews)
 	if err := search(ctx, t, nodeBudget, &res); err != nil {
 		return res, err
 	}
@@ -214,59 +216,40 @@ func solveOneRound(ctx context.Context, roundGraphs []graph.Digraph, numValues, 
 }
 
 // newSolveInput collects the table build's read-only context: the distinct
-// in-neighborhoods across roundGraphs and, per graph, its deduplicated list
-// of in-set ids.
+// in-neighborhoods across roundGraphs and the distinct sorted lists of
+// in-set ids that the graphs induce.
 func newSolveInput(roundGraphs []graph.Digraph, numValues int) solveInput {
 	n := roundGraphs[0].N()
 	// The view of process p under graph g depends only on In_g(p) and the
 	// assignment, so the distinct in-neighborhoods across all graphs are
 	// collected once up front: per assignment, each distinct in-set is
 	// flattened and interned exactly once instead of n×|graphs| times.
-	inSetID := make(map[bits.Set]int)
-	var inSets []bits.Set
-	graphIn := make([][]int32, len(roundGraphs))
-	for gi, g := range roundGraphs {
-		row := make([]int32, n)
-		for p := 0; p < n; p++ {
-			in := g.In(p)
-			id, ok := inSetID[in]
-			if !ok {
-				id = len(inSets)
-				inSetID[in] = id
-				inSets = append(inSets, in)
-			}
-			row[p] = int32(id)
-		}
-		graphIn[gi] = row
-	}
-
+	//
 	// A graph enters a constraint only through its SET of in-neighborhoods:
 	// two graphs with the same sorted-unique in-set-id list induce identical
 	// constraints under every assignment. Closures are full of such
 	// duplicates (e.g. the n=4 star closure has 1695 graphs but only 447
 	// distinct lists), so the per-assignment sweep runs over the deduped
-	// lists. Dedup preserves first-occurrence order, which keeps the
-	// constraint numbering identical to a graph-by-graph sweep.
-	lists := newConstraintIntern()
-	idScratch := make([]int32, 0, n)
-	for _, row := range graphIn {
-		ids := idScratch[:0]
-		for p := 0; p < n; p++ {
-			ids = append(ids, row[p])
+	// lists. Dedup preserves first-occurrence order, so the constraint
+	// numbering follows the order of roundGraphs.
+	inSetID := make(map[bits.Set]int32)
+	var inSets []bits.Set
+	lists := newListSet()
+	ids := make([]int32, n)
+	for _, g := range roundGraphs {
+		for p := range ids {
+			in := g.In(p)
+			id, ok := inSetID[in]
+			if !ok {
+				id = int32(len(inSets))
+				inSetID[in] = id
+				inSets = append(inSets, in)
+			}
+			ids[p] = id
 		}
 		lists.insert(sortDedupInt32(ids))
 	}
-	execLists := make([][]int32, lists.count())
-	for c := range execLists {
-		execLists[c] = lists.get(int32(c))
-	}
-
-	return solveInput{
-		n:         n,
-		numValues: numValues,
-		inSets:    inSets,
-		execLists: execLists,
-	}
+	return solveInput{n: n, numValues: numValues, inSets: inSets, lists: lists}
 }
 
 func boolInt(b bool) int64 {

@@ -45,7 +45,7 @@ func solverFingerprint(t *solveTables, budget int) uint64 {
 	wu(uint64(t.k))
 	wu(uint64(t.numValues))
 	wu(uint64(len(t.views)))
-	wu(uint64(len(t.execViews)))
+	wu(uint64(t.numCons()))
 	wu(uint64(budget))
 	wu(uint64(probeLimit()))
 	for _, d := range t.initDomains {

@@ -277,7 +277,8 @@ func TestPooledStateCleanAfterWitnessTask(t *testing.T) {
 		k:         1,
 		numValues: 2,
 		views:     []View{{0}, {0, 1}, {1}},
-		execViews: [][]int32{{0, 1, 2}},
+		consOffs:  []int32{0, 3},
+		consViews: []int32{0, 1, 2},
 		veStarts:  []int32{0, 1, 2, 3},
 		veData:    []int32{0, 0, 0},
 		initDomains: []uint16{

@@ -103,7 +103,6 @@ type cspState struct {
 	t         *solveTables
 	k         int
 	numValues int
-	execViews [][]int32
 	decided   []Value
 	domains   []uint16
 	counts    []int32 // flat [execution][value] decision counts
@@ -148,20 +147,19 @@ type cspState struct {
 // newCSPState builds a fresh search state over the shared tables. frozen is
 // consulted read-only; learn receives clauses recorded via learnNogood.
 func newCSPState(t *solveTables, frozen, learn *nogoodStore) *cspState {
-	numViews := len(t.views)
+	numViews, numCons := len(t.views), t.numCons()
 	s := &cspState{
 		t:           t,
 		k:           t.k,
 		numValues:   t.numValues,
-		execViews:   t.execViews,
 		decided:     make([]Value, numViews),
 		domains:     append([]uint16(nil), t.initDomains...),
-		counts:      make([]int32, len(t.execViews)*t.numValues),
-		distinct:    make([]int32, len(t.execViews)),
-		valueMask:   make([]uint16, len(t.execViews)),
+		counts:      make([]int32, numCons*t.numValues),
+		distinct:    make([]int32, numCons),
+		valueMask:   make([]uint16, numCons),
 		veStarts:    t.veStarts,
 		veData:      t.veData,
-		firstSetter: make([]int32, len(t.execViews)*t.numValues),
+		firstSetter: make([]int32, numCons*t.numValues),
 		removedBy:   make([]int32, numViews*t.numValues),
 		isDecision:  make([]bool, numViews),
 		frozen:      frozen,
@@ -322,7 +320,7 @@ func (s *cspState) assign(id int, d Value, asDecision bool) bool {
 				continue
 			}
 			// Execution e is saturated: restrict its unassigned views.
-			for _, u := range s.execViews[e] {
+			for _, u := range s.t.consViews[s.t.consOffs[e]:s.t.consOffs[e+1]] {
 				if s.decided[u] != NoValue {
 					continue
 				}

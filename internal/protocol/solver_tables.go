@@ -10,11 +10,18 @@ import (
 
 // This file is the table-build layer of the decision-map solver: it turns
 // the assignments × in-set-list rank space into the flat, read-only search
-// tables (interned views, deduplicated execution constraints, CSR
-// adjacency, initial domains, static value order) that both search engines
-// consume. One sequential sweep interns each view and constraint exactly
-// once in rank order, so the tables — and therefore the search — are
+// tables (interned views, execution constraints, CSR adjacency, initial
+// domains, static value order) that both search engines consume. One
+// sequential sweep interns each view once and writes one constraint per
+// rank, in rank order, so the tables — and therefore the search — are
 // identical for every parallelism setting.
+//
+// Constraints need no deduplication. Every graph carries all self-loops, so
+// the views of one constraint together record the whole assignment, and two
+// ranks under different assignments never share a constraint. Under one
+// assignment a view's support is its in-set, so distinct in-set lists give
+// distinct view lists, and newSolveInput has already deduplicated the
+// lists. Every rank is therefore a distinct constraint.
 
 // solveTables is the immutable context of one solve: shared read-only by
 // the sequential oracle, the probe phase and every parallel subtree task.
@@ -23,9 +30,11 @@ type solveTables struct {
 	numValues int
 	// views are the interned flattened views, in first-encounter rank order.
 	views []View
-	// execViews lists, per execution constraint, the distinct view ids it
-	// touches (sorted ascending).
-	execViews [][]int32
+	// consOffs/consViews list the execution constraints in CSR form, one per
+	// rank: constraint c touches the distinct view ids
+	// consViews[consOffs[c]:consOffs[c+1]], ascending.
+	consOffs  []int32
+	consViews []int32
 	// veStarts/veData is the transpose in CSR form: view v touches
 	// constraints veData[veStarts[v]:veStarts[v+1]], ascending.
 	veStarts []int32
@@ -40,35 +49,31 @@ type solveTables struct {
 	valueOrder []Value
 }
 
+// numCons returns the number of execution constraints.
+func (t *solveTables) numCons() int { return len(t.consOffs) - 1 }
+
 // assembleTables builds the flat search tables from the interned views and
-// constraints.
-func assembleTables(k, numValues int, views *viewIntern, constraints *constraintIntern) *solveTables {
-	numCons := constraints.count()
-	execViews := make([][]int32, numCons)
-	for c := range execViews {
-		execViews[c] = constraints.get(int32(c))
-	}
-	veStarts := make([]int32, len(views.views)+1)
-	for _, ids := range execViews {
-		for _, id := range ids {
-			veStarts[id+1]++
-		}
+// the constraint CSR.
+func assembleTables(k, numValues int, views []View, consOffs, consViews []int32) *solveTables {
+	veStarts := make([]int32, len(views)+1)
+	for _, id := range consViews {
+		veStarts[id+1]++
 	}
 	for i := 1; i < len(veStarts); i++ {
 		veStarts[i] += veStarts[i-1]
 	}
-	veData := make([]int32, veStarts[len(veStarts)-1])
-	fill := make([]int32, len(views.views))
-	for c, ids := range execViews {
-		for _, id := range ids {
+	veData := make([]int32, len(consViews))
+	fill := make([]int32, len(views))
+	for c := range len(consOffs) - 1 {
+		for _, id := range consViews[consOffs[c]:consOffs[c+1]] {
 			veData[veStarts[id]+fill[id]] = int32(c)
 			fill[id]++
 		}
 	}
 
-	initDomains := make([]uint16, len(views.views))
+	initDomains := make([]uint16, len(views))
 	support := make([]int, numValues)
-	for i, v := range views.views {
+	for i, v := range views {
 		var dom uint16
 		for _, val := range v {
 			if val != NoValue {
@@ -91,8 +96,9 @@ func assembleTables(k, numValues int, views *viewIntern, constraints *constraint
 	return &solveTables{
 		k:           k,
 		numValues:   numValues,
-		views:       views.views,
-		execViews:   execViews,
+		views:       views,
+		consOffs:    consOffs,
+		consViews:   consViews,
 		veStarts:    veStarts,
 		veData:      veData,
 		initDomains: initDomains,
@@ -121,7 +127,9 @@ type solveInput struct {
 	n         int
 	numValues int
 	inSets    []bits.Set
-	execLists [][]int32
+	// lists holds each distinct sorted in-set-id list once, in
+	// first-occurrence graph order.
+	lists *listSet
 }
 
 // tablePollRanks is how many ranks the table build scans between
@@ -129,33 +137,37 @@ type solveInput struct {
 // within the work of one unsharded sweep.
 const tablePollRanks = 4096
 
-// buildSolveTables interns the views and execution constraints of the rank
-// space [0, total), where rank r denotes assignment r/len(execLists) applied
-// to list r%len(execLists), scanning in ascending rank order. It polls stop
-// every tablePollRanks ranks and returns nil tables once stop reports true.
-func buildSolveTables(in solveInput, total int64, stop func() bool) (*viewIntern, *constraintIntern) {
-	views := newViewIntern(in.n)
-	constraints := newConstraintIntern()
+// buildSolveTables interns the views of the rank space [0, total), where
+// rank r denotes assignment r/L applied to list r%L of the L lists, and
+// writes constraint r's sorted view ids into the CSR consOffs/consViews,
+// scanning in ascending rank order. Both slices are presized, so the sweep
+// never grows them; the caller has checked that the entries fit int32
+// offsets. It polls stop every tablePollRanks ranks and returns nil slices
+// once stop reports true.
+func buildSolveTables(in solveInput, total int64, stop func() bool) (views []View, consOffs, consViews []int32) {
+	vi := newViewIntern(in.n)
 	assignment := make([]Value, in.n)
 	viewOfInSet := make([]int32, len(in.inSets))
 	refresh := func() {
 		for s, inSet := range in.inSets {
-			viewOfInSet[s] = views.intern(inSet, assignment)
+			viewOfInSet[s] = vi.intern(inSet, assignment)
 		}
 	}
 	refresh()
-	scratch := make([]int32, 0, in.n)
-	L := int64(len(in.execLists))
+	L := int64(in.lists.count())
+	consOffs = make([]int32, 1, total+1)
+	consViews = make([]int32, 0, (total+L-1)/L*int64(len(in.lists.arena)))
 	li := int64(0)
 	for r := int64(0); r < total; r++ {
 		if r%tablePollRanks == 0 && stop() {
-			return nil, nil
+			return nil, nil, nil
 		}
-		ids := scratch[:0]
-		for _, s := range in.execLists[li] {
-			ids = append(ids, viewOfInSet[s])
+		start := len(consViews)
+		for _, s := range in.lists.get(int32(li)) {
+			consViews = append(consViews, viewOfInSet[s])
 		}
-		constraints.insert(sortDedupInt32(ids))
+		consViews = consViews[:start+len(sortDedupInt32(consViews[start:]))]
+		consOffs = append(consOffs, int32(len(consViews)))
 		li++
 		if li == L {
 			li = 0
@@ -165,7 +177,7 @@ func buildSolveTables(in solveInput, total int64, stop func() bool) (*viewIntern
 			}
 		}
 	}
-	return views, constraints
+	return vi.views, consOffs, consViews
 }
 
 // viewIntern deduplicates flattened views through an open-addressed hash
@@ -243,70 +255,70 @@ func (vi *viewIntern) grow() {
 	}
 }
 
-// constraintIntern is a hash SET of sorted view-id lists, open-addressed
-// like viewIntern, with contents stored in one flat arena.
-type constraintIntern struct {
+// listSet is a hash SET of sorted int32 lists, open-addressed like
+// viewIntern, with contents stored in one flat arena. newSolveInput dedups
+// the graphs' in-set-id lists through it.
+type listSet struct {
 	mask   uint64
-	slots  []int32 // constraint index + 1, 0 = empty
+	slots  []int32 // list index + 1, 0 = empty
 	hashes []uint64
 	arena  []int32
-	offs   []int32 // constraint c = arena[offs[c]:offs[c+1]]
+	offs   []int32 // list c = arena[offs[c]:offs[c+1]]
 }
 
-func newConstraintIntern() *constraintIntern {
+func newListSet() *listSet {
 	const initial = 256
-	return &constraintIntern{
+	return &listSet{
 		mask:  initial - 1,
 		slots: make([]int32, initial),
 		offs:  []int32{0},
 	}
 }
 
-func (ci *constraintIntern) get(c int32) []int32 {
-	return ci.arena[ci.offs[c]:ci.offs[c+1]]
+func (ls *listSet) get(c int32) []int32 {
+	return ls.arena[ls.offs[c]:ls.offs[c+1]]
 }
 
-// count returns the number of interned lists.
-func (ci *constraintIntern) count() int { return len(ci.offs) - 1 }
+// count returns the number of distinct lists.
+func (ls *listSet) count() int { return len(ls.offs) - 1 }
 
-// insert reports whether ids (sorted, unique) was absent, adding it if so.
-func (ci *constraintIntern) insert(ids []int32) bool {
+// insert adds ids (sorted, unique) unless it is present.
+func (ls *listSet) insert(ids []int32) {
 	h := bits.Hash64Seed()
 	for _, id := range ids {
 		h = bits.Hash64Mix(h, uint64(id))
 	}
-	idx := h & ci.mask
+	idx := h & ls.mask
 	for {
-		slot := ci.slots[idx]
+		slot := ls.slots[idx]
 		if slot == 0 {
 			break
 		}
 		c := slot - 1
-		if ci.hashes[c] == h && slices.Equal(ci.get(c), ids) {
-			return false
+		if ls.hashes[c] == h && slices.Equal(ls.get(c), ids) {
+			return
 		}
-		idx = (idx + 1) & ci.mask
+		idx = (idx + 1) & ls.mask
 	}
-	c := int32(len(ci.offs) - 1)
-	ci.arena = append(ci.arena, ids...)
-	ci.offs = append(ci.offs, int32(len(ci.arena)))
-	ci.hashes = append(ci.hashes, h)
-	ci.slots[idx] = c + 1
-	if uint64(len(ci.hashes))*4 > (ci.mask+1)*3 {
-		ci.grow()
+	c := int32(len(ls.offs) - 1)
+	ls.arena = append(ls.arena, ids...)
+	ls.offs = append(ls.offs, int32(len(ls.arena)))
+	ls.hashes = append(ls.hashes, h)
+	ls.slots[idx] = c + 1
+	if uint64(len(ls.hashes))*4 > (ls.mask+1)*3 {
+		ls.grow()
 	}
-	return true
 }
 
-func (ci *constraintIntern) grow() {
-	ci.mask = (ci.mask+1)*2 - 1
-	ci.slots = make([]int32, ci.mask+1)
-	for c, h := range ci.hashes {
-		idx := h & ci.mask
-		for ci.slots[idx] != 0 {
-			idx = (idx + 1) & ci.mask
+func (ls *listSet) grow() {
+	ls.mask = (ls.mask+1)*2 - 1
+	ls.slots = make([]int32, ls.mask+1)
+	for c, h := range ls.hashes {
+		idx := h & ls.mask
+		for ls.slots[idx] != 0 {
+			idx = (idx + 1) & ls.mask
 		}
-		ci.slots[idx] = int32(c) + 1
+		ls.slots[idx] = int32(c) + 1
 	}
 }
 
