@@ -323,15 +323,15 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, timeoutMs int, 
 		writeError(w, http.StatusGatewayTimeout,
 			apiError{Kind: "deadline", Message: context.Cause(reqCtx).Error()})
 	case out := <-ch:
-		var bm badModelError
+		var br badRequestError
 		switch {
 		case out.err == nil:
 			if out.shared {
 				s.shared.Inc()
 			}
 			writeJSON(w, http.StatusOK, out.val)
-		case errors.As(out.err, &bm):
-			writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: bm.Error()})
+		case errors.As(out.err, &br):
+			writeError(w, http.StatusBadRequest, apiError{Kind: "bad_request", Message: br.Error()})
 		case errors.Is(out.err, protocol.ErrBudgetExceeded):
 			s.budgetRejects.Inc()
 			var be *protocol.BudgetError
@@ -359,11 +359,12 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, timeoutMs int, 
 	}
 }
 
-// badModelError is a model spec the CLI grammar rejects; compute answers
-// it 400 bad_request.
-type badModelError struct{ error }
+// badRequestError is a request the computation rejects as the caller's
+// fault — a model spec the CLI grammar rejects, an input complex too large
+// to build; compute answers it 400 bad_request.
+type badRequestError struct{ error }
 
-func (e badModelError) Unwrap() error { return e.error }
+func (e badRequestError) Unwrap() error { return e.error }
 
 // parseModel resolves a request's model spec with the CLI grammar, so the
 // service and the command-line tools accept identical specifications. The
@@ -372,7 +373,7 @@ func (e badModelError) Unwrap() error { return e.error }
 func parseModel(spec string) (*model.ClosedAbove, error) {
 	m, err := cli.ParseModel(spec)
 	if err != nil {
-		return nil, badModelError{err}
+		return nil, badRequestError{err}
 	}
 	return m, nil
 }
@@ -484,6 +485,13 @@ func (s *Server) handleBetti(w http.ResponseWriter, r *http.Request) {
 		}
 		pc, err := core.ProtocolComplexOneRoundCtx(ctx, m, req.Values)
 		if err != nil {
+			if ctx.Err() == nil {
+				// Short of cancellation, the build fails only on the
+				// request's size: values^n past the input-complex cap,
+				// more processes than an interpreted view holds, or a
+				// value over 254.
+				err = badRequestError{err}
+			}
 			return nil, err
 		}
 		ac, _, err := pc.ToAbstract()

@@ -151,6 +151,30 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// A betti request whose input complex cannot be built — values^n past the
+// input-complex cap, more processes than an interpreted view holds, or a
+// value past a view's byte — is the caller's fault: 400 bad_request with
+// the engine's message, not 500 internal.
+func TestServeBettiInputSizeIsBadRequest(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ body, msg string }{
+		{`{"model":"cycle:n=3","values":256,"max_dim":1}`, "input complex too large (256^3 facets)"},
+		{`{"model":"cycle:n=3","values":300,"max_dim":1}`, "input complex too large (300^3 facets)"},
+		{`{"model":"simple-cycle:n=9","values":2,"max_dim":1}`, "interpreted views support ≤8 processes"},
+		{`{"model":"cycle:n=2","values":256,"max_dim":1}`, "value 255 outside [0,254]"},
+	} {
+		st, body := post(t, ts, "/v1/betti", tc.body)
+		if st != http.StatusBadRequest || errKind(t, body) != "bad_request" {
+			t.Errorf("%s: status %d, want a 400 bad_request envelope: %s", tc.body, st, body)
+		} else if !strings.Contains(string(body), tc.msg) {
+			t.Errorf("%s: message lost, want %q in %s", tc.body, tc.msg, body)
+		}
+	}
+	if got := s.Stats().Panics; got != 0 {
+		t.Errorf("Panics = %d, want 0", got)
+	}
+}
+
 func TestServeBudgetRejections(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxSolverBudget: 10_000})
 	// Asking beyond the server cap is rejected at admission.

@@ -8,12 +8,11 @@
 package topology
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
-	"strconv"
 )
 
 // AbstractComplex is an abstract simplicial complex: vertices are integers
@@ -105,14 +104,52 @@ func isSubset(a, b []int) bool {
 // decimal vertices joined by ',' — compare as strings, without building
 // them. ',' sorts below every digit, so the keys compare vertex by vertex
 // as decimal strings, a shorter list that is a prefix of a longer one first.
+// Vertices are non-negative.
 func compareSimplexKeys(a, b []int) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {
-			var x, y [20]byte
-			return bytes.Compare(strconv.AppendInt(x[:0], int64(a[i]), 10), strconv.AppendInt(y[:0], int64(b[i]), 10))
+			return compareDecimal(uint64(a[i]), uint64(b[i]))
 		}
 	}
 	return cmp.Compare(len(a), len(b))
+}
+
+// pow10[i] is 10^i; every uint64 below 10^19 has at most 19 digits.
+var pow10 = [...]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// compareDecimal orders x, y ≤ MaxInt64 as their decimal strings compare,
+// by arithmetic. The number with fewer digits is scaled up to the
+// other's digit count (no overflow: the product stays below 10^19); if the
+// scaled value equals the other number, its string is a proper prefix of
+// the other's and sorts first.
+func compareDecimal(x, y uint64) int {
+	dx, dy := decimalDigits(x), decimalDigits(y)
+	switch {
+	case dx < dy:
+		if x*pow10[dy-dx] <= y {
+			return -1
+		}
+		return 1
+	case dx > dy:
+		if y*pow10[dx-dy] <= x {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Compare(x, y)
+}
+
+// decimalDigits returns the number of decimal digits of x < 10^19.
+// bits.Len64·1233/4096 approximates log10 from below by at most one.
+func decimalDigits(x uint64) int {
+	t := bits.Len64(x|1) * 1233 >> 12
+	if x|1 < pow10[t] {
+		return t
+	}
+	return t + 1
 }
 
 // NumVertices returns the size of the ambient vertex set.

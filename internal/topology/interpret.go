@@ -6,6 +6,7 @@ import (
 
 	"ksettop/internal/bits"
 	"ksettop/internal/graph"
+	"ksettop/internal/obs"
 	"ksettop/internal/par"
 )
 
@@ -101,33 +102,44 @@ func InterpretComplex(a *Complex[bits.Set], inputs []Assignment) (*Complex[IView
 // union over generators G and inputs τ of the interpreted pseudospheres
 // C_G(τ). This is the complex whose connectivity the Thm 5.4 lower bound
 // is about; it grows exponentially and is intended for small verification
-// instances (the caller should keep n ≤ 5 and few values). The build polls
-// ctx once per 4096 facets; a cancelled build returns the context's cause.
+// instances (the caller should keep n ≤ 5 and few values). Each C_G(τ)
+// interns its colors' views once and is walked as vertex-id tuples. The
+// build polls ctx once per 4096 facets; a cancelled build returns the
+// context's cause. It runs in a "topology.protocol_complex" span.
 func ProtocolComplexOneRound(ctx context.Context, gens []graph.Digraph, inputs []Assignment) (*Complex[IView], error) {
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("topology: protocol complex of empty generator set")
 	}
+	_, span := obs.StartSpan(ctx, "topology.protocol_complex")
+	defer span.End()
 	out := NewComplex[IView]()
-	facets, cancelled := 0, false
+	facets := 0
+	poll := func() bool {
+		facets++
+		return facets&par.PollMask != 0 || ctx.Err() == nil
+	}
 	for _, g := range gens {
 		ps := UninterpretedPseudosphere(g)
+		ids := make([][]int32, ps.NumColors())
 		for _, tau := range inputs {
-			ips, err := InterpretPseudosphere(ps, tau)
-			if err != nil {
-				return nil, err
-			}
-			ips.Facets(func(s Simplex[IView]) bool {
-				if facets++; facets&par.PollMask == 0 && ctx.Err() != nil {
-					cancelled = true
-					return false
+			// S ↦ {(q, τ(q)) | q ∈ S} is injective for a fixed τ, so C_G(τ)
+			// has the facet structure of ps (InterpretPseudosphere).
+			for col, views := range ps.views {
+				ids[col] = ids[col][:0]
+				for _, s := range views {
+					iv, err := MakeIView(s, tau)
+					if err != nil {
+						return nil, err
+					}
+					ids[col] = append(ids[col], out.intern(Vertex[IView]{Color: col, View: iv}))
 				}
-				out.AddFacet(s)
-				return true
-			})
-			if cancelled {
+			}
+			if !out.addProduct(ids, poll) {
 				return nil, context.Cause(ctx)
 			}
 		}
 	}
+	span.SetInt("facets", int64(out.FacetCount()))
+	span.SetInt("vertices", int64(len(out.verts)))
 	return out, nil
 }

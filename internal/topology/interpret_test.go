@@ -3,6 +3,7 @@ package topology
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"ksettop/internal/bits"
@@ -171,6 +172,16 @@ func TestProtocolComplexErrors(t *testing.T) {
 	badInputs := []Assignment{{0, 1}} // too short
 	if _, err := ProtocolComplexOneRound(context.Background(), []graph.Digraph{g}, badInputs); err == nil {
 		t.Errorf("short assignment should fail")
+	}
+	// Nine processes do not fit an interpreted view: an error, not a panic.
+	nine := graph.MustNew(MaxInterpretedProcs + 1)
+	inputs, err := InputAssignments(MaxInterpretedProcs+1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ProtocolComplexOneRound(context.Background(), []graph.Digraph{nine}, inputs); err == nil ||
+		!strings.Contains(err.Error(), "interpreted views support ≤8 processes") {
+		t.Errorf("n = 9: err %v, want the ≤8 processes error", err)
 	}
 }
 

@@ -179,10 +179,7 @@ func PseudosphereComplex(views []int) (*AbstractComplex, error) {
 // ToComplex materializes the pseudosphere as a colored complex.
 func (ps *Pseudosphere[V]) ToComplex() *Complex[V] {
 	c := NewComplex[V]()
-	ps.Facets(func(s Simplex[V]) bool {
-		c.AddFacet(s)
-		return true
-	})
+	c.addPseudosphere(ps)
 	return c
 }
 

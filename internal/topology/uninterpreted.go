@@ -64,10 +64,7 @@ func UninterpretedComplex(gens []graph.Digraph) (*Complex[bits.Set], error) {
 	}
 	c := NewComplex[bits.Set]()
 	for _, ps := range cover {
-		ps.Facets(func(s Simplex[bits.Set]) bool {
-			c.AddFacet(s)
-			return true
-		})
+		c.addPseudosphere(ps)
 	}
 	return c, nil
 }
